@@ -114,7 +114,6 @@ void emit_arm_json(std::ostream& out, const CityArm& a, bool last) {
       << ", \"total_l3\": " << a.metrics.total_l3
       << ", \"heartbeats_delivered\": " << a.metrics.heartbeats_delivered
       << ", \"forwarded_via_d2d\": " << a.metrics.forwarded_via_d2d
-      << ", \"cross_shard_posted\": " << a.metrics.cross_shard_posted
       << ", \"arena_bytes_allocated\": " << a.metrics.arena_bytes_allocated
       << ", \"arena_bytes_reserved\": " << a.metrics.arena_bytes_reserved
       << ", \"arena_objects\": " << a.metrics.arena_objects

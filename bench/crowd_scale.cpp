@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
       bench::flag_number(argc, argv, "--compare", 0.0));
   const double compare_duration =
       bench::flag_number(argc, argv, "--compare-duration", 120.0);
-  // Shared crowd knobs (--shards, --duration, ...) overlay every point.
+  // Shared crowd knobs (--threads, --duration, ...) overlay every point.
   CliFlags crowd_flags{argc, argv};
   auto with_overrides = [&crowd_flags, argv](CrowdConfig config) {
     if (const std::string error = apply_crowd_flags(crowd_flags, config);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       "every cell's peak");
   bench::announce_threads();
 
-  // Shared crowd knobs (--shards, --phones, ...) overlay the canned
+  // Shared crowd knobs (--threads, --phones, ...) overlay the canned
   // storm configuration.
   CrowdConfig base = storm_config();
   CliFlags flags{argc, argv};

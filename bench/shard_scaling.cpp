@@ -2,16 +2,13 @@
 // kernels — driven by 1, 2, and 4 worker threads, plus a 10k-phone
 // "medium" arm in the crowd_scale shape. Results are byte-identical by
 // construction (the shard-equivalence gate holds the executor to
-// that); what varies is the wall clock and the cross-shard traffic
-// profile — how many events crossed a kernel border, and the smallest
-// slack between a cross-shard post and its delivery time (the
-// conservative lookahead the windowed executor runs on). Writes
-// BENCH_shard_scaling.json like perf_kernel writes its kernel report.
+// that); what varies is the wall clock, and how the work spreads over
+// the kernels. Writes BENCH_shard_scaling.json like perf_kernel writes
+// its kernel report.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,7 +28,6 @@ using namespace d2dhb::scenario;
 struct ThreadArm {
   std::string arm;  ///< "medium" (the headline) or "smoke" (toy run).
   std::size_t threads{0};
-  std::size_t shards{0};  ///< The concurrency cap, not the kernel count.
   std::size_t kernels{0};
   double wall_s{0.0};
   double events_per_sec{0.0};
@@ -58,7 +54,6 @@ ThreadArm run_arm(const std::string& arm, const CrowdConfig& base,
   ThreadArm r;
   r.arm = arm;
   r.threads = threads;
-  r.shards = config.shards;
   r.kernels = kernels_for(config);
   r.wall_s = s;
   r.events_per_sec =
@@ -93,29 +88,15 @@ void emit_counter_array(std::ostream& out, const char* key,
 
 void emit_arm_json(std::ostream& out, const ThreadArm& r, bool last) {
   out << "    {\"arm\": \"" << r.arm << "\", \"threads\": " << r.threads
-      << ", \"shards\": " << r.shards << ", \"kernels\": " << r.kernels
+      << ", \"kernels\": " << r.kernels
       << ", \"phones\": " << r.metrics.phones
       << ", \"sim_events\": " << r.metrics.sim_events
       << ", \"wall_s\": " << r.wall_s
-      << ", \"events_per_sec\": " << r.events_per_sec
-      << ", \"cross_shard_posted\": " << r.metrics.cross_shard_posted
-      << ", \"cross_shard_delivered\": " << r.metrics.cross_shard_delivered
-      << ", \"cross_min_slack_us\": ";
-  // INT64_MAX is the "nothing crossed a border" sentinel. Export null
-  // instead of the raw 9.2e18 — downstream JSON readers coerce that to
-  // a double and report a nonsense 292-millennium slack.
-  if (r.metrics.cross_min_slack_us ==
-      std::numeric_limits<std::int64_t>::max()) {
-    out << "null";
-  } else {
-    out << r.metrics.cross_min_slack_us;
-  }
+      << ", \"events_per_sec\": " << r.events_per_sec;
   // Deterministic per-kernel totals (same numbers at every thread
   // count) — the executor-side view of where the work landed.
   emit_counter_array(out, "shard_events_executed",
                      r.metrics.shard_events_executed);
-  emit_counter_array(out, "shard_mailbox_delivered",
-                     r.metrics.shard_mailbox_delivered);
   // Process-monotone (getrusage): the largest world so far, which
   // is why the headline arms run before the toy ones.
   out << ", \"peak_rss_bytes\": " << r.metrics.peak_rss_bytes
@@ -193,7 +174,7 @@ int main(int argc, char** argv) {
 
   bool identical = true;
   Table table{{"Arm", "Threads", "Kernels", "Events/sec", "Sim events",
-               "Cross-shard", "Min slack (us)", "Identical"}};
+               "Identical"}};
   const CrowdMetrics* reference = nullptr;
   std::string reference_arm;
   for (const ThreadArm& r : results) {
@@ -210,10 +191,6 @@ int main(int argc, char** argv) {
                    std::to_string(r.kernels),
                    Table::num(r.events_per_sec, 0),
                    std::to_string(r.metrics.sim_events),
-                   std::to_string(r.metrics.cross_shard_posted),
-                   r.metrics.cross_shard_posted == 0
-                       ? "-"
-                       : std::to_string(r.metrics.cross_min_slack_us),
                    same ? "yes" : "NO"});
   }
   bench::emit(table, "shard_scaling");

@@ -24,11 +24,9 @@ namespace d2dhb {
 /// What one span measured. The engine emits one kind per
 /// instrumentation site; tools key their per-phase breakdowns on it.
 enum class SpanKind : std::uint8_t {
-  window,       ///< One engine window, barrier to barrier (main thread).
-  drain,        ///< One kernel's mailbox drain within a window.
-  execute,      ///< One kernel's execute phase within a window.
-  barrier_wait, ///< A worker blocked waiting for the next round.
-  serial_tail,  ///< The final serial merge-step after the last window.
+  window,        ///< One engine round, start to join (main thread).
+  execute,       ///< One kernel advanced to the round's target.
+  barrier_wait,  ///< A worker idle from its last kernel to the join.
 };
 
 const char* to_string(SpanKind kind);
@@ -47,8 +45,7 @@ inline std::uint64_t trace_now_ns() {
 
 /// One closed span. `seq` is the position within the recording
 /// buffer (per-thread monotone), `payload` a kind-specific count:
-/// envelopes delivered for drain, events executed for execute and
-/// serial_tail, the window index for window, the round number for
+/// events executed for execute, the round index for window and
 /// barrier_wait.
 struct SpanRecord {
   static constexpr std::uint32_t kNoShard = 0xffffffffu;
@@ -140,14 +137,10 @@ inline const char* to_string(SpanKind kind) {
   switch (kind) {
     case SpanKind::window:
       return "window";
-    case SpanKind::drain:
-      return "drain";
     case SpanKind::execute:
       return "execute";
     case SpanKind::barrier_wait:
       return "barrier-wait";
-    case SpanKind::serial_tail:
-      return "serial-tail";
   }
   return "unknown";
 }

@@ -1,6 +1,8 @@
 #include "d2d/wifi_direct.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/log.hpp"
@@ -230,6 +232,14 @@ void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
     callback(Status{Errc::disconnected, "peer out of range"});
     return;
   }
+  // The transfer completes on this kernel. D2D links never leave a
+  // strip, so the peer always lives here too; a peer homed on another
+  // kernel would couple two kernels — refuse it loudly.
+  if (medium_.nodes().shard_of(peer) != sim_.current_shard()) {
+    throw std::logic_error("WifiDirectRadio::send: peer " +
+                           std::to_string(peer.value) +
+                           " is homed on another kernel");
+  }
   sends_ctr_->inc();
   if (const auto* hb = std::get_if<net::HeartbeatMessage>(&payload)) {
     transfer_bytes_ctr_->inc(hb->size.value);
@@ -248,13 +258,10 @@ void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
         MilliAmps{other->profile_.control_receive.value * 3.6 / 0.2},
         milliseconds(200));
   }
-  // The completion event belongs to the receiving side: when the peer
-  // is homed on another kernel, it crosses through that shard's mailbox
-  // (keeping its global sequence number, so execution order is the same
-  // as a direct schedule). Fire-and-forget — in-flight transfers are
-  // never cancelled, only re-checked for liveness on arrival.
-  sim_.post_after(
-      medium_.nodes().shard_of(peer), profile_.transfer_latency,
+  // Fire-and-forget: in-flight transfers are never cancelled, only
+  // re-checked for liveness on arrival.
+  sim_.schedule_after(
+      profile_.transfer_latency,
       [this, peer, payload = std::move(payload),
        callback = std::move(callback)] {
         WifiDirectRadio* other = medium_.radio(peer);

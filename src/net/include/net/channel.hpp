@@ -1,6 +1,9 @@
 // Point-to-point delivery with latency and loss, driven by the simulator.
 // Used for the BS -> IM-server backhaul and anywhere an unreliable hop
-// needs modeling.
+// needs modeling. A delivery runs on the sender's kernel: the receiving
+// end (the IM server) is thread-safe, and each of its sessions is only
+// ever fed from one strip, so per-session order is the kernel's
+// (when, seq) order.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +22,6 @@ class Channel {
   struct Params {
     Duration latency{milliseconds(50)};
     double loss_probability{0.0};
-    /// Kernel hosting the receiving end. The BS -> IM-server backhaul
-    /// terminates at world-global machinery, which lives on shard 0 by
-    /// convention; deliveries cross through that shard's mailbox when
-    /// the sender is homed elsewhere.
-    std::uint32_t home_shard{0};
   };
 
   using Receiver = std::function<void(const UplinkBundle&)>;
@@ -37,27 +35,26 @@ class Channel {
   bool send(UplinkBundle bundle);
 
   std::uint64_t sent() const;
-  std::uint64_t delivered() const { return delivered_; }
+  std::uint64_t delivered() const;
   std::uint64_t dropped() const;
 
  private:
-  /// Per-shard send state: senders on different kernels draw from their
-  /// own loss rng and bump their own counters, so concurrent sends stay
-  /// deterministic per strip. One kernel means one lane holding the
-  /// channel's original rng — the classic single-stream behaviour.
+  /// Per-shard state: senders on different kernels draw from their own
+  /// loss rng and bump their own counters (deliveries run on the
+  /// sender's kernel too), so concurrent sends stay deterministic per
+  /// strip. One kernel means one lane holding the channel's original
+  /// rng — the classic single-stream behaviour.
   struct Lane {
     Rng rng;
     std::uint64_t sent{0};
     std::uint64_t dropped{0};
+    std::uint64_t delivered{0};
   };
 
   sim::Simulator& sim_;
   Params params_;
   Receiver receiver_;
   std::vector<Lane> lanes_;
-  /// Only touched by delivery callbacks, which all run on the home
-  /// shard's kernel — a single writer.
-  std::uint64_t delivered_{0};
 };
 
 }  // namespace d2dhb::net

@@ -4,6 +4,14 @@
 // not" (Section II-A). The server is the ground truth for whether the
 // framework's added forwarding delay ever knocked a client offline —
 // the correctness criterion of the scheduling algorithm.
+//
+// Thread-safety: uplinks are delivered on their sender's kernel, so
+// kernels running on different threads deliver concurrently. One mutex
+// guards the session maps. Each session is only ever written from its
+// origin phone's strip (a relay and its UEs share a strip, because D2D
+// links never leave one), so every session still sees its heartbeats
+// in that kernel's (when, seq) order, and the totals are order-free
+// sums — results stay byte-identical across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +19,7 @@
 #include <vector>
 
 #include "common/id.hpp"
+#include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 #include "metrics/registry.hpp"
 #include "net/message.hpp"
@@ -25,14 +34,15 @@ class ImServer {
   /// Registers a client session. `expiry` is the server-side tolerance:
   /// the client is considered offline if no heartbeat lands within
   /// `expiry` of the previous deadline reset.
-  void register_client(NodeId node, AppId app, Duration expiry);
+  void register_client(NodeId node, AppId app, Duration expiry)
+      D2DHB_EXCLUDES(mutex_);
 
   /// Delivers one heartbeat (called by the BS/backhaul). Updates the
   /// session's deadline and records whether the heartbeat landed on time.
-  void deliver(const HeartbeatMessage& message);
+  void deliver(const HeartbeatMessage& message) D2DHB_EXCLUDES(mutex_);
 
   /// Delivers every heartbeat in a bundle.
-  void deliver(const UplinkBundle& bundle);
+  void deliver(const UplinkBundle& bundle) D2DHB_EXCLUDES(mutex_);
 
   struct SessionStats {
     std::uint64_t delivered{0};
@@ -45,8 +55,9 @@ class ImServer {
   };
 
   /// True if the session's deadline has not lapsed as of now.
-  bool online(NodeId node, AppId app) const;
-  const SessionStats& stats(NodeId node, AppId app) const;
+  bool online(NodeId node, AppId app) const D2DHB_EXCLUDES(mutex_);
+  /// A copy of the session's stats, taken under the lock.
+  SessionStats stats(NodeId node, AppId app) const D2DHB_EXCLUDES(mutex_);
 
   /// Aggregates across all sessions.
   struct Totals {
@@ -63,16 +74,20 @@ class ImServer {
                  : to_seconds(total_latency) / static_cast<double>(delivered);
     }
   };
-  Totals totals() const;
+  Totals totals() const D2DHB_EXCLUDES(mutex_);
 
-  std::size_t session_count() const { return sessions_.size(); }
+  std::size_t session_count() const D2DHB_EXCLUDES(mutex_);
 
  private:
   using Key = std::pair<NodeId, AppId>;
 
+  void register_locked(const Key& key, Duration expiry)
+      D2DHB_REQUIRES(mutex_);
+
   sim::Simulator& sim_;
-  std::map<Key, SessionStats> sessions_;
-  std::map<Key, Duration> expiries_;
+  mutable Mutex mutex_;
+  std::map<Key, SessionStats> sessions_ D2DHB_GUARDED_BY(mutex_);
+  std::map<Key, Duration> expiries_ D2DHB_GUARDED_BY(mutex_);
 
   // Registry-backed aggregate counters (per-session detail stays in
   // sessions_; these feed the exported metrics tree).

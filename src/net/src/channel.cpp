@@ -23,19 +23,23 @@ bool Channel::send(UplinkBundle bundle) {
     ++lane.dropped;
     return false;
   }
-  // Delivery runs on the receiver's home kernel; post_after degenerates
-  // to a plain schedule when the sender is already homed there.
-  sim_.post_after(params_.home_shard, params_.latency,
-                  [this, bundle = std::move(bundle)]() mutable {
-                    ++delivered_;
-                    if (receiver_) receiver_(bundle);
-                  });
+  sim_.schedule_after(params_.latency,
+                      [this, &lane, bundle = std::move(bundle)] {
+                        ++lane.delivered;
+                        if (receiver_) receiver_(bundle);
+                      });
   return true;
 }
 
 std::uint64_t Channel::sent() const {
   std::uint64_t total = 0;
   for (const Lane& lane : lanes_) total += lane.sent;
+  return total;
+}
+
+std::uint64_t Channel::delivered() const {
+  std::uint64_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.delivered;
   return total;
 }
 

@@ -14,7 +14,11 @@ ImServer::ImServer(sim::Simulator& sim) : sim_(sim) {
 }
 
 void ImServer::register_client(NodeId node, AppId app, Duration expiry) {
-  const Key key{node, app};
+  const MutexLock lock(mutex_);
+  register_locked(Key{node, app}, expiry);
+}
+
+void ImServer::register_locked(const Key& key, Duration expiry) {
   SessionStats stats;
   stats.deadline = sim_.now() + expiry;
   sessions_[key] = stats;
@@ -23,10 +27,11 @@ void ImServer::register_client(NodeId node, AppId app, Duration expiry) {
 
 void ImServer::deliver(const HeartbeatMessage& message) {
   const Key key{message.origin, message.app};
+  const MutexLock lock(mutex_);
   auto it = sessions_.find(key);
   if (it == sessions_.end()) {
     // Auto-register on first contact using the message's own expiry.
-    register_client(message.origin, message.app, message.expiry);
+    register_locked(key, message.expiry);
     it = sessions_.find(key);
   }
   SessionStats& s = it->second;
@@ -53,12 +58,14 @@ void ImServer::deliver(const UplinkBundle& bundle) {
 }
 
 bool ImServer::online(NodeId node, AppId app) const {
+  const MutexLock lock(mutex_);
   const auto it = sessions_.find(Key{node, app});
   if (it == sessions_.end()) return false;
   return sim_.now() <= it->second.deadline;
 }
 
-const ImServer::SessionStats& ImServer::stats(NodeId node, AppId app) const {
+ImServer::SessionStats ImServer::stats(NodeId node, AppId app) const {
+  const MutexLock lock(mutex_);
   const auto it = sessions_.find(Key{node, app});
   if (it == sessions_.end()) {
     throw std::out_of_range("ImServer::stats: unknown session");
@@ -67,6 +74,7 @@ const ImServer::SessionStats& ImServer::stats(NodeId node, AppId app) const {
 }
 
 ImServer::Totals ImServer::totals() const {
+  const MutexLock lock(mutex_);
   Totals t;
   for (const auto& [key, s] : sessions_) {
     t.delivered += s.delivered;
@@ -76,6 +84,11 @@ ImServer::Totals ImServer::totals() const {
     t.total_latency += s.total_latency;
   }
   return t;
+}
+
+std::size_t ImServer::session_count() const {
+  const MutexLock lock(mutex_);
+  return sessions_.size();
 }
 
 }  // namespace d2dhb::net

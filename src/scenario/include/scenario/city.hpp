@@ -70,18 +70,15 @@ struct CityMetrics {
   std::uint64_t forwarded_via_d2d{0};
   std::uint64_t fallbacks{0};
   std::uint64_t sim_events{0};
-  std::uint64_t cross_shard_posted{0};
-  std::uint64_t cross_shard_delivered{0};
   /// Strip-arena footprint (common/arena.hpp Stats, summed).
   std::uint64_t arena_bytes_allocated{0};
   std::uint64_t arena_bytes_reserved{0};
   std::uint64_t arena_objects{0};
   /// Process peak RSS (getrusage) after the run, in bytes.
   std::uint64_t peak_rss_bytes{0};
-  /// Per-shard event/delivery counts (sim::RunStats). O(strips), not
+  /// Per-shard event counts (sim::RunStats). O(strips), not
   /// O(phones) — safe at city scale, deterministic across threads.
   std::vector<std::uint64_t> shard_events_executed;
-  std::vector<std::uint64_t> shard_mailbox_delivered;
   /// Runtime profile summary (enabled=false unless CityConfig asked).
   sim::ProfileSummary profile;
 };

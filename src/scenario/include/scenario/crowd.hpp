@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -15,7 +15,8 @@
 #include "core/operator_selection.hpp"
 #include "metrics/registry.hpp"
 #include "net/im_server.hpp"
-#include "sim/profiler.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/engine.hpp"
 
 namespace d2dhb::scenario {
 
@@ -58,15 +59,12 @@ struct CrowdConfig {
   /// Zero disables re-assessment. Periodic re-scans make discovery the
   /// dominant event class at scale — the scaling benches use this.
   double reassess_interval_s{0.0};
-  /// Executor concurrency cap: at most this many of the world's kernels
-  /// may run in parallel. The partition itself is geometric — one
-  /// vertical strip per 120 m of area width, each phone homed to the
-  /// strip owning its initial position — so neither this value nor
-  /// `threads` ever changes results; the shard-equivalence gate holds
-  /// the executor to that. The default places no cap.
-  std::size_t shards{256};
-  /// Worker threads driving the kernels (1 = serial execution; capped
-  /// by `shards` and by the world's strip count).
+  /// Worker threads driving the kernels (1 = inline on the caller's
+  /// thread; capped by the world's strip count). The partition itself
+  /// is geometric — one vertical strip per 120 m of area width, each
+  /// phone homed to the strip owning its initial position — so this
+  /// never changes results; the shard-equivalence gate holds the
+  /// executor to that.
   std::size_t threads{1};
   /// Ablation: one heap allocation per agent object instead of the
   /// pooled per-strip arenas (Scenario::Params::agent_memory). Seeded
@@ -110,14 +108,12 @@ struct CrowdMetrics {
   /// Simulator events executed by this run — the numerator of the
   /// events/sec scaling benches.
   std::uint64_t sim_events{0};
-  /// Cross-kernel mailbox traffic (plain counters, deliberately NOT in
-  /// the metrics registry: the registry snapshot must stay byte-
-  /// identical across shard counts). Zero in a 1-shard run.
+  /// Cross-kernel traffic: always 0, 0 and INT64_MAX (and
+  /// shard_mailbox_delivered all zeros), because no event crosses
+  /// kernels (sim::RunStats). Kept only for the repo benchmark's
+  /// reader; drop them with the next benchmark change.
   std::uint64_t cross_shard_posted{0};
   std::uint64_t cross_shard_delivered{0};
-  /// Smallest (when - post time) over cross-shard posts, in
-  /// microseconds (INT64_MAX when nothing crossed) — the conservative
-  /// lookahead available to a parallel executor.
   std::int64_t cross_min_slack_us{INT64_MAX};
   /// Agent-memory footprint: bytes handed out by the strip arenas,
   /// bytes they reserved from the OS, and the object count (plain
@@ -130,7 +126,7 @@ struct CrowdMetrics {
   /// Monotone over the process lifetime — meaningful for the FIRST or
   /// LARGEST world a process builds, not per-arm in a shrinking sweep.
   std::uint64_t peak_rss_bytes{0};
-  /// Per-shard event/delivery counts (sim::RunStats) — deterministic,
+  /// Per-shard event counts (sim::RunStats) — deterministic,
   /// byte-identical across thread counts, so load imbalance is visible
   /// with profiling off.
   std::vector<std::uint64_t> shard_events_executed;
@@ -147,5 +143,17 @@ struct CrowdMetrics {
 
 CrowdMetrics run_d2d_crowd(const CrowdConfig& config);
 CrowdMetrics run_original_crowd(const CrowdConfig& config);
+
+/// A D2D crowd world, built and started but not yet run: run_d2d_crowd
+/// split in two, so a caller can drive the world itself (the executor
+/// oracle steps it event by event).
+struct CrowdWorld {
+  std::unique_ptr<Scenario> world;
+  double relay_coverage{0.0};
+};
+CrowdWorld build_d2d_crowd(const CrowdConfig& config);
+/// The metrics run_d2d_crowd reports, for a built world driven to the
+/// end of the run; `stats` is the last sim::run's RunStats.
+CrowdMetrics collect_d2d_crowd(CrowdWorld& built, const sim::RunStats& stats);
 
 }  // namespace d2dhb::scenario

@@ -1,11 +1,9 @@
 // Shared command-line parsing for crowd experiments.
 //
 // Every driver that runs a crowd — the d2dhb_sim CLI and the scaling /
-// storm benches — exposes the same CrowdConfig knobs. Before this
-// helper each driver hand-rolled its own subset (and new knobs like
-// --shards had to be wired into each one separately); now a single
-// flag table maps names onto CrowdConfig fields, and drivers layer
-// their own flags (--smoke, --metrics-out, --seeds) on top.
+// storm benches — exposes the same CrowdConfig knobs. A single flag
+// table maps names onto CrowdConfig fields, and drivers layer their
+// own flags (--smoke, --metrics-out, --seeds) on top.
 #pragma once
 
 #include <optional>
@@ -43,10 +41,10 @@ class CliFlags {
 /// Applies every recognized crowd knob onto `config`:
 ///   --phones N --relay-fraction F --area M --duration S --mobile
 ///   --policy greedy|random|density|first-n --cell-grid N
-///   --grid-cell M --legacy-scan --reassess S --shards N --threads N
-///   --heap-agents --seed S
-/// Returns an error message ("unknown --policy: x", "--shards must be
-/// in [1, 256]") or the empty string on success. Flags not present
+///   --grid-cell M --legacy-scan --reassess S --threads N
+///   --heap-agents --profile --seed S
+/// Returns an error message ("unknown --policy: x", "--threads must be
+/// at least 1") or the empty string on success. Flags not present
 /// leave their field untouched, so drivers can pre-load defaults.
 std::string apply_crowd_flags(CliFlags& flags, CrowdConfig& config);
 

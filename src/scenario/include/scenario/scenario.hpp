@@ -38,9 +38,10 @@ class Scenario {
     std::vector<mobility::Vec2> cell_sites{};
     /// Spatial partition of the world across event kernels. The default
     /// (1 shard) is the classic single-kernel run; N > 1 homes each
-    /// phone's timers on the kernel owning its initial position and
-    /// routes border traffic through the shard mailboxes. Results are
-    /// byte-identical either way.
+    /// phone — its timers, uplinks and D2D links — on the kernel owning
+    /// its initial position, and D2D never links phones homed to
+    /// different strips. The kernels are therefore independent, and
+    /// results are byte-identical for any executor thread count.
     world::ShardPlan shard_plan{};
     /// Agent memory layout: pooled (one bump arena per shard strip —
     /// the production layout) or heap (one allocation per object, the

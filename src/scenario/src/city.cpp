@@ -143,7 +143,6 @@ CityMetrics run_city(Scenario& world, const CityConfig& config) {
 
   CityMetrics m;
   m.shard_events_executed = run_stats.shard_events_executed;
-  m.shard_mailbox_delivered = run_stats.shard_mailbox_delivered;
   m.profile = run_stats.profile;
   m.phones = world.phones().size();
   m.relays = world.relays().size();
@@ -159,12 +158,6 @@ CityMetrics run_city(Scenario& world, const CityConfig& config) {
     m.fallbacks += ue->stats().fallback_cellular;
   }
   m.sim_events = world.sim().executed_events();
-  for (std::uint32_t s = 0; s < world.sim().shard_count(); ++s) {
-    // detlint: allow(cross-strip-access): post-run counter read, quiesced
-    m.cross_shard_posted += world.sim().mailbox(s).posted();
-    // detlint: allow(cross-strip-access): post-run counter read, quiesced
-    m.cross_shard_delivered += world.sim().mailbox(s).delivered();
-  }
   const Arena::Stats arena = world.arena_stats();
   m.arena_bytes_allocated = arena.bytes_allocated;
   m.arena_bytes_reserved = arena.bytes_reserved;

@@ -31,8 +31,8 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
 /// strip confinement only trims boundary-band pairs), floored at one
 /// strip and capped by the event-id encoding. Every config decides its
 /// own partition this way, which is what keeps results independent of
-/// CrowdConfig::shards/threads: those only say how much of the
-/// partition may execute concurrently.
+/// CrowdConfig::threads: it only says how many threads drive the
+/// partition.
 std::size_t strip_count(const CrowdConfig& config) {
   const auto strips = static_cast<std::size_t>(config.area_m / 120.0);
   return std::clamp<std::size_t>(strips, 1, sim::EventKernel::kMaxShards);
@@ -55,7 +55,6 @@ Scenario::Params world_params(const CrowdConfig& config,
 sim::RunStats run_world(Scenario& world, const CrowdConfig& config) {
   const TimePoint end = TimePoint{} + seconds(config.duration_s);
   sim::RunOptions options;
-  options.shards = config.shards;
   options.threads = config.threads;
   options.profile = config.profile;
   options.profiler = config.profiler;
@@ -77,8 +76,8 @@ std::vector<mobility::Vec2> cell_grid_sites(const CrowdConfig& config) {
   return sites;
 }
 
-void collect_common(Scenario& world, const CrowdConfig& config,
-                    const sim::RunStats& run_stats, CrowdMetrics& metrics) {
+void collect_common(Scenario& world, const sim::RunStats& run_stats,
+                    CrowdMetrics& metrics) {
   metrics.phones = world.phones().size();
   metrics.total_l3 = world.total_l3();
   metrics.peak_l3_per_10s = world.worst_cell_peak(seconds(10));
@@ -96,13 +95,9 @@ void collect_common(Scenario& world, const CrowdConfig& config,
   metrics.heartbeats_delivered = metrics.server.delivered;
   metrics.credits_issued = world.ledger().total_issued();
   metrics.sim_events = world.sim().executed_events();
-  for (std::uint32_t s = 0; s < world.sim().shard_count(); ++s) {
-    // detlint: allow(cross-strip-access): post-run counter read, quiesced
-    metrics.cross_shard_posted += world.sim().mailbox(s).posted();
-    // detlint: allow(cross-strip-access): post-run counter read, quiesced
-    metrics.cross_shard_delivered += world.sim().mailbox(s).delivered();
-  }
-  metrics.cross_min_slack_us = world.sim().cross_min_slack_us();
+  metrics.cross_shard_posted = run_stats.cross_posted;
+  metrics.cross_shard_delivered = run_stats.cross_delivered;
+  metrics.cross_min_slack_us = run_stats.min_slack_us;
   metrics.shard_events_executed = run_stats.shard_events_executed;
   metrics.shard_mailbox_delivered = run_stats.shard_mailbox_delivered;
   metrics.profile = run_stats.profile;
@@ -112,13 +107,15 @@ void collect_common(Scenario& world, const CrowdConfig& config,
   metrics.arena_objects = arena.objects;
   metrics.peak_rss_bytes = peak_rss_bytes();
   metrics.metrics = world.metrics_snapshot();
-  (void)config;
 }
 
 }  // namespace
 
-CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
-  Scenario world{world_params(config, cell_grid_sites(config))};
+CrowdWorld build_d2d_crowd(const CrowdConfig& config) {
+  CrowdWorld built;
+  built.world = std::make_unique<Scenario>(
+      world_params(config, cell_grid_sites(config)));
+  Scenario& world = *built.world;
   Rng layout_rng = world.fork_rng();
   const auto positions = mobility::clustered_crowd(
       config.phones, config.clusters, {0.0, 0.0},
@@ -136,7 +133,6 @@ CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
         NodeId{i + 1}, positions[i], 1.0, true});
   }
   std::vector<bool> is_relay_at(config.phones, false);
-  double relay_coverage = 0.0;
   if (config.operator_policy.has_value()) {
     core::SelectionConfig selection;
     selection.policy = *config.operator_policy;
@@ -148,7 +144,7 @@ CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
     for (const NodeId node : chosen.relays) {
       is_relay_at[node.value - 1] = true;
     }
-    relay_coverage = chosen.covered_fraction;
+    built.relay_coverage = chosen.covered_fraction;
   } else {
     std::vector<NodeId> relays;
     for (std::size_t i = 0; i < relay_count; ++i) {
@@ -157,8 +153,8 @@ CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
     }
     // Layout coverage accounting for the first-N layout too — the same
     // grid-backed radius counting the operator policies use.
-    relay_coverage = core::coverage_of(candidates, relays,
-                                       Meters{config.match_max_distance_m});
+    built.relay_coverage = core::coverage_of(
+        candidates, relays, Meters{config.match_max_distance_m});
   }
 
   for (std::size_t i = 0; i < config.phones; ++i) {
@@ -201,11 +197,15 @@ CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
     }
   }
 
-  const sim::RunStats run_stats = run_world(world, config);
+  return built;
+}
 
+CrowdMetrics collect_d2d_crowd(CrowdWorld& built,
+                               const sim::RunStats& stats) {
+  Scenario& world = *built.world;
   CrowdMetrics metrics;
   metrics.relays = world.relays().size();
-  metrics.relay_coverage = relay_coverage;
+  metrics.relay_coverage = built.relay_coverage;
   for (auto& relay : world.relays()) {
     metrics.heartbeats_emitted += relay->stats().own_heartbeats;
     metrics.forwarded_via_d2d += relay->stats().forwarded_received;
@@ -217,8 +217,14 @@ CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
     metrics.link_losses += ue->stats().link_losses;
     metrics.ue_radio_uah += ue->phone().radio_charge().value;
   }
-  collect_common(world, config, run_stats, metrics);
+  collect_common(world, stats, metrics);
   return metrics;
+}
+
+CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
+  CrowdWorld built = build_d2d_crowd(config);
+  const sim::RunStats stats = run_world(*built.world, config);
+  return collect_d2d_crowd(built, stats);
 }
 
 CrowdMetrics run_original_crowd(const CrowdConfig& config) {
@@ -249,7 +255,7 @@ CrowdMetrics run_original_crowd(const CrowdConfig& config) {
   for (auto& agent : world.originals()) {
     metrics.heartbeats_emitted += agent->heartbeats_sent();
   }
-  collect_common(world, config, run_stats, metrics);
+  collect_common(world, run_stats, metrics);
   return metrics;
 }
 

@@ -1,7 +1,5 @@
 #include "scenario/crowd_cli.hpp"
 
-#include "sim/event_kernel.hpp"
-
 namespace d2dhb::scenario {
 
 CliFlags::CliFlags(int argc, char** argv, int first) {
@@ -58,13 +56,6 @@ std::string apply_crowd_flags(CliFlags& flags, CrowdConfig& config) {
       flags.number("--reassess", config.reassess_interval_s);
   config.seed = static_cast<std::uint64_t>(
       flags.number("--seed", static_cast<double>(config.seed)));
-  const double shards = flags.number(
-      "--shards", static_cast<double>(config.shards));
-  if (shards < 1.0 || shards > static_cast<double>(sim::EventKernel::kMaxShards)) {
-    return "--shards must be in [1, " +
-           std::to_string(sim::EventKernel::kMaxShards) + "]";
-  }
-  config.shards = static_cast<std::size_t>(shards);
   const double threads = flags.number(
       "--threads", static_cast<double>(config.threads));
   if (threads < 1.0) {
@@ -99,16 +90,14 @@ const char* crowd_flags_help() {
       "    grid-vs-scan ablation; seeded results are identical)\n"
       "    --reassess S (connected UEs re-scan every S seconds and\n"
       "    switch to a markedly closer relay; 0 = off)\n"
-      "    --shards N (cap on how many of the world's kernels may run\n"
-      "    concurrently; the partition itself is geometric, so seeded\n"
-      "    results are byte-identical for any N)\n"
-      "    --threads N (worker threads driving the kernels; 1 = serial.\n"
-      "    Seeded results are byte-identical for any N)\n"
+      "    --threads N (worker threads driving the kernels; 1 = inline.\n"
+      "    The partition into kernels is geometric, so seeded results\n"
+      "    are byte-identical for any N)\n"
       "    --heap-agents (one heap allocation per agent instead of the\n"
       "    pooled per-strip arenas; the ablation arm of the arena-vs-\n"
       "    heap gate — seeded results are byte-identical)\n"
       "    --profile (record engine runtime spans: per-shard busy time,\n"
-      "    barrier waits, window utilization — printed after the run\n"
+      "    barrier waits, round utilization — printed after the run\n"
       "    and exported under the registry's runtime/ namespace;\n"
       "    deterministic results stay byte-identical)\n";
 }

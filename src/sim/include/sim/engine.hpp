@@ -1,32 +1,25 @@
 // The unified run engine: one entrypoint that executes a Simulator to a
-// target time, serially or on a pool of worker threads, behind a single
-// RunOptions knob. Every driver — d2dhb_sim, the benches, SweepRunner
-// scenarios — goes through sim::run(); the old hand-assembled
-// Simulator::run_until / world::ShardedWorld::run_until pairing is
-// gone (the deprecated shim was removed once its callers ported).
+// target time, on the caller's thread or on worker threads, behind a
+// single RunOptions knob. Every driver — d2dhb_sim, the benches,
+// SweepRunner scenarios, Simulator::run_until itself — goes through
+// sim::run().
 //
-// Threading model: `workers = min(threads, shards, kernel count)`
-// threads each own the kernels `k % workers == w`. Execution proceeds
-// in windows: at each barrier the main thread finds the earliest
-// pending event or envelope time M, picks the window target
-// `min(until, M + window)`, and releases the pool in two
-// barrier-separated phases: every worker first drains its kernels'
-// mailboxes up to the target (sorted (when, seq) delivery, horizons
-// advanced while no kernel executes), then — after all drains have
-// finished — executes those kernels strictly before the target.
-// Workers meet at the final barrier, the world clock advances, and the
-// cycle repeats — skipping idle stretches in one hop because the next
-// M is read off the kernel heads.
+// Kernels are independent (sim/simulator.hpp): no event ever schedules
+// onto another kernel, so each kernel runs straight through to `until`
+// on its own. With one worker the kernels run one after another inline
+// on the caller's thread; with `workers = min(threads, kernel count)`
+// plain threads each own the kernels `k % workers == w` and the caller
+// joins them. Either way each kernel executes its own events in
+// (when, seq) order — the order the global merge (Simulator::step)
+// would give them — so every result is byte-identical for any thread
+// count.
 //
-// Why determinism survives: each kernel executes its own events in
-// (when, seq) order regardless of what other kernels do concurrently;
-// cross-kernel work arrives only through mailbox envelopes stamped with
-// the sender's lane sequence number and delivered in sorted order at a
-// barrier at least one window before they fire. The "no post below the
-// horizon" rule is enforced by ShardMailbox itself, so a window wider
-// than the smallest cross-shard latency fails loudly instead of
-// reordering the past. Events exactly at `until` run in a final serial
-// merge-step, identical to the classic executor.
+// Rounds: a run is one round — every kernel advanced to the target,
+// then joined — unless audits are armed (RunOptions::audit or a
+// non-zero Simulator::audit_interval). Then the same loop advances
+// the kernels in rounds of kAuditRound simulated time (skipping idle
+// stretches) and runs the full Simulator::audit() after each one,
+// with every worker joined.
 #pragma once
 
 #include <cstdint>
@@ -38,25 +31,20 @@
 
 namespace d2dhb::sim {
 
-/// Execution knobs for sim::run(). Defaults reproduce the classic
-/// single-threaded executor exactly.
+/// Simulated span of one audited round (see above).
+inline constexpr Duration kAuditRound = seconds(1);
+
+/// Execution knobs for sim::run(). Defaults run every kernel inline on
+/// the caller's thread.
 struct RunOptions {
-  /// Upper bound on kernels executed concurrently. This is a pure
-  /// concurrency cap — it never changes results (the byte-identical
-  /// contract); the kernel count itself is fixed by the Simulator.
-  std::size_t shards{EventKernel::kMaxShards};
-  /// Worker threads. 1 (the default) runs the classic serial executor;
-  /// the effective pool size is min(threads, shards, kernel count).
+  /// Worker threads. 1 (the default) runs the kernels inline; the
+  /// effective pool size is min(threads, kernel count). Never changes
+  /// results (the byte-identical contract).
   std::size_t threads{1};
-  /// Window width of the parallel executor. Must not exceed the
-  /// smallest cross-shard latency (the backhaul's 50 ms default) —
-  /// ShardMailbox refuses posts below its horizon, so a too-wide
-  /// window throws instead of corrupting order.
-  Duration window{milliseconds(50)};
-  /// Audit every window barrier even when the simulator's periodic
+  /// Advance in audited rounds even when the simulator's periodic
   /// audit interval is off.
   bool audit{false};
-  /// Record runtime spans (window/drain/execute/barrier-wait) and fill
+  /// Record runtime spans (round/execute/barrier-wait) and fill
   /// RunStats::profile + the registry's `runtime/` namespace. Purely
   /// observational: a profiled run's deterministic metrics export is
   /// byte-identical to an unprofiled one (the profile-equivalence gate
@@ -69,36 +57,38 @@ struct RunOptions {
   Profiler* profiler{nullptr};
 };
 
-/// What one engine run did. Counters are cumulative over the
-/// simulator's lifetime (matching the old ShardedWorld::Stats).
+/// What one engine run did. Event counters are cumulative over the
+/// simulator's lifetime.
 struct RunStats {
-  /// Window barriers crossed (0 for a serial run).
+  /// Rounds run by this call (1 unless audits were armed).
   std::uint64_t windows{0};
-  /// Worker threads actually used (1 = serial).
+  /// Worker threads actually used (1 = inline on the caller's thread).
   std::size_t workers{1};
+  /// Cross-kernel traffic: always 0, 0, INT64_MAX and all-zero per
+  /// shard, because no event crosses kernels. Kept only for the repo
+  /// benchmark's reader; drop them with the next benchmark change.
   std::uint64_t cross_posted{0};
   std::uint64_t cross_delivered{0};
-  /// Smallest cross-shard post slack in microseconds; INT64_MAX when
-  /// nothing crossed a kernel border.
   std::int64_t min_slack_us{INT64_MAX};
+  std::vector<std::uint64_t> shard_mailbox_delivered;
   /// Process peak RSS (getrusage) when the run returned, in bytes —
   /// monotone over the process lifetime, so it measures the largest
   /// world this process has driven, not this run in isolation.
   std::uint64_t peak_rss_bytes{0};
-  /// Per-shard event/delivery counts (cumulative, like the counters
-  /// above). Deterministic — byte-identical across thread counts — so
-  /// load imbalance stays visible with profiling off.
+  /// Per-shard executed events (cumulative). Deterministic —
+  /// byte-identical across thread counts — so load imbalance stays
+  /// visible with profiling off.
   std::vector<std::uint64_t> shard_events_executed;
-  std::vector<std::uint64_t> shard_mailbox_delivered;
   /// Runtime profile (host wall-clock; enabled=false unless
   /// RunOptions::profile/profiler asked for it).
   ProfileSummary profile;
 };
 
-/// Runs `sim` to `until` (inclusive, like Simulator::run_until) under
-/// `options`. With an effective pool of one worker this IS
-/// Simulator::run_until; with more it is the windowed parallel executor
-/// described above, byte-identical to the serial run.
+/// Runs `sim` to `until` (events at exactly `until` included) under
+/// `options`, leaving the world clock and every kernel clock at
+/// `until`. Rethrows the first exception a kernel raised (by kernel
+/// order within a worker, lowest worker first) after every worker has
+/// stopped.
 RunStats run(Simulator& sim, TimePoint until, const RunOptions& options = {});
 
 }  // namespace d2dhb::sim

@@ -1,6 +1,6 @@
 // Event kernel: the slot/generation/heap machinery of the discrete-event
 // core, extracted from the world context (sim::Simulator) so a sharded
-// world can run several kernels side by side.
+// world can run several independent kernels side by side.
 //
 // One kernel is one totally ordered event stream: callbacks live in a
 // flat slot array indexed by the heap entries, with a per-slot
@@ -22,9 +22,8 @@
 //    shared counter: kernel k of V draws seq k, k+V, k+2V, ... from its
 //    own counter, so draws stay globally unique (and totally ordered
 //    per kernel) without any cross-thread traffic;
-//  * peek(), which exposes the head (time, seq) for merge-stepping,
-//    and schedule_with_seq(), which lets a ShardMailbox deliver a
-//    cross-shard event under its original global sequence number.
+//  * peek(), which exposes the head (time, seq) for the world-level
+//    merge-step (Simulator::step), the global-order reference.
 #pragma once
 
 #include <cstdint>
@@ -87,11 +86,6 @@ class EventKernel {
   /// the default single-kernel behaviour.
   void set_seq_lane(std::uint64_t start, std::uint64_t stride);
 
-  /// Draws the next sequence number from this kernel's lane. Exposed so
-  /// the world context can stamp cross-shard envelopes with a draw from
-  /// the posting kernel's lane.
-  std::uint64_t draw_seq();
-
   /// Current kernel-local time. In a sharded world this lags the world
   /// clock between this kernel's events; it never runs ahead of it.
   TimePoint now() const { return now_; }
@@ -104,12 +98,6 @@ class EventKernel {
 
   /// Schedules `fn` after `delay` (must be >= 0).
   EventId schedule_after(Duration delay, Callback fn);
-
-  /// Mailbox delivery path: schedules `fn` at `t` under an externally
-  /// assigned sequence number (the one the sender drew when it posted),
-  /// so a cross-shard event keeps its place in the global (when, seq)
-  /// order instead of being re-sequenced at drain time.
-  EventId schedule_with_seq(TimePoint t, std::uint64_t seq, Callback fn);
 
   /// Cancels a pending event. Safe to call for already-fired or
   /// already-cancelled events; returns whether it was still pending.
@@ -133,15 +121,8 @@ class EventKernel {
   void run(std::uint64_t max_events = UINT64_MAX);
 
   /// Runs events with time <= `t`, then advances the clock to exactly
-  /// `t` (so idle intervals at the end of a window are accounted for).
+  /// `t` (so idle intervals at the end of a run are accounted for).
   void run_until(TimePoint t);
-
-  /// Runs events with time strictly < `t`, then advances the clock to
-  /// exactly `t`. The parallel executor's per-window step: events at
-  /// the window boundary itself must wait for the next window so that
-  /// a cross-shard envelope landing exactly at the boundary still sorts
-  /// ahead of same-instant, larger-seq local events.
-  void run_before(TimePoint t);
 
   /// Clock-only advance to `t` (>= now()); used by the world context to
   /// close out a time window on an idle kernel.
@@ -186,6 +167,7 @@ class EventKernel {
   /// detection work.
   void retire(std::uint32_t slot);
 
+  std::uint64_t draw_seq();
   EventId schedule_entry(TimePoint t, std::uint64_t seq, Callback fn);
   void push_entry(Scheduled entry);
   Scheduled pop_entry();
@@ -195,8 +177,7 @@ class EventKernel {
   std::uint64_t time_epoch_{0};
   std::uint64_t own_seq_{0};
   std::uint64_t* seq_;  ///< &own_seq_ or the world's shared counter.
-  std::uint64_t seq_stride_{1};   ///< Lane stride (1 = every number).
-  std::uint64_t lane_residue_{0};  ///< start % stride of this lane.
+  std::uint64_t seq_stride_{1};  ///< Lane stride (1 = every number).
   std::uint64_t executed_{0};
   std::size_t live_{0};
   /// Binary heap managed with std::push_heap/pop_heap (the same

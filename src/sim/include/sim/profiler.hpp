@@ -1,7 +1,7 @@
 // Engine run profiler — aggregates the per-worker span buffers
 // (common/trace_span.hpp) a profiled sim::run() fills, into:
 //   * a ProfileSummary (per-shard busy time, barrier-wait percentiles,
-//     window-width utilization, load-imbalance ratio),
+//     round utilization, load-imbalance ratio),
 //   * `runtime/` entries in the world's metrics registry (excluded
 //     from the deterministic exporters — metrics/export.hpp),
 //   * a Chrome trace-event JSON file loadable in Perfetto or
@@ -11,8 +11,8 @@
 // plus one for the main thread; each buffer is then written by exactly
 // one thread with no synchronization. end_run() merges the buffers in
 // deterministic (worker, seq) order — it may only be called after the
-// pool has shut down (the run's final barrier is the happens-before
-// edge that publishes every worker's appends to the merging thread).
+// workers have been joined (the join is the happens-before edge that
+// publishes every worker's appends to the merging thread).
 #pragma once
 
 #include <cstdint>
@@ -37,23 +37,25 @@ struct ProfileSummary {
   /// False for unprofiled runs — every other field is then zero.
   bool enabled{false};
   std::size_t workers{0};
+  /// Rounds (window spans) of the run.
   std::uint64_t windows{0};
   /// Full sim::run wall time, begin_run to end_run.
   std::uint64_t wall_ns{0};
-  /// Sum of window spans (the parallel region's wall time).
+  /// Sum of round spans.
   std::uint64_t windowed_ns{0};
-  /// The final serial merge-step (boundary events + idle tail).
+  /// Always 0: the engine has neither a serial tail nor a drain
+  /// phase. Kept only for the repo benchmark's reader; drop them with
+  /// the next benchmark change.
   std::uint64_t serial_tail_ns{0};
-  /// Phase totals summed across workers.
   std::uint64_t drain_ns{0};
+  /// Phase totals summed across workers.
   std::uint64_t execute_ns{0};
   std::uint64_t barrier_wait_ns{0};
-  /// Envelopes delivered inside drain spans (mailbox drain volume).
-  std::uint64_t mailbox_drained{0};
-  /// Per-shard execute time / executed events over the windowed phase.
+  /// Per-shard execute time / executed events over the run.
   std::vector<std::uint64_t> shard_busy_ns;
   std::vector<std::uint64_t> shard_events;
-  /// Individual barrier waits, as a distribution.
+  /// Individual barrier waits (one per worker per threaded round), as
+  /// a distribution.
   std::uint64_t barrier_waits{0};
   double barrier_wait_p50_us{0.0};
   double barrier_wait_p90_us{0.0};
@@ -62,8 +64,8 @@ struct ProfileSummary {
   /// max / mean over per-shard busy time (1.0 = perfectly balanced,
   /// 0.0 when no shard recorded busy time).
   double load_imbalance{0.0};
-  /// (drain + execute) / (workers × windowed wall) — the fraction of
-  /// the parallel region workers spent doing work rather than waiting.
+  /// execute / (workers × round wall) — the fraction of the rounds
+  /// workers spent executing kernels rather than waiting at the join.
   double window_utilization{0.0};
 };
 
@@ -89,7 +91,7 @@ class Profiler {
   SpanBuffer* main_buffer() { return buffer(workers_); }
 
   /// Stamps the run end and merges every buffer in (worker, seq)
-  /// order. Call only after the worker pool has joined its threads.
+  /// order. Call only after the workers have been joined.
   void end_run();
 
   bool finished() const { return finished_; }
@@ -109,8 +111,8 @@ class Profiler {
 
   /// Chrome trace-event JSON ("traceEvents" array of ph:"X" complete
   /// events, µs timestamps): pid 1 carries one track per worker (plus
-  /// the main thread), pid 2 one track per shard — drain/execute
-  /// spans appear on both, so Perfetto shows the run from either side.
+  /// the main thread), pid 2 one track per shard — execute spans
+  /// appear on both, so Perfetto shows the run from either side.
   void write_chrome_trace(std::ostream& os) const;
   /// write_chrome_trace to `path`; false (with a stderr warning) when
   /// the file cannot be opened.

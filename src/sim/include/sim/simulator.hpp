@@ -1,32 +1,27 @@
 // World context for the discrete-event core.
 //
 // The slot/generation/heap machinery lives in sim::EventKernel; the
-// Simulator is the world wrapped around it — the global clock and time
+// Simulator is the world wrapped around it — the world clock and time
 // epoch, the unified metrics registry, the invariant-audit harness, and
-// (new with the partition-ready split) the set of event kernels plus the
-// ShardMailboxes that connect them.
+// the set of event kernels, one per world strip.
 //
-// A default-constructed Simulator owns exactly one kernel and behaves
-// byte-identically to the pre-split monolith. Constructed with N > 1
-// shards, it runs N kernels on one thread by merge-stepping: each step
-// drains every mailbox into its destination kernel, then executes the
-// kernel whose head event has the globally smallest (when, seq). Each
+// Kernels are independent: no event executing on one kernel ever
+// schedules onto another (D2D links never leave a strip, and each
+// uplink is delivered to the IM server on its sender's kernel). Each
 // kernel draws sequence numbers from its own lane (kernel k of N draws
-// k, k+N, k+2N, ...), so draws are globally unique without a shared
-// counter — which is what lets the parallel executor (sim/engine.hpp)
-// run the same kernels on worker threads. Cross-shard deliveries keep
-// their original sequence number and mailbox drains deliver in sorted
-// (when, seq) order, so each kernel executes its own events in the same
-// order as the 1-shard run would have — and therefore every metric is
-// identical for ANY partition of the nodes. That is the byte-identical
-// contract the shard-equivalence CI gate enforces.
+// k, k+N, k+2N, ...), so (when, seq) is a global total order without a
+// shared counter. Running every kernel straight through to a target
+// time therefore executes each kernel's events in exactly the order the
+// global (when, seq) merge would — and every metric is identical for
+// any thread count. run_until() (and sim::run, sim/engine.hpp) does
+// that; step()/run(max_events) keep the O(kernels)-per-event global
+// merge as the reference order the oracle tests compare against.
 //
-// Thread-awareness: while a worker thread executes a kernel's window
-// (run_shard_before), a thread-local execution context routes now(),
-// time_epoch(), current_shard(), schedule_* and post_* to that kernel,
-// so substrate code is oblivious to whether it runs serially or on a
-// worker. Outside any execution context the world-level members answer,
-// exactly as before the parallel executor existed.
+// Thread-awareness: while a thread executes a kernel (run_shard_until),
+// a thread-local execution context routes now(), time_epoch(),
+// current_shard() and schedule_* to that kernel, so substrate code is
+// oblivious to which thread runs it. Outside any execution context the
+// world-level members answer.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +33,6 @@
 
 #include "common/units.hpp"
 #include "sim/event_kernel.hpp"
-#include "sim/shard_mailbox.hpp"
 
 namespace d2dhb::metrics {
 class MetricsRegistry;
@@ -48,8 +42,8 @@ namespace d2dhb::sim {
 
 namespace detail {
 /// Thread-local execution context: which simulator/kernel the current
-/// thread is executing a window for. Installed by run_shard_before();
-/// null outside the parallel executor (serial behaviour is unchanged).
+/// thread is executing. Installed by run_shard_until(); null outside
+/// kernel execution (setup code and the step() merge).
 struct ExecContext {
   const void* sim{nullptr};
   std::uint32_t shard{0};
@@ -61,18 +55,18 @@ class Simulator {
  public:
   using Callback = EventKernel::Callback;
 
-  /// `shards` kernels share one clock, one sequence counter, and one
-  /// metrics registry; shards > 1 adds one ShardMailbox per kernel.
+  /// `shards` kernels share one world clock and one metrics registry;
+  /// each draws sequence numbers from its own lane.
   explicit Simulator(std::size_t shards = 1);
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current simulated time. Starts at the epoch (t = 0). Serially this
-  /// is the world clock — the time of the most recently executed event
-  /// across all kernels. On a worker thread executing a kernel's window
-  /// it is that kernel's clock, which during a callback equals the
-  /// executing event's time — the same value the serial run would see.
+  /// Current simulated time. Starts at the epoch (t = 0). Outside kernel
+  /// execution this is the world clock — the end of the last run, or
+  /// the time of the last event step() executed. While a kernel runs it
+  /// is that kernel's clock, which during a callback equals the
+  /// executing event's time.
   TimePoint now() const {
     if (in_exec_context()) {
       return kernels_[detail::exec_context.shard]->now();
@@ -84,8 +78,8 @@ class Simulator {
   /// refresh key for time-lazy caches (the mobility::SpatialGrid world
   /// index re-bins moving nodes at most once per epoch, so every
   /// proximity query within one event instant shares a single refresh).
-  /// On a worker thread this is the executing kernel's epoch; epochs
-  /// only key caches together with the query time, so kernel-local and
+  /// While a kernel runs this is that kernel's epoch; epochs only key
+  /// caches together with the query time, so kernel-local and
   /// world-level epochs are interchangeable (time equality is what
   /// makes a cache hit valid).
   std::uint64_t time_epoch() const {
@@ -105,10 +99,8 @@ class Simulator {
 
   std::size_t shard_count() const { return kernels_.size(); }
 
-  /// The shard whose kernel is executing (or, outside of step(), the
-  /// shard that schedule_at/schedule_after will target). Shard 0 hosts
-  /// world-global machinery (server, cells) by convention. On a worker
-  /// thread this is the kernel the thread is executing.
+  /// The shard whose kernel is executing (or, outside execution, the
+  /// shard that schedule_at/schedule_after will target).
   std::uint32_t current_shard() const { return active_shard(); }
 
   /// Redirects subsequent schedule_* calls to `shard`'s kernel. Setup
@@ -118,35 +110,26 @@ class Simulator {
   void set_scheduling_shard(std::uint32_t shard);
 
   EventKernel& kernel(std::uint32_t shard);
-  ShardMailbox& mailbox(std::uint32_t shard);
 
-  /// Schedules `fn` onto `shard` at absolute time `when` (>= now()).
-  /// Same-shard posts schedule directly; cross-shard posts go through
-  /// the destination's mailbox under a freshly drawn global sequence
-  /// number, so the event fires exactly where a direct schedule would
-  /// have placed it. Fire-and-forget: cross-shard events have no kernel
-  /// slot until delivery, so no EventId is returned — only events that
-  /// are never cancelled (in-flight transfers, deliveries) may cross.
-  void post_to(std::uint32_t shard, TimePoint when, Callback fn);
-  void post_after(std::uint32_t shard, Duration delay, Callback fn);
+  /// Always INT64_MAX: no event is ever posted across kernels, so there
+  /// is no cross-kernel slack to report. Kept (with RunStats'
+  /// cross-kernel fields) only for the repo benchmark's reader.
+  std::int64_t cross_min_slack_us() const { return INT64_MAX; }
 
-  /// Smallest (when - now) over every cross-shard post so far, in
-  /// microseconds — the conservative lookahead actually available to a
-  /// windowed executor. INT64_MAX when nothing has crossed shards.
-  std::int64_t cross_min_slack_us() const;
+  // --- Executor hooks (see sim/engine.hpp) --------------------------------
 
-  // --- Parallel-executor hooks (see sim/engine.hpp) -----------------------
-
-  /// Executes `shard`'s kernel strictly before `t` (then advances its
-  /// clock to `t`) with this thread's execution context installed, so
-  /// callbacks see the kernel-local now()/current_shard(). Safe to call
-  /// concurrently for distinct shards; this is the per-window work unit
-  /// of the parallel executor.
-  void run_shard_before(std::uint32_t shard, TimePoint t);
+  /// Executes `shard`'s kernel through `t` (events at exactly `t`
+  /// included), then advances its clock to `t`, with this thread's
+  /// execution context installed so callbacks see the kernel-local
+  /// now()/current_shard(). Safe to call concurrently for distinct
+  /// shards: kernels share no mutable state except through
+  /// thread-safe substrates (the IM server, cell counters, registry
+  /// counters).
+  void run_shard_until(std::uint32_t shard, TimePoint t);
 
   /// Advances the world clock (not the kernels) to `t` (>= now()); the
-  /// executor calls this at each window barrier so audits and end-of-
-  /// run accounting see a consistent world time.
+  /// executor calls this once every kernel reached `t`, so audits and
+  /// end-of-run accounting see a consistent world time.
   void advance_world_to(TimePoint t);
 
   // --- Scheduling (current shard) -----------------------------------------
@@ -162,34 +145,38 @@ class Simulator {
   /// id's shard bits route it to the kernel that issued it.
   bool cancel(EventId id);
 
-  /// Executes the globally next event (smallest (when, seq) across all
-  /// kernels, after draining mailboxes), advancing the world clock.
-  /// Returns false if every kernel and mailbox was empty.
-  bool step();
+  /// Executes the globally next event — the smallest (when, seq) across
+  /// all kernels, found by scanning every kernel head — if its time is
+  /// <= `limit`, advancing the world clock. Returns false if no kernel
+  /// holds such an event. This O(kernels)-per-event merge is the
+  /// reference for global (when, seq) order; production runs go through
+  /// run_until()/sim::run instead.
+  bool step(TimePoint limit = TimePoint::max());
 
-  /// Runs until the queues drain or `max_events` have executed.
+  /// step() until the queues drain or `max_events` have executed.
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Runs events with time <= `t`, then advances the world clock and
-  /// every kernel clock to exactly `t` (so idle intervals at the end of
-  /// an experiment are accounted for).
+  /// Runs every kernel through `t` (events at exactly `t` included),
+  /// then leaves the world clock and every kernel clock at exactly `t`
+  /// (so idle intervals at the end of an experiment are accounted for).
+  /// Equivalent to sim::run(*this, t) with default options.
   void run_until(TimePoint t);
 
   std::uint64_t executed_events() const;
-  /// Number of live (scheduled, not yet fired or cancelled) events,
-  /// including cross-shard events still waiting in mailboxes.
+  /// Number of live (scheduled, not yet fired or cancelled) events.
   std::size_t pending_events() const;
 
   // --- Invariant auditing -------------------------------------------------
   //
   // The audit layer re-derives the bookkeeping from scratch and throws
   // AuditError on any mismatch: each kernel's slot/heap cross-references
-  // and ordering property, each mailbox's (when, seq) sort and horizon
-  // invariants, kernel clocks never ahead of the world clock. Substrates
-  // (WifiDirectMedium, NodeTable consumers) register their own auditors;
-  // all auditors run together every `audit_interval` executed events.
-  // Builds configured with -DD2DHB_AUDIT=ON enable the periodic sweep by
-  // default; it is off in normal builds (audit() itself is always
+  // and ordering property, kernel clocks never ahead of the world clock.
+  // Substrates (WifiDirectMedium, NodeTable consumers) register their
+  // own auditors; all auditors run together every `audit_interval`
+  // events executed by step(), and after every round of a sim::run
+  // (which then advances the kernels in rounds, sim/engine.hpp).
+  // Builds configured with -DD2DHB_AUDIT=ON enable the periodic sweep
+  // by default; it is off in normal builds (audit() itself is always
   // available for tests).
 
   /// External invariant check, run after the kernel self-audits.
@@ -200,12 +187,13 @@ class Simulator {
   std::uint64_t add_auditor(Auditor fn);
   void remove_auditor(std::uint64_t token);
 
-  /// Runs the kernel and mailbox self-audits plus every registered
-  /// auditor once. Throws AuditError or whatever the auditor throws.
+  /// Runs the kernel self-audits plus every registered auditor once.
+  /// Throws AuditError or whatever the auditor throws.
   void audit() const;
 
-  /// Audits automatically every `every_n_events` executed events
-  /// (0 disables). D2DHB_AUDIT builds default to kDefaultAuditInterval.
+  /// Audits automatically every `every_n_events` events executed by
+  /// step(), and after every round of a run (0 disables both).
+  /// D2DHB_AUDIT builds default to kDefaultAuditInterval.
   void set_audit_interval(std::uint64_t every_n_events) {
     audit_interval_ = every_n_events;
   }
@@ -219,16 +207,11 @@ class Simulator {
   void debug_corrupt_slot_generation(std::uint32_t slot);
 
  private:
-  /// Delivers pending mailbox envelopes, picks the kernel with the
-  /// globally smallest head, and executes it. `limit` (when given)
-  /// stops before events later than it. Returns whether a step ran.
-  bool step_head(const TimePoint* limit);
-  void drain_mail();
   void maybe_audit();
 
   bool in_exec_context() const { return detail::exec_context.sim == this; }
-  /// The shard scheduling targets right now: the executing kernel on a
-  /// worker thread, otherwise the serially selected scheduling shard.
+  /// The shard scheduling targets right now: the executing kernel while
+  /// one runs, otherwise the selected scheduling shard.
   std::uint32_t active_shard() const {
     return in_exec_context() ? detail::exec_context.shard : current_shard_;
   }
@@ -237,12 +220,7 @@ class Simulator {
   TimePoint now_{};
   std::uint64_t time_epoch_{0};
   std::uint32_t current_shard_{0};
-  /// Per-shard minimum cross-post slack; each entry is only written by
-  /// the thread executing that shard (or the main thread serially), so
-  /// no synchronisation is needed. Aggregated by cross_min_slack_us().
-  std::vector<std::int64_t> cross_min_slack_;
   std::vector<std::unique_ptr<EventKernel>> kernels_;
-  std::vector<std::unique_ptr<ShardMailbox>> mailboxes_;
   std::uint64_t audit_interval_{0};
   std::uint64_t next_auditor_token_{1};
   std::vector<std::pair<std::uint64_t, Auditor>> auditors_;

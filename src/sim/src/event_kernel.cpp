@@ -80,7 +80,6 @@ void EventKernel::set_seq_lane(std::uint64_t start, std::uint64_t stride) {
   }
   own_seq_ = start;
   seq_stride_ = stride;
-  lane_residue_ = start % stride;
 }
 
 std::uint64_t EventKernel::draw_seq() {
@@ -101,21 +100,6 @@ EventId EventKernel::schedule_after(Duration delay, Callback fn) {
     throw std::invalid_argument("EventKernel::schedule_after: negative delay");
   }
   return schedule_at(now_ + delay, std::move(fn));
-}
-
-EventId EventKernel::schedule_with_seq(TimePoint t, std::uint64_t seq,
-                                       Callback fn) {
-  if (t < now_) {
-    throw std::invalid_argument(
-        "EventKernel::schedule_with_seq: time in the past");
-  }
-  // Only this kernel's own lane is bounded by its counter; an envelope
-  // carrying another kernel's draw may legitimately exceed it.
-  if (seq % seq_stride_ == lane_residue_ && seq >= *seq_) {
-    throw std::invalid_argument(
-        "EventKernel::schedule_with_seq: sequence number from the future");
-  }
-  return schedule_entry(t, seq, std::move(fn));
 }
 
 bool EventKernel::cancel(EventId id) {
@@ -191,14 +175,6 @@ void EventKernel::run_until(TimePoint t) {
   advance_to(t);
 }
 
-void EventKernel::run_before(TimePoint t) {
-  while (const auto head = peek()) {
-    if (head->when >= t) break;
-    step();
-  }
-  advance_to(t);
-}
-
 void EventKernel::advance_to(TimePoint t) {
   if (t < now_) {
     throw std::invalid_argument("EventKernel::advance_to: time in the past");
@@ -254,7 +230,7 @@ void EventKernel::audit() const {
       audit_fail("heap entry references out-of-range slot " +
                  std::to_string(e.slot));
     }
-    if (e.seq % seq_stride_ == lane_residue_ && e.seq >= *seq_) {
+    if (e.seq >= *seq_) {
       audit_fail("heap entry for slot " + std::to_string(e.slot) +
                  " has sequence number from the future");
     }

@@ -80,10 +80,6 @@ ProfileSummary Profiler::summarize() const {
         ++s.windows;
         s.windowed_ns += dur;
         break;
-      case SpanKind::drain:
-        s.drain_ns += dur;
-        s.mailbox_drained += r.payload;
-        break;
       case SpanKind::execute:
         s.execute_ns += dur;
         if (r.shard < s.shard_busy_ns.size()) {
@@ -94,9 +90,6 @@ ProfileSummary Profiler::summarize() const {
       case SpanKind::barrier_wait:
         s.barrier_wait_ns += dur;
         waits_us.push_back(static_cast<double>(dur) / kNsPerUs);
-        break;
-      case SpanKind::serial_tail:
-        s.serial_tail_ns += dur;
         break;
     }
   }
@@ -120,8 +113,7 @@ ProfileSummary Profiler::summarize() const {
   const double capacity = static_cast<double>(s.windowed_ns) *
                           static_cast<double>(workers_);
   if (capacity > 0.0) {
-    s.window_utilization =
-        static_cast<double>(s.drain_ns + s.execute_ns) / capacity;
+    s.window_utilization = static_cast<double>(s.execute_ns) / capacity;
   }
   return s;
 }
@@ -137,12 +129,8 @@ void Profiler::publish(metrics::MetricsRegistry& registry) const {
       .set(static_cast<double>(s.windows));
   registry.gauge("runtime/wall_us").set(us(s.wall_ns));
   registry.gauge("runtime/windowed_us").set(us(s.windowed_ns));
-  registry.gauge("runtime/serial_tail_us").set(us(s.serial_tail_ns));
-  registry.gauge("runtime/drain_us").set(us(s.drain_ns));
   registry.gauge("runtime/execute_us").set(us(s.execute_ns));
   registry.gauge("runtime/barrier_wait_us").set(us(s.barrier_wait_ns));
-  registry.gauge("runtime/mailbox_drained")
-      .set(static_cast<double>(s.mailbox_drained));
   registry.gauge("runtime/load_imbalance").set(s.load_imbalance);
   registry.gauge("runtime/window_utilization").set(s.window_utilization);
   metrics::Histogram& waits = registry.histogram(
@@ -207,10 +195,6 @@ void Profiler::write_chrome_trace(std::ostream& os) const {
       case SpanKind::window:
         os << "\"window\":" << json::number(r.payload);
         break;
-      case SpanKind::drain:
-        os << "\"shard\":" << r.shard
-           << ",\"delivered\":" << json::number(r.payload);
-        break;
       case SpanKind::execute:
         os << "\"shard\":" << r.shard
            << ",\"events\":" << json::number(r.payload);
@@ -218,15 +202,12 @@ void Profiler::write_chrome_trace(std::ostream& os) const {
       case SpanKind::barrier_wait:
         os << "\"round\":" << json::number(r.payload);
         break;
-      case SpanKind::serial_tail:
-        os << "\"events\":" << json::number(r.payload);
-        break;
     }
     os << "}}";
   };
   for (const SpanRecord& r : merged_) {
     event(1, r.worker, r);
-    // Drain/execute spans also land on their shard's track, so the
+    // Execute spans also land on their shard's track, so the
     // trace reads from either side: "what did worker 2 do" and "who
     // ran shard 5 and when".
     if (r.shard != SpanRecord::kNoShard) event(2, r.shard, r);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "metrics/registry.hpp"
+#include "sim/engine.hpp"
 
 namespace d2dhb::sim {
 
@@ -14,8 +15,6 @@ Simulator::Simulator(std::size_t shards)
                                 std::to_string(EventKernel::kMaxShards) + "]");
   }
   kernels_.reserve(shards);
-  mailboxes_.reserve(shards);
-  cross_min_slack_.assign(shards, INT64_MAX);
   for (std::size_t s = 0; s < shards; ++s) {
     const auto shard = static_cast<std::uint32_t>(s);
     kernels_.push_back(std::make_unique<EventKernel>(shard));
@@ -24,7 +23,6 @@ Simulator::Simulator(std::size_t shards)
     // from worker threads. With one shard this is the plain 0,1,2,...
     // counter the monolith used.
     kernels_.back()->set_seq_lane(s, shards);
-    mailboxes_.push_back(std::make_unique<ShardMailbox>(shard));
   }
 #ifdef D2DHB_AUDIT
   audit_interval_ = kDefaultAuditInterval;
@@ -49,63 +47,15 @@ EventKernel& Simulator::kernel(std::uint32_t shard) {
   return *kernels_[shard];
 }
 
-ShardMailbox& Simulator::mailbox(std::uint32_t shard) {
-  if (shard >= mailboxes_.size()) {
-    throw std::out_of_range("Simulator::mailbox: shard " +
-                            std::to_string(shard) + " out of range");
-  }
-  return *mailboxes_[shard];
-}
-
-void Simulator::post_to(std::uint32_t shard, TimePoint when, Callback fn) {
+void Simulator::run_shard_until(std::uint32_t shard, TimePoint t) {
   if (shard >= kernels_.size()) {
-    throw std::out_of_range("Simulator::post_to: shard " +
-                            std::to_string(shard) + " out of range");
-  }
-  const TimePoint local_now = now();
-  if (when < local_now) {
-    throw std::invalid_argument("Simulator::post_to: time in the past");
-  }
-  const std::uint32_t from = active_shard();
-  if (shard == from) {
-    // Same kernel: an ordinary schedule, drawing the next lane seq.
-    kernels_[shard]->schedule_at(when, std::move(fn));
-    return;
-  }
-  // Cross-shard: draw the sequence number NOW, from the posting
-  // kernel's lane — the same one a direct schedule would have drawn —
-  // so delivery preserves the event's place in the per-kernel
-  // (when, seq) order (the byte-identical contract).
-  cross_min_slack_[from] =
-      std::min(cross_min_slack_[from], (when - local_now).count());
-  mailboxes_[shard]->post(when, kernels_[from]->draw_seq(), from,
-                          std::move(fn));
-}
-
-void Simulator::post_after(std::uint32_t shard, Duration delay, Callback fn) {
-  if (delay < Duration::zero()) {
-    throw std::invalid_argument("Simulator::post_after: negative delay");
-  }
-  post_to(shard, now() + delay, std::move(fn));
-}
-
-std::int64_t Simulator::cross_min_slack_us() const {
-  std::int64_t min_slack = INT64_MAX;
-  for (const std::int64_t slack : cross_min_slack_) {
-    min_slack = std::min(min_slack, slack);
-  }
-  return min_slack;
-}
-
-void Simulator::run_shard_before(std::uint32_t shard, TimePoint t) {
-  if (shard >= kernels_.size()) {
-    throw std::out_of_range("Simulator::run_shard_before: shard " +
+    throw std::out_of_range("Simulator::run_shard_until: shard " +
                             std::to_string(shard) + " out of range");
   }
   const detail::ExecContext previous = detail::exec_context;
   detail::exec_context = detail::ExecContext{this, shard};
   try {
-    kernels_[shard]->run_before(t);
+    kernels_[shard]->run_until(t);
   } catch (...) {
     detail::exec_context = previous;
     throw;
@@ -144,24 +94,13 @@ bool Simulator::cancel(EventId id) {
   return kernels_[shard]->cancel(id);
 }
 
-void Simulator::drain_mail() {
-  for (std::size_t s = 0; s < mailboxes_.size(); ++s) {
-    if (mailboxes_[s]->pending() != 0) {
-      mailboxes_[s]->drain_into(*kernels_[s]);
-    }
-  }
-}
-
 void Simulator::maybe_audit() {
   if (audit_interval_ != 0 && executed_events() % audit_interval_ == 0) {
     audit();
   }
 }
 
-bool Simulator::step_head(const TimePoint* limit) {
-  // New envelopes only appear while a callback runs, so one drain pass
-  // before head selection sees everything posted so far.
-  drain_mail();
+bool Simulator::step(TimePoint limit) {
   std::size_t best = kernels_.size();
   EventKernel::Head best_head{};
   for (std::size_t s = 0; s < kernels_.size(); ++s) {
@@ -173,8 +112,7 @@ bool Simulator::step_head(const TimePoint* limit) {
       best_head = *head;
     }
   }
-  if (best == kernels_.size()) return false;
-  if (limit != nullptr && best_head.when > *limit) return false;
+  if (best == kernels_.size() || best_head.when > limit) return false;
   if (best_head.when != now_) {
     now_ = best_head.when;
     ++time_epoch_;
@@ -185,23 +123,13 @@ bool Simulator::step_head(const TimePoint* limit) {
   return true;
 }
 
-bool Simulator::step() { return step_head(nullptr); }
-
 void Simulator::run(std::uint64_t max_events) {
   for (std::uint64_t i = 0; i < max_events; ++i) {
-    if (!step_head(nullptr)) return;
+    if (!step()) return;
   }
 }
 
-void Simulator::run_until(TimePoint t) {
-  while (step_head(&t)) {
-  }
-  if (t > now_) {
-    now_ = t;
-    ++time_epoch_;
-  }
-  for (auto& kernel : kernels_) kernel->advance_to(t);
-}
+void Simulator::run_until(TimePoint t) { sim::run(*this, t); }
 
 std::uint64_t Simulator::executed_events() const {
   std::uint64_t total = 0;
@@ -212,7 +140,6 @@ std::uint64_t Simulator::executed_events() const {
 std::size_t Simulator::pending_events() const {
   std::size_t total = 0;
   for (const auto& kernel : kernels_) total += kernel->pending_events();
-  for (const auto& mailbox : mailboxes_) total += mailbox->pending();
   return total;
 }
 
@@ -243,10 +170,7 @@ void Simulator::audit() const {
     }
   }
 
-  // 2. Each mailbox's ordering/horizon/accounting invariants.
-  for (const auto& mailbox : mailboxes_) mailbox->audit();
-
-  // 3. Registered substrate auditors, in registration order.
+  // 2. Registered substrate auditors, in registration order.
   for (const auto& [token, fn] : auditors_) fn();
 }
 

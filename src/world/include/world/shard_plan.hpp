@@ -4,12 +4,12 @@
 // x ∈ [min_x + k·(width/shards), min_x + (k+1)·(width/shards)). A
 // node's home shard is fixed at creation time from its initial
 // position — mobility may carry a phone across a strip boundary, and
-// that is fine: shard assignment only decides WHICH kernel hosts the
-// node's timers, while interactions with nodes homed elsewhere travel
-// through the shard mailboxes. Strip partitioning keeps most D2D
-// neighbourhoods (range ~30 m, strips hundreds of meters at crowd
-// scale) within one shard, so cross-shard traffic stays a border
-// phenomenon.
+// that is fine: shard assignment decides which kernel hosts the node's
+// timers, its uplinks and its D2D links. The medium never links nodes
+// homed to different strips, so kernels never interact and each runs
+// independently (sim/engine.hpp). Strips are hundreds of meters wide
+// at crowd scale against a ~30 m D2D range, so the confinement only
+// trims pairs straddling a strip boundary.
 #pragma once
 
 #include <algorithm>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "energy/energy_meter.hpp"
 #include "sim/simulator.hpp"
@@ -177,6 +178,39 @@ TEST_F(WifiDirectTest, SendWithoutLinkFails) {
                    failed = !s.ok() && s.error().code == Errc::disconnected;
                  });
   EXPECT_TRUE(failed);
+}
+
+// Kernels are independent only because a transfer always completes on
+// the kernel that both ends live on. A send issued from another kernel
+// than the peer's must fail loudly instead of scheduling across.
+TEST(WifiDirectKernels, CrossKernelTransferThrows) {
+  sim::Simulator sim{2};
+  world::NodeTable nodes;
+  WifiDirectMedium medium(sim, nodes, WifiDirectMedium::Params{}, Rng{77});
+  // Both phones are homed on strip 0 (the table's default home).
+  auto ue = TestPhone::at(sim, medium, 1, 0, 0);
+  auto relay = TestPhone::at(sim, medium, 2, 1, 0);
+  bool linked = false;
+  ue->radio.connect(NodeId{2}, [&](Result<GroupId> r) { linked = r.ok(); });
+  sim.run_until(sim.now() + seconds(4));
+  ASSERT_TRUE(linked);
+
+  bool called = false;
+  {
+    sim::ShardGuard on_kernel_1(sim, 1);
+    EXPECT_THROW(ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)},
+                                [&](Status) { called = true; }),
+                 std::logic_error);
+  }
+  EXPECT_FALSE(called);
+  EXPECT_EQ(sim.kernel(1).pending_events(), 0u);
+
+  // From the peer's own kernel the same send goes through.
+  bool sent_ok = false;
+  ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(2, 1)},
+                 [&](Status s) { sent_ok = s.ok(); });
+  sim.run_until(sim.now() + seconds(4));
+  EXPECT_TRUE(sent_ok);
 }
 
 TEST_F(WifiDirectTest, FeedbackAckTravelsAsControlFrame) {

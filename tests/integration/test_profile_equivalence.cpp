@@ -45,7 +45,6 @@ CrowdConfig striped_crowd(std::uint64_t seed) {
 
 TEST(ProfileEquivalence, ProfiledRunsExportByteIdenticalMetrics) {
   CrowdConfig reference_config = striped_crowd(4242);
-  reference_config.shards = 1;
   reference_config.threads = 1;
   const CrowdMetrics reference = run_d2d_crowd(reference_config);
   const std::string reference_json = metrics_json(reference);
@@ -100,7 +99,6 @@ TEST(ProfileEquivalence, PerShardCountersMatchAcrossProfiledArms) {
   // registry entries) agree at every thread count, profiled or not.
   ASSERT_FALSE(a.shard_events_executed.empty());
   EXPECT_EQ(a.shard_events_executed, b.shard_events_executed);
-  EXPECT_EQ(a.shard_mailbox_delivered, b.shard_mailbox_delivered);
 }
 
 TEST(ProfileEquivalence, CallerOwnedProfilerCarriesTheTrace) {

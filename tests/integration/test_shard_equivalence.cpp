@@ -1,11 +1,9 @@
-// Seeded-run equivalence across the parallel executor: the same crowd,
-// run serially and on 2 and 4 worker threads, must produce
-// byte-identical metrics exports. This is the contract that lets the
-// parallel engine replace the monolithic simulator without perturbing
-// any seeded result in the repo — each kernel replays its shard's
-// events in (when, seq) order and mailbox drains are sorted, so the
-// per-shard event sequence is provably independent of the worker
-// count and of the concurrency cap.
+// Seeded-run equivalence across executors: the same crowd, run inline
+// and on 2, 3 and 4 worker threads — and stepped event by event in
+// global (when, seq) order — must produce byte-identical metrics
+// exports. Kernels are independent (no event crosses a kernel), and
+// each kernel executes its own events in (when, seq) order however it
+// is driven, so the result cannot depend on the executor.
 //
 // The crowd spans a 480 m area, which the geometric partition cuts
 // into four 120 m strips (one kernel each); every arm below therefore
@@ -29,8 +27,7 @@ std::string metrics_json(const CrowdMetrics& m) {
 }
 
 // Four geometric strips (area 480 m / 120 m per strip), eight phone
-// clusters spread across them: border clusters guarantee cross-kernel
-// channel traffic in every run.
+// clusters spread across them, so every kernel has phones to run.
 CrowdConfig striped_crowd(std::uint64_t seed) {
   CrowdConfig config;
   config.phones = 48;
@@ -42,30 +39,20 @@ CrowdConfig striped_crowd(std::uint64_t seed) {
   return config;
 }
 
-struct ExecutorArm {
-  const char* label;
-  std::size_t shards;   ///< Concurrency cap (not the kernel count).
-  std::size_t threads;  ///< Worker threads.
-};
-
 void expect_executor_invariance(const CrowdConfig& base, const char* what) {
   CrowdConfig serial = base;
-  serial.shards = 1;
   serial.threads = 1;
   const CrowdMetrics reference = run_d2d_crowd(serial);
   const std::string reference_json = metrics_json(reference);
 
-  constexpr ExecutorArm kArms[] = {
-      {"2 threads", 256, 2},
-      {"4 threads", 256, 4},
-      {"4 threads capped to 2 shards", 2, 4},
-  };
-  for (const ExecutorArm& spec : kArms) {
+  // Three threads own the four kernels unevenly (kernels 0 and 3 share
+  // worker 0).
+  for (const std::size_t threads : {2u, 3u, 4u}) {
     CrowdConfig arm = base;
-    arm.shards = spec.shards;
-    arm.threads = spec.threads;
+    arm.threads = threads;
     const CrowdMetrics parallel = run_d2d_crowd(arm);
-    const std::string label = std::string(what) + " @ " + spec.label;
+    const std::string label =
+        std::string(what) + " @ " + std::to_string(threads) + " threads";
     EXPECT_EQ(parallel.total_l3, reference.total_l3) << label;
     EXPECT_EQ(parallel.sim_events, reference.sim_events) << label;
     EXPECT_EQ(parallel.heartbeats_delivered, reference.heartbeats_delivered)
@@ -76,8 +63,7 @@ void expect_executor_invariance(const CrowdConfig& base, const char* what) {
         << label;
     // The full registry export — every counter, gauge, and histogram
     // the substrates registered — must serialize byte for byte the
-    // same. Cross-shard mailbox counters deliberately live OUTSIDE the
-    // registry so this comparison can hold exactly.
+    // same.
     EXPECT_EQ(metrics_json(parallel), reference_json) << label;
   }
 }
@@ -102,7 +88,6 @@ TEST(ShardEquivalence, MulticellCrowdIsByteIdentical) {
 
 TEST(ShardEquivalence, OriginalSchemeIsByteIdentical) {
   CrowdConfig serial = striped_crowd(55);
-  serial.shards = 1;
   serial.threads = 1;
   CrowdConfig parallel = striped_crowd(55);
   parallel.threads = 4;
@@ -119,7 +104,6 @@ TEST(ShardEquivalence, OriginalSchemeIsByteIdentical) {
 // export included. Memory layout must never leak into results.
 TEST(ShardEquivalence, HeapAgentLayoutIsByteIdentical) {
   CrowdConfig pooled = striped_crowd(4242);
-  pooled.shards = 1;
   pooled.threads = 1;
   const CrowdMetrics reference = run_d2d_crowd(pooled);
   const std::string reference_json = metrics_json(reference);
@@ -145,19 +129,87 @@ TEST(ShardEquivalence, HeapAgentLayoutIsByteIdentical) {
   }
 }
 
-// The executor actually exercises the mailboxes: a crowd spanning four
-// strips pushes every cellular delivery from strips 1..3 through the
-// channel's home kernel, so cross-kernel traffic is guaranteed.
-TEST(ShardEquivalence, CrossShardTrafficFlows) {
-  CrowdConfig config = striped_crowd(4242);
-  config.threads = 4;
-  const CrowdMetrics m = run_d2d_crowd(config);
-  EXPECT_GT(m.cross_shard_posted, 0u);
-  EXPECT_EQ(m.cross_shard_posted, m.cross_shard_delivered);
-  // Every cross-shard event is scheduled with a real latency ahead of
-  // now, so the conservative lookahead is strictly positive.
-  EXPECT_GT(m.cross_min_slack_us, 0);
-  EXPECT_LT(m.cross_min_slack_us, INT64_MAX);
+// The oracle: per-kernel execution equals global (when, seq) order.
+// One static multi-strip crowd with D2D forwarding is driven to the
+// same end three ways — Simulator::step() (the global merge, one event
+// at a time), sim::run inline, and sim::run on 2 threads — and every
+// deterministic CrowdMetrics field plus the full registry export must
+// match across all three.
+/// Builds the crowd and drives it to its end: with `threads` == 0 by
+/// Simulator::step(), otherwise by sim::run on that many threads.
+CrowdMetrics drive(const CrowdConfig& config, std::size_t threads) {
+  CrowdWorld built = build_d2d_crowd(config);
+  sim::Simulator& sim = built.world->sim();
+  const TimePoint end = TimePoint{} + seconds(config.duration_s);
+  sim::RunOptions options;
+  if (threads == 0) {
+    while (sim.step(end)) {
+    }
+    // Nothing at or before `end` is left: the run below only closes
+    // the clocks out at `end` and collects the per-shard counters.
+  } else {
+    options.threads = threads;
+  }
+  const sim::RunStats stats = sim::run(sim, end, options);
+  return collect_d2d_crowd(built, stats);
+}
+
+TEST(ShardEquivalence, PerKernelRunsEqualTheGlobalMergeOrder) {
+  CrowdConfig config;
+  config.phones = 160;
+  config.relay_fraction = 0.2;
+  config.area_m = 480.0;
+  config.clusters = 12;
+  config.cluster_stddev_m = 7.0;
+  config.cell_grid = 2;
+  config.duration_s = 900.0;
+  config.seed = 31;
+
+  const CrowdMetrics stepped = drive(config, 0);
+  ASSERT_EQ(stepped.shard_events_executed.size(), 4u);
+  for (const std::uint64_t events : stepped.shard_events_executed) {
+    EXPECT_GT(events, 0u);
+  }
+  EXPECT_GT(stepped.forwarded_via_d2d, 0u);
+
+  for (const std::size_t threads : {1u, 2u}) {
+    const CrowdMetrics m = drive(config, threads);
+    const std::string label = std::to_string(threads) + " thread(s)";
+#define D2DHB_EXPECT_SAME(field) \
+  EXPECT_EQ(m.field, stepped.field) << #field << " @ " << label
+    D2DHB_EXPECT_SAME(phones);
+    D2DHB_EXPECT_SAME(relays);
+    D2DHB_EXPECT_SAME(total_l3);
+    D2DHB_EXPECT_SAME(peak_l3_per_10s);
+    D2DHB_EXPECT_SAME(l3_per_cell);
+    D2DHB_EXPECT_SAME(total_radio_uah);
+    D2DHB_EXPECT_SAME(mean_radio_uah_per_phone);
+    D2DHB_EXPECT_SAME(relay_radio_uah);
+    D2DHB_EXPECT_SAME(ue_radio_uah);
+    D2DHB_EXPECT_SAME(heartbeats_emitted);
+    D2DHB_EXPECT_SAME(heartbeats_delivered);
+    D2DHB_EXPECT_SAME(forwarded_via_d2d);
+    D2DHB_EXPECT_SAME(fallbacks);
+    D2DHB_EXPECT_SAME(link_losses);
+    D2DHB_EXPECT_SAME(server.delivered);
+    D2DHB_EXPECT_SAME(server.on_time);
+    D2DHB_EXPECT_SAME(server.late);
+    D2DHB_EXPECT_SAME(server.offline_events);
+    D2DHB_EXPECT_SAME(server.total_latency);
+    D2DHB_EXPECT_SAME(credits_issued);
+    D2DHB_EXPECT_SAME(relay_coverage);
+    D2DHB_EXPECT_SAME(sim_events);
+    D2DHB_EXPECT_SAME(cross_shard_posted);
+    D2DHB_EXPECT_SAME(cross_shard_delivered);
+    D2DHB_EXPECT_SAME(cross_min_slack_us);
+    D2DHB_EXPECT_SAME(arena_bytes_allocated);
+    D2DHB_EXPECT_SAME(arena_bytes_reserved);
+    D2DHB_EXPECT_SAME(arena_objects);
+    D2DHB_EXPECT_SAME(shard_events_executed);
+    D2DHB_EXPECT_SAME(shard_mailbox_delivered);
+#undef D2DHB_EXPECT_SAME
+    EXPECT_EQ(metrics_json(m), metrics_json(stepped)) << label;
+  }
 }
 
 }  // namespace

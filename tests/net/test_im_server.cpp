@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "sim/engine.hpp"
+
 namespace d2dhb::net {
 namespace {
 
@@ -102,6 +106,71 @@ TEST_F(ImServerTest, DistinctAppsOnSameNodeAreIndependent) {
   sim_.run_until(TimePoint{} + seconds(200));
   EXPECT_FALSE(server_.online(NodeId{1}, AppId{10}));
   EXPECT_TRUE(server_.online(NodeId{1}, AppId{20}));
+}
+
+// Uplinks are delivered on their sender's kernel, so two kernels on two
+// threads deliver at the same time. Each kernel feeds its own disjoint
+// sessions — half registered up front, half auto-registered on first
+// contact — and the result must equal the one-thread run exactly.
+// (Under ThreadSanitizer this is the race check for the session maps.)
+ImServer::Totals deliver_from_two_kernels(std::size_t threads) {
+  constexpr std::uint64_t kSessionsPerKernel = 40;
+  constexpr int kBeats = 30;
+  sim::Simulator sim{2};
+  ImServer server{sim};
+  auto beat_of = [&sim, &server](NodeId node) {
+    return [&sim, &server, node] {
+      HeartbeatMessage m;
+      m.origin = node;
+      m.app = AppId{node.value};
+      m.size = Bytes{54};
+      m.period = seconds(60);
+      m.expiry = seconds(100);
+      m.created_at = sim.now();
+      server.deliver(m);
+    };
+  };
+  for (std::uint32_t kernel = 0; kernel < 2; ++kernel) {
+    sim::ShardGuard guard(sim, kernel);
+    for (std::uint64_t i = 0; i < kSessionsPerKernel; ++i) {
+      const NodeId node{1 + kernel * kSessionsPerKernel + i};
+      // Even sessions register up front and beat every 60 s; odd ones
+      // auto-register on first contact and beat every 120 s against a
+      // 100 s expiry, so all their later beats are late.
+      const bool registered = i % 2 == 0;
+      if (registered) {
+        server.register_client(node, AppId{node.value}, seconds(100));
+      }
+      const Duration period = seconds(registered ? 60 : 120);
+      for (int beat = 0; beat < kBeats; ++beat) {
+        sim.schedule_at(TimePoint{} + period * beat + milliseconds(i),
+                        beat_of(node));
+      }
+    }
+  }
+  sim::RunOptions options;
+  options.threads = threads;
+  const sim::RunStats stats =
+      sim::run(sim, TimePoint{} + seconds(3600), options);
+  EXPECT_EQ(stats.workers, threads);
+  EXPECT_EQ(server.session_count(), 2 * kSessionsPerKernel);
+  for (std::uint64_t n = 1; n <= 2 * kSessionsPerKernel; ++n) {
+    EXPECT_EQ(server.stats(NodeId{n}, AppId{n}).delivered,
+              static_cast<std::uint64_t>(kBeats));
+  }
+  return server.totals();
+}
+
+TEST(ImServerConcurrency, TwoKernelsDeliverToDisjointSessionsAtOnce) {
+  const ImServer::Totals serial = deliver_from_two_kernels(1);
+  const ImServer::Totals threaded = deliver_from_two_kernels(2);
+  EXPECT_EQ(serial.delivered, 2u * 40u * 30u);
+  EXPECT_GT(serial.late, 0u);
+  EXPECT_EQ(threaded.delivered, serial.delivered);
+  EXPECT_EQ(threaded.on_time, serial.on_time);
+  EXPECT_EQ(threaded.late, serial.late);
+  EXPECT_EQ(threaded.offline_events, serial.offline_events);
+  EXPECT_EQ(threaded.total_latency, serial.total_latency);
 }
 
 }  // namespace

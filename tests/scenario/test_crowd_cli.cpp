@@ -1,9 +1,10 @@
 // apply_crowd_flags() is the one flag table every crowd driver shares
 // (the d2dhb_sim CLI and the scaling benches). These tests pin the
-// interactions between knobs: --threads is allowed to exceed --shards
-// (the engine caps the pool, never the parser), out-of-range values
-// are rejected loudly with the exact message the driver prints, and
-// flags that are absent leave pre-loaded defaults untouched.
+// interactions between knobs: --threads is allowed to exceed the
+// world's shard count (the engine caps the pool, never the parser),
+// out-of-range values are rejected loudly with the exact message the
+// driver prints, and flags that are absent leave pre-loaded defaults
+// untouched.
 #include "scenario/crowd_cli.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/operator_selection.hpp"
-#include "sim/event_kernel.hpp"
 
 namespace d2dhb::scenario {
 namespace {
@@ -36,42 +36,14 @@ class Argv {
 
 TEST(CrowdCliFlags, ThreadsMayExceedShards) {
   // The parser must accept an oversubscribed pool: the effective
-  // worker count is min(threads, shards, kernel count) inside the
-  // engine (see sim/engine.hpp), not a parse-time constraint.
-  Argv argv({"--shards", "2", "--threads", "8"});
+  // worker count is min(threads, kernel count) inside the engine (see
+  // sim/engine.hpp), not a parse-time constraint.
+  Argv argv({"--threads", "8"});
   CliFlags flags = argv.flags();
   CrowdConfig config;
   EXPECT_EQ(apply_crowd_flags(flags, config), "");
-  EXPECT_EQ(config.shards, 2u);
   EXPECT_EQ(config.threads, 8u);
   EXPECT_TRUE(flags.leftover().empty());
-}
-
-TEST(CrowdCliFlags, ShardsOutOfRangeRejected) {
-  const std::string expected =
-      "--shards must be in [1, " +
-      std::to_string(sim::EventKernel::kMaxShards) + "]";
-  {
-    Argv argv({"--shards", "0"});
-    CliFlags flags = argv.flags();
-    CrowdConfig config;
-    EXPECT_EQ(apply_crowd_flags(flags, config), expected);
-  }
-  {
-    Argv argv({"--shards",
-               std::to_string(sim::EventKernel::kMaxShards + 1)});
-    CliFlags flags = argv.flags();
-    CrowdConfig config;
-    EXPECT_EQ(apply_crowd_flags(flags, config), expected);
-  }
-  {
-    // The boundary itself is legal.
-    Argv argv({"--shards", std::to_string(sim::EventKernel::kMaxShards)});
-    CliFlags flags = argv.flags();
-    CrowdConfig config;
-    EXPECT_EQ(apply_crowd_flags(flags, config), "");
-    EXPECT_EQ(config.shards, sim::EventKernel::kMaxShards);
-  }
 }
 
 TEST(CrowdCliFlags, ZeroThreadsRejected) {

@@ -1,7 +1,8 @@
-// The unified run engine (sim/engine.hpp): serial fallback, parallel
-// window execution, horizon enforcement, and the byte-identical
-// serial-vs-parallel contract on a raw Simulator (no scenario layer —
-// the executor alone is under test here).
+// The unified run engine (sim/engine.hpp): inline and threaded runs of
+// independent kernels, audited rounds, error propagation, and the
+// byte-identical contract against the global (when, seq) merge order of
+// Simulator::step — on a raw Simulator (no scenario layer — the
+// executor alone is under test here).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,10 +17,10 @@ namespace d2dhb::sim {
 namespace {
 
 /// A deterministic multi-kernel workload: each shard ticks on its own
-/// cadence and every tick posts a cross-shard event to the next shard
-/// at a 60 ms latency (above the engine's 50 ms window). Every log
-/// entry is appended by the kernel that owns its shard — single writer
-/// per vector, serially and in parallel alike.
+/// cadence, and every tick schedules a delayed follow-up on its own
+/// kernel (60 ms later — the shape of an uplink delivery). Every log
+/// entry is appended by the kernel that owns its shard — one writer
+/// per vector, inline and threaded alike.
 class RingWorkload {
  public:
   RingWorkload(Simulator& sim, int ticks)
@@ -36,19 +37,16 @@ class RingWorkload {
   void note(std::uint32_t shard, const std::string& what) {
     logs_[shard].push_back(
         what + " @us=" +
-        std::to_string(to_microseconds(sim_.now() - TimePoint{})));
+        std::to_string(to_microseconds(sim_.now() - TimePoint{})) +
+        " on " + std::to_string(sim_.current_shard()));
   }
 
   void schedule_tick(std::uint32_t shard, int i) {
     sim_.schedule_after(milliseconds(7 + shard), [this, shard, i] {
       note(shard, "tick " + std::to_string(i));
-      const auto peer = static_cast<std::uint32_t>(
-          (shard + 1) % sim_.shard_count());
-      if (peer != shard) {
-        sim_.post_after(peer, milliseconds(60), [this, peer, i] {
-          note(peer, "mail " + std::to_string(i));
-        });
-      }
+      sim_.schedule_after(milliseconds(60), [this, shard, i] {
+        note(shard, "follow-up " + std::to_string(i));
+      });
       if (i + 1 < ticks_) schedule_tick(shard, i + 1);
     });
   }
@@ -74,10 +72,35 @@ TEST(Engine, SerialFallbackMatchesRunUntil) {
   const RunStats stats = run(engine, until);  // defaults: threads = 1
 
   EXPECT_EQ(stats.workers, 1u);
-  EXPECT_EQ(stats.windows, 0u);
+  // One round straight to `until`, unless audits are armed (the
+  // D2DHB_AUDIT build), which split the run into rounds.
+  if (engine.audit_interval() == 0) {
+    EXPECT_EQ(stats.windows, 1u);
+  }
   EXPECT_EQ(engine.executed_events(), classic.executed_events());
-  EXPECT_EQ(engine.now(), classic.now());
+  EXPECT_EQ(engine.now(), until);
+  for (std::uint32_t s = 0; s < engine.shard_count(); ++s) {
+    EXPECT_EQ(engine.kernel(s).now(), until) << "kernel " << s;
+  }
   EXPECT_EQ(engine_load.logs(), classic_load.logs());
+}
+
+// The retained merge-step executes events in global (when, seq) order;
+// the per-kernel engine must give every kernel exactly that order.
+TEST(Engine, RunMatchesTheStepMergeOrder) {
+  const TimePoint until = TimePoint{} + seconds(2);
+
+  Simulator stepped{4};
+  RingWorkload stepped_load{stepped, 40};
+  while (stepped.step(until)) {
+  }
+
+  Simulator engine{4};
+  RingWorkload engine_load{engine, 40};
+  run(engine, until);
+
+  EXPECT_EQ(engine.executed_events(), stepped.executed_events());
+  EXPECT_EQ(engine_load.logs(), stepped_load.logs());
 }
 
 TEST(Engine, ParallelRunIsByteIdenticalToSerial) {
@@ -94,109 +117,75 @@ TEST(Engine, ParallelRunIsByteIdenticalToSerial) {
   const RunStats stats = run(parallel, until, options);
 
   EXPECT_EQ(stats.workers, 4u);
-  EXPECT_GT(stats.windows, 0u);
-  EXPECT_GT(stats.cross_posted, 0u);
-  EXPECT_EQ(stats.cross_posted, stats.cross_delivered);
+  if (parallel.audit_interval() == 0) {
+    EXPECT_EQ(stats.windows, 1u);
+  }
   EXPECT_EQ(parallel.executed_events(), serial.executed_events());
   EXPECT_EQ(parallel.now(), serial.now());
   EXPECT_EQ(parallel_load.logs(), serial_load.logs());
 }
 
-TEST(Engine, WorkerCountIsCappedByShardsOption) {
-  Simulator sim{4};
+TEST(Engine, WorkerCountIsCappedByKernelCount) {
+  Simulator sim{3};
   RingWorkload load{sim, 10};
   RunOptions options;
   options.threads = 8;
-  options.shards = 2;
   const RunStats stats = run(sim, TimePoint{} + seconds(1), options);
-  EXPECT_EQ(stats.workers, 2u);
-  EXPECT_GT(stats.windows, 0u);
-  EXPECT_EQ(stats.cross_posted, stats.cross_delivered);
+  EXPECT_EQ(stats.workers, 3u);
+  EXPECT_EQ(stats.shard_events_executed.size(), 3u);
 }
 
-// Satellite stress: a chain that posts cross-shard at EXACTLY the
-// horizon boundary, from worker threads. Each hop executes at the head
-// time M of its window; the engine's next target (and therefore the
-// mailbox horizon) is M + window, and the hop posts its successor at
-// precisely now + window == horizon. ShardMailbox must accept the
-// boundary post (only strictly-below-horizon is a violation), deliver
-// it in the NEXT window, and preserve order — for every one of the
-// 200 hops. Barrier audits are forced on to sweep the invariants at
-// every window.
-TEST(Engine, PostsAtExactHorizonBoundaryFromWorkers) {
-  constexpr int kHops = 200;
+// Audits need a quiesced world, so an audited run stops every kernel
+// at the same instant once per round and sweeps there — inline and
+// threaded alike — without changing a single result.
+TEST(Engine, AuditedRunSweepsAfterEveryRound) {
+  const TimePoint until = TimePoint{} + seconds(5);
+
+  Simulator plain{4};
+  RingWorkload plain_load{plain, 60};
+  run(plain, until);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    Simulator sim{4};
+    RingWorkload load{sim, 60};
+    int sweeps = 0;
+    sim.add_auditor([&] {
+      ++sweeps;
+      for (std::uint32_t s = 0; s < sim.shard_count(); ++s) {
+        EXPECT_EQ(sim.kernel(s).now(), sim.now()) << "kernel " << s;
+      }
+    });
+    RunOptions options;
+    options.threads = threads;
+    options.audit = true;
+    const RunStats stats = run(sim, until, options);
+    EXPECT_GT(stats.windows, 1u) << threads << " threads";
+    EXPECT_EQ(static_cast<std::uint64_t>(sweeps), stats.windows);
+    EXPECT_EQ(sim.executed_events(), plain.executed_events());
+    EXPECT_EQ(load.logs(), plain_load.logs());
+  }
+}
+
+// A callback that throws on one worker must surface from sim::run
+// after every worker has stopped.
+TEST(Engine, WorkerExceptionPropagatesToTheCaller) {
   Simulator sim{4};
-  std::vector<std::uint64_t> hops_per_shard(sim.shard_count(), 0);
-
-  struct Chain {
-    Simulator& sim;
-    std::vector<std::uint64_t>& hops;
-    Duration window;
-    int remaining;
-
-    void hop() {
-      const std::uint32_t shard = sim.current_shard();
-      ++hops[shard];
-      if (remaining-- <= 0) return;
-      const auto next =
-          static_cast<std::uint32_t>((shard + 1) % sim.shard_count());
-      // now + window is exactly the next window target == the horizon
-      // the destination mailbox will hold after this round's drain.
-      sim.post_after(next, window, [this] { hop(); });
-    }
-  };
-
+  RingWorkload load{sim, 10};
+  {
+    ShardGuard guard(sim, 2);
+    sim.schedule_at(TimePoint{} + milliseconds(30),
+                    [] { throw std::runtime_error("kernel 2 failed"); });
+  }
   RunOptions options;
   options.threads = 4;
-  options.audit = true;
-  Chain chain{sim, hops_per_shard, options.window, kHops - 1};
-  {
-    ShardGuard guard(sim, 0);
-    sim.schedule_at(TimePoint{} + seconds(1), [&chain] { chain.hop(); });
-  }
-
-  const TimePoint until =
-      TimePoint{} + seconds(1) + (kHops + 2) * options.window;
-  const RunStats stats = run(sim, until, options);
-
-  std::uint64_t total = 0;
-  for (std::uint64_t h : hops_per_shard) total += h;
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kHops));
-  // Every hop after the first crossed a kernel border...
-  EXPECT_EQ(stats.cross_posted, static_cast<std::uint64_t>(kHops - 1));
-  EXPECT_EQ(stats.cross_posted, stats.cross_delivered);
-  // ...with zero slack beyond the window itself.
-  EXPECT_EQ(stats.min_slack_us, 50'000);
-  EXPECT_GT(stats.windows, 0u);
-}
-
-// A window wider than the smallest cross-shard latency must fail
-// loudly (the mailbox refuses below-horizon posts) instead of
-// reordering the past — and the worker's exception must propagate to
-// the caller.
-TEST(Engine, TooWideWindowThrowsInsteadOfReordering) {
-  Simulator sim{2};
-  {
-    ShardGuard guard(sim, 0);
-    sim.schedule_at(TimePoint{} + seconds(1), [&sim] {
-      sim.post_after(1, milliseconds(50), [] {});
-    });
-  }
-  RunOptions options;
-  options.threads = 2;
-  options.window = seconds(1);  // >> the 50 ms post latency
-  EXPECT_THROW(run(sim, TimePoint{} + seconds(5), options),
-               std::logic_error);
+  EXPECT_THROW(run(sim, TimePoint{} + seconds(1), options),
+               std::runtime_error);
 }
 
 TEST(Engine, RejectsBadArguments) {
   Simulator sim;
   sim.run_until(TimePoint{} + seconds(2));
   EXPECT_THROW(run(sim, TimePoint{} + seconds(1)), std::invalid_argument);
-  RunOptions options;
-  options.window = Duration::zero();
-  EXPECT_THROW(run(sim, TimePoint{} + seconds(3), options),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -114,27 +114,6 @@ TEST(EventKernel, PeekRetiresTombstonesAndMatchesStep) {
   EXPECT_EQ(kernel.now(), TimePoint{} + seconds(2));
 }
 
-TEST(EventKernel, ScheduleWithSeqPreservesExternalOrder) {
-  std::uint64_t seq = 0;
-  EventKernel kernel{0, &seq};
-  std::vector<int> order;
-  kernel.schedule_at(TimePoint{} + seconds(1), [&] { order.push_back(1); });
-  kernel.schedule_at(TimePoint{} + seconds(1), [&] { order.push_back(2); });
-  seq = 10;  // Another kernel drew sequence numbers in between.
-  kernel.schedule_at(TimePoint{} + seconds(1), [&] { order.push_back(4); });
-  // A mailbox delivery carrying an older draw slots in ahead of it.
-  kernel.schedule_with_seq(TimePoint{} + seconds(1), 5,
-                           [&] { order.push_back(3); });
-  kernel.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(EventKernel, ScheduleWithSeqRejectsFutureSequence) {
-  EventKernel kernel;
-  EXPECT_THROW(kernel.schedule_with_seq(TimePoint{} + seconds(1), 99, [] {}),
-               std::logic_error);
-}
-
 TEST(EventKernel, RejectsPastAndInvalid) {
   EventKernel kernel;
   kernel.schedule_after(seconds(5), [] {});

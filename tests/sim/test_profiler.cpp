@@ -51,13 +51,13 @@ TEST(TraceSpan, ScopedSpanRecordsOnNormalExit) {
 TEST(TraceSpan, ScopedSpanRecordsWhenScopeUnwindsThroughException) {
   SpanBuffer buffer{0};
   try {
-    ScopedSpan span(&buffer, SpanKind::drain, 1);
+    ScopedSpan span(&buffer, SpanKind::execute, 1);
     span.set_payload(5);
     throw std::runtime_error("boom");
   } catch (const std::runtime_error&) {
   }
   ASSERT_EQ(buffer.size(), 1u);
-  EXPECT_EQ(buffer.spans().front().kind, SpanKind::drain);
+  EXPECT_EQ(buffer.spans().front().kind, SpanKind::execute);
   EXPECT_EQ(buffer.spans().front().payload, 5u);
 }
 
@@ -98,7 +98,8 @@ TEST(Profiler, MergesBuffersInWorkerSeqOrder) {
   profiler.buffer(0)->push(make_span(SpanKind::execute, 0, 0, 5, 0));
   profiler.main_buffer()->push(make_span(SpanKind::window,
                                          SpanRecord::kNoShard, 0, 20, 0));
-  profiler.buffer(0)->push(make_span(SpanKind::drain, 0, 6, 1, 0));
+  profiler.buffer(0)->push(
+      make_span(SpanKind::barrier_wait, SpanRecord::kNoShard, 6, 1, 0));
   profiler.end_run();
 
   const std::vector<SpanRecord>& merged = profiler.spans();
@@ -120,13 +121,9 @@ TEST(Profiler, SummarizeComputesPhaseTotalsPercentilesAndImbalance) {
   SpanBuffer* main = profiler.main_buffer();
   main->push(make_span(SpanKind::window, SpanRecord::kNoShard, 0, 100, 0));
   main->push(make_span(SpanKind::window, SpanRecord::kNoShard, 100, 100, 1));
-  main->push(make_span(SpanKind::serial_tail, SpanRecord::kNoShard,
-                       200, 30, 7));
-  profiler.buffer(0)->push(make_span(SpanKind::drain, 0, 0, 10, 5));
   profiler.buffer(0)->push(make_span(SpanKind::execute, 0, 10, 50, 100));
   profiler.buffer(0)->push(
       make_span(SpanKind::barrier_wait, SpanRecord::kNoShard, 60, 20, 0));
-  profiler.buffer(1)->push(make_span(SpanKind::drain, 1, 0, 10, 3));
   profiler.buffer(1)->push(make_span(SpanKind::execute, 1, 10, 100, 200));
   profiler.buffer(1)->push(
       make_span(SpanKind::barrier_wait, SpanRecord::kNoShard, 110, 40, 1));
@@ -137,11 +134,10 @@ TEST(Profiler, SummarizeComputesPhaseTotalsPercentilesAndImbalance) {
   EXPECT_EQ(s.workers, 2u);
   EXPECT_EQ(s.windows, 2u);
   EXPECT_EQ(s.windowed_ns, 200'000u);
-  EXPECT_EQ(s.serial_tail_ns, 30'000u);
-  EXPECT_EQ(s.drain_ns, 20'000u);
+  EXPECT_EQ(s.serial_tail_ns, 0u);
+  EXPECT_EQ(s.drain_ns, 0u);
   EXPECT_EQ(s.execute_ns, 150'000u);
   EXPECT_EQ(s.barrier_wait_ns, 60'000u);
-  EXPECT_EQ(s.mailbox_drained, 8u);
   ASSERT_EQ(s.shard_busy_ns.size(), 2u);
   EXPECT_EQ(s.shard_busy_ns[0], 50'000u);
   EXPECT_EQ(s.shard_busy_ns[1], 100'000u);
@@ -156,8 +152,8 @@ TEST(Profiler, SummarizeComputesPhaseTotalsPercentilesAndImbalance) {
   EXPECT_DOUBLE_EQ(s.barrier_wait_max_us, 40.0);
   // max / mean busy = 100k / 75k.
   EXPECT_NEAR(s.load_imbalance, 100.0 / 75.0, 1e-9);
-  // (drain + execute) / (workers × windowed) = 170k / 400k.
-  EXPECT_NEAR(s.window_utilization, 0.425, 1e-9);
+  // execute / (workers × round wall) = 150k / 400k.
+  EXPECT_NEAR(s.window_utilization, 0.375, 1e-9);
   EXPECT_GT(s.wall_ns, 0u);
 }
 
@@ -173,8 +169,8 @@ TEST(Profiler, RearmingDiscardsThePreviousRun) {
 }
 
 /// The engine-side workload: each shard ticks on its own cadence and
-/// posts a cross-shard event to the next shard above the window width
-/// (mirrors test_engine.cpp's ring).
+/// schedules a delayed follow-up on its own kernel (mirrors
+/// test_engine.cpp's ring).
 class RingWorkload {
  public:
   RingWorkload(Simulator& sim, int ticks) : sim_(sim), ticks_(ticks) {
@@ -187,11 +183,7 @@ class RingWorkload {
  private:
   void schedule_tick(std::uint32_t shard, int i) {
     sim_.schedule_after(milliseconds(7 + shard), [this, shard, i] {
-      const auto peer =
-          static_cast<std::uint32_t>((shard + 1) % sim_.shard_count());
-      if (peer != shard) {
-        sim_.post_after(peer, milliseconds(60), [] {});
-      }
+      sim_.schedule_after(milliseconds(60), [] {});
       if (i + 1 < ticks_) schedule_tick(shard, i + 1);
     });
   }
@@ -219,8 +211,7 @@ TEST(Profiler, EngineRunFillsProfileSummary) {
   ASSERT_EQ(p.shard_events.size(), sim.shard_count());
   std::uint64_t span_events = 0;
   for (std::uint64_t e : p.shard_events) span_events += e;
-  EXPECT_GT(span_events, 0u);
-  EXPECT_LE(span_events, sim.executed_events());
+  EXPECT_EQ(span_events, sim.executed_events());
   EXPECT_GT(p.barrier_waits, 0u);
   EXPECT_LE(p.barrier_wait_p50_us, p.barrier_wait_p90_us);
   EXPECT_LE(p.barrier_wait_p90_us, p.barrier_wait_p99_us);
@@ -228,8 +219,10 @@ TEST(Profiler, EngineRunFillsProfileSummary) {
   EXPECT_GE(p.load_imbalance, 1.0);
   EXPECT_GT(p.window_utilization, 0.0);
   EXPECT_LE(p.window_utilization, 1.0);
-  // The drain volume the spans saw is the engine's delivered count.
-  EXPECT_EQ(p.mailbox_drained, stats.cross_delivered);
+  // One barrier wait per worker per round, measured at the join.
+  EXPECT_EQ(p.barrier_waits, stats.workers * stats.windows);
+  EXPECT_EQ(p.drain_ns, 0u);
+  EXPECT_EQ(p.serial_tail_ns, 0u);
 }
 
 TEST(Profiler, UnprofiledRunLeavesSummaryDisabled) {
@@ -284,8 +277,6 @@ TEST(Engine, PerShardCountersAreDeterministicAcrossThreadCounts) {
   ASSERT_EQ(serial_stats.shard_events_executed.size(), 4u);
   EXPECT_EQ(serial_stats.shard_events_executed,
             parallel_stats.shard_events_executed);
-  EXPECT_EQ(serial_stats.shard_mailbox_delivered,
-            parallel_stats.shard_mailbox_delivered);
   std::uint64_t total = 0;
   for (std::uint64_t e : serial_stats.shard_events_executed) total += e;
   EXPECT_EQ(total, serial.executed_events());

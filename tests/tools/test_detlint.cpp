@@ -48,7 +48,7 @@ TEST(DetlintRules, TableListsEveryDocumentedRule) {
        {"unordered-iter", "unordered-state", "wall-clock", "libc-rand",
         "random-device", "std-rng", "ptr-key", "float-accum",
         "allow-no-reason", "cross-strip-access", "arena-escape",
-        "mailbox-horizon", "lane-mix"}) {
+        "lane-mix"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), expected), ids.end())
         << "missing rule id: " << expected;
   }
@@ -90,7 +90,7 @@ TEST(DetlintFixtures, PointerKeyFixtureFiresExactRules) {
 }
 
 TEST(DetlintFixtures, CrossStripFixtureFiresExactRules) {
-  // Positives: member kernel()/mailbox() calls and the scheduling-shard
+  // Positives: member kernel() calls (. and ->) and the scheduling-shard
   // override. Negatives (pinned by their absence): the free-function
   // declarations on lines 11-12 and the ::-qualified definition on 14.
   const auto findings = scan_file(fixture("bad_cross_strip.cc"));
@@ -109,21 +109,6 @@ TEST(DetlintFixtures, ArenaEscapeFixtureFiresExactRules) {
   const std::vector<std::pair<std::size_t, std::string>> expected = {
       {7, "arena-escape"},
       {11, "arena-escape"},
-  };
-  EXPECT_EQ(line_rules(findings), expected);
-}
-
-TEST(DetlintFixtures, MailboxHorizonFixtureFiresExactRules) {
-  // Positives: both drain shapes, a zero-slack post_to(now()), and two
-  // zero-delay post_after spellings. Negatives: the slack-carrying
-  // post_to(now() + delay) and variable-delay post_after (lines 16-17).
-  const auto findings = scan_file(fixture("bad_mailbox_horizon.cc"));
-  const std::vector<std::pair<std::size_t, std::string>> expected = {
-      {9, "mailbox-horizon"},
-      {10, "mailbox-horizon"},
-      {11, "mailbox-horizon"},
-      {12, "mailbox-horizon"},
-      {13, "mailbox-horizon"},
   };
   EXPECT_EQ(line_rules(findings), expected);
 }

@@ -81,14 +81,12 @@ void print_profile_summary(const sim::ProfileSummary& p) {
   };
   std::cout << "\nEngine profile: " << p.workers << " worker"
             << (p.workers == 1 ? "" : "s") << ", " << p.windows
-            << " windows\n"
-            << "  wall " << s(p.wall_ns) << " s (windowed "
-            << s(p.windowed_ns) << " s, serial tail "
-            << s(p.serial_tail_ns) << " s)\n"
-            << "  drain " << s(p.drain_ns) << " s, execute "
-            << s(p.execute_ns) << " s, barrier wait "
+            << " round" << (p.windows == 1 ? "" : "s") << "\n"
+            << "  wall " << s(p.wall_ns) << " s (rounds "
+            << s(p.windowed_ns) << " s)\n"
+            << "  execute " << s(p.execute_ns) << " s, barrier wait "
             << s(p.barrier_wait_ns) << " s\n"
-            << "  window utilization "
+            << "  round utilization "
             << Table::num(100.0 * p.window_utilization, 1)
             << "%, load imbalance " << Table::num(p.load_imbalance, 2)
             << "\n  barrier waits (us): p50 "
@@ -220,8 +218,6 @@ int run_city_mode(CliFlags& flags, const char* argv0) {
   table.add_row({"Forwarded via D2D", std::to_string(m.forwarded_via_d2d)});
   table.add_row({"Fallbacks", std::to_string(m.fallbacks)});
   table.add_row({"Sim events", std::to_string(m.sim_events)});
-  table.add_row({"Cross-shard posted",
-                 std::to_string(m.cross_shard_posted)});
   table.add_row({"Arena bytes (alloc/reserved)",
                  std::to_string(m.arena_bytes_allocated) + " / " +
                      std::to_string(m.arena_bytes_reserved)});

@@ -21,7 +21,6 @@ constexpr const char* kFloatAccum = "float-accum";
 constexpr const char* kAllowNoReason = "allow-no-reason";
 constexpr const char* kCrossStrip = "cross-strip-access";
 constexpr const char* kArenaEscape = "arena-escape";
-constexpr const char* kMailboxHorizon = "mailbox-horizon";
 constexpr const char* kLaneMix = "lane-mix";
 
 bool is_word(char c) {
@@ -695,23 +694,20 @@ std::string without_spaces(const std::string& s) {
 }
 
 /// cross-strip-access: substrate code must act on its own strip (the
-/// active ShardGuard lane) and reach other strips via Simulator::post_to
-/// only. Member calls on kernel()/mailbox() — the executor's direct
-/// shard handles — and any set_scheduling_shard() override are flagged;
-/// the engine/simulator internals that legitimately own them are
-/// exempted by the src/sim allowlist entries.
+/// active ShardGuard lane) only — kernels are independent and nothing
+/// crosses between them. Member calls on kernel() — the executor's
+/// direct shard handle — and any set_scheduling_shard() override are
+/// flagged; the engine/simulator internals that legitimately own them
+/// are exempted by the src/sim allowlist entries.
 void scan_cross_strip(ScanState& st) {
-  for (const char* token : {"kernel", "mailbox"}) {
-    const std::size_t token_size = std::string(token).size();
-    for (const std::size_t pos : word_positions(st.code, token)) {
-      if (!member_dot_qualified(st.code, pos)) continue;
-      const std::size_t after = after_token(st.code, pos, token_size);
-      if (after >= st.code.size() || st.code[after] != '(') continue;
-      report(st, line_of(st.line_starts, pos), kCrossStrip,
-             "direct " + std::string(token) +
-                 "() access reaches into a shard's private state; stay "
-                 "on the active strip and cross via Simulator::post_to");
-    }
+  for (const std::size_t pos : word_positions(st.code, "kernel")) {
+    if (!member_dot_qualified(st.code, pos)) continue;
+    const std::size_t after =
+        after_token(st.code, pos, std::string("kernel").size());
+    if (after >= st.code.size() || st.code[after] != '(') continue;
+    report(st, line_of(st.line_starts, pos), kCrossStrip,
+           "direct kernel() access reaches into a shard's private state; "
+           "stay on the active strip");
   }
   for (const std::size_t pos :
        word_positions(st.code, "set_scheduling_shard")) {
@@ -752,60 +748,6 @@ void scan_arena_escape(ScanState& st) {
                               "borrow must not outlive or leave its "
                               "strip's arena scope"));
     }
-  }
-}
-
-/// mailbox-horizon: the conservative-lookahead contract. Draining
-/// belongs to the engine's window barrier alone; posts must carry
-/// positive slack above `now()` (an envelope at exactly now() is
-/// already below the destination's next horizon when windows overlap).
-void scan_mailbox_horizon(ScanState& st) {
-  for (const char* token : {"drain_into", "drain_window"}) {
-    const std::size_t token_size = std::string(token).size();
-    for (const std::size_t pos : word_positions(st.code, token)) {
-      const std::size_t after = after_token(st.code, pos, token_size);
-      if (after >= st.code.size() || st.code[after] != '(') continue;
-      report(st, line_of(st.line_starts, pos), kMailboxHorizon,
-             std::string(token) +
-                 "() outside the executor's window barrier races the "
-                 "two-phase drain/execute contract");
-    }
-  }
-  for (const std::size_t pos : word_positions(st.code, "post_to")) {
-    const std::size_t after =
-        after_token(st.code, pos, std::string("post_to").size());
-    if (after >= st.code.size() || st.code[after] != '(') continue;
-    const std::vector<std::string> args = call_arguments(st.code, after);
-    if (args.size() < 2) continue;
-    const std::string& when = args[1];
-    bool now_call = false;
-    for (const std::size_t p : word_positions(when, "now")) {
-      const std::size_t a = after_token(when, p, 3);
-      if (a < when.size() && when[a] == '(') now_call = true;
-    }
-    if (!now_call || when.find('+') != std::string::npos) continue;
-    report(st, line_of(st.line_starts, pos), kMailboxHorizon,
-           "post_to() at exactly now() has zero slack below the "
-           "destination's conservative horizon; add positive delay");
-  }
-  for (const std::size_t pos : word_positions(st.code, "post_after")) {
-    const std::size_t after =
-        after_token(st.code, pos, std::string("post_after").size());
-    if (after >= st.code.size() || st.code[after] != '(') continue;
-    const std::vector<std::string> args = call_arguments(st.code, after);
-    if (args.size() < 2) continue;
-    const std::string delay = without_spaces(args[1]);
-    const bool zero =
-        delay == "0" || delay == "Duration{}" || delay == "Duration()" ||
-        delay == "zero()" || delay == "Duration::zero()" ||
-        delay == "milliseconds(0)" || delay == "microseconds(0)" ||
-        delay == "seconds(0)" || delay == "minutes(0)" ||
-        (delay.size() > 8 &&
-         delay.compare(delay.size() - 8, 8, "::zero()") == 0);
-    if (!zero) continue;
-    report(st, line_of(st.line_starts, pos), kMailboxHorizon,
-           "post_after() with zero delay posts at the horizon itself; "
-           "cross-strip envelopes need positive slack");
   }
 }
 
@@ -959,12 +901,10 @@ const std::vector<RuleInfo>& rules() {
       {kFloatAccum, "accumulation inside unordered iteration"},
       {kAllowNoReason, "suppression without an inline justification"},
       {kCrossStrip,
-       "another strip's kernel()/mailbox() touched directly (use "
-       "Simulator::post_to)"},
+       "another strip's kernel() touched directly (stay on the active "
+       "strip)"},
       {kArenaEscape,
        "arena create<>/adopt() borrow escapes its strip's arena scope"},
-      {kMailboxHorizon,
-       "mailbox drained off-barrier or posted with zero horizon slack"},
       {kLaneMix,
        "laned substrate used from the wrong strip (hard-coded lane "
        "index / set_seq_lane outside the executor)"},
@@ -1055,7 +995,6 @@ std::vector<Finding> scan_source(const std::string& path_label,
   scan_pointer_keys(st);
   scan_cross_strip(st);
   scan_arena_escape(st);
-  scan_mailbox_horizon(st);
   scan_lane_mix(st);
   scan_bare_allows(st);
 

@@ -32,17 +32,13 @@
 //
 // v2 shard/arena rules — DESIGN.md §12-13's strip-confinement and
 // arena-lifetime conventions as gates (see DESIGN.md §14):
-//   cross-strip-access  member calls on another strip's kernel()/
-//                    mailbox() or a set_scheduling_shard() override —
-//                    substrate code must stay on its ShardGuard lane
-//                    and cross strips via Simulator::post_to only.
+//   cross-strip-access  member calls on another strip's kernel() or a
+//                    set_scheduling_shard() override — substrate code
+//                    must stay on its ShardGuard lane; kernels are
+//                    independent and nothing crosses between them.
 //   arena-escape     an arena create<>/adopt() borrow stored into a
 //                    `static` or returned — the T& must not outlive
 //                    or leave its strip's arena scope.
-//   mailbox-horizon  draining a mailbox outside the engine's window
-//                    barrier, posting at exactly now() (zero slack
-//                    below the conservative horizon), or post_after
-//                    with a zero delay.
 //   lane-mix         seq-lane re-striding (set_seq_lane) outside the
 //                    executor, or a laned substrate (`*lanes_[...]`,
 //                    `.lane(...)`) indexed by a hard-coded strip

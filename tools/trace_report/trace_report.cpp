@@ -319,7 +319,7 @@ Trace parse_trace(std::string_view text) {
     out.dur_us = number_or(e, "dur", 0.0);
     if (const JsonValue* args = e.find("args")) {
       out.shard = static_cast<std::int64_t>(number_or(*args, "shard", -1.0));
-      for (const char* key : {"events", "delivered", "window", "round"}) {
+      for (const char* key : {"events", "window", "round"}) {
         if (const JsonValue* v = args->find(key)) {
           if (v->type == JsonValue::Type::number && v->number >= 0.0) {
             out.payload = static_cast<std::uint64_t>(v->number);
@@ -410,15 +410,12 @@ Report analyze(const Trace& trace) {
     return index;
   };
   for (const TraceEvent& e : trace.events) {
-    // Worker-side tracks only: pid 2 duplicates drain/execute spans on
-    // the shard tracks, counting those would double every phase total.
+    // Worker-side tracks only: pid 2 duplicates execute spans on the
+    // shard tracks, counting those would double every phase total.
     if (e.pid != 1) continue;
     if (e.name == "window") {
       ++report.windows;
       report.windowed_ms += e.dur_us / 1000.0;
-    } else if (e.name == "drain") {
-      report.drain_ms += e.dur_us / 1000.0;
-      report.mailbox_delivered += e.payload;
     } else if (e.name == "execute") {
       report.execute_ms += e.dur_us / 1000.0;
       if (e.shard >= 0) {
@@ -429,8 +426,6 @@ Report analyze(const Trace& trace) {
     } else if (e.name == "barrier-wait") {
       report.barrier_wait_ms += e.dur_us / 1000.0;
       waits_us.push_back(e.dur_us);
-    } else if (e.name == "serial-tail") {
-      report.serial_tail_ms += e.dur_us / 1000.0;
     }
   }
   report.barrier_waits = waits_us.size();
@@ -463,7 +458,7 @@ Report analyze(const Trace& trace) {
                    });
   if (report.workers > 0 && report.windowed_ms > 0.0) {
     report.window_utilization =
-        (report.drain_ms + report.execute_ms) /
+        report.execute_ms /
         (report.windowed_ms * static_cast<double>(report.workers));
   }
   return report;
@@ -472,19 +467,16 @@ Report analyze(const Trace& trace) {
 void print_report(const Report& report, std::ostream& os) {
   os << "Engine trace: " << report.workers << " worker"
      << (report.workers == 1 ? "" : "s") << ", " << report.shards
-     << " shards, " << report.windows << " windows\n"
-     << "  windowed " << Table::num(report.windowed_ms, 1)
-     << " ms, serial tail " << Table::num(report.serial_tail_ms, 1)
-     << " ms\n"
-     << "  phases: drain " << Table::num(report.drain_ms, 1)
-     << " ms, execute " << Table::num(report.execute_ms, 1)
+     << " shards, " << report.windows << " round"
+     << (report.windows == 1 ? "" : "s") << "\n"
+     << "  rounds " << Table::num(report.windowed_ms, 1) << " ms\n"
+     << "  phases: execute " << Table::num(report.execute_ms, 1)
      << " ms, barrier wait " << Table::num(report.barrier_wait_ms, 1)
      << " ms\n"
-     << "  window utilization "
+     << "  round utilization "
      << Table::num(100.0 * report.window_utilization, 1)
      << "%, load imbalance (max/mean shard busy) "
      << Table::num(report.load_imbalance, 2) << "\n"
-     << "  mailbox envelopes drained " << report.mailbox_delivered << "\n"
      << "  barrier waits (us): p50 " << Table::num(report.barrier_p50_us, 0)
      << ", p90 " << Table::num(report.barrier_p90_us, 0) << ", p99 "
      << Table::num(report.barrier_p99_us, 0) << ", max "

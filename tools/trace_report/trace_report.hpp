@@ -1,8 +1,8 @@
 // trace_report — reads the Chrome trace-event JSON the engine profiler
 // writes (sim/profiler.hpp, `--trace-out`) and turns it back into the
 // numbers a perf investigation starts from: the per-shard straggler
-// table, barrier-wait percentiles, and the per-phase drain/execute/
-// wait breakdown. Ships as a library (this header) driven by the CLI
+// table, barrier-wait percentiles, and the per-phase execute/wait
+// breakdown. Ships as a library (this header) driven by the CLI
 // in main.cpp, so tests can exercise the parser and the analysis on
 // in-memory traces without shelling out.
 //
@@ -50,9 +50,9 @@ struct TraceEvent {
   std::int64_t tid{0};
   double ts_us{0.0};
   double dur_us{0.0};
-  /// args.shard for drain/execute events; -1 otherwise.
+  /// args.shard for execute events; -1 otherwise.
   std::int64_t shard{-1};
-  /// args.events / args.delivered / args.window / args.round.
+  /// args.events / args.window / args.round.
   std::uint64_t payload{0};
 };
 
@@ -96,10 +96,9 @@ struct Report {
 
   std::size_t workers{0};
   std::size_t shards{0};
+  /// Rounds (window spans) and their summed wall time.
   std::uint64_t windows{0};
   double windowed_ms{0.0};
-  double serial_tail_ms{0.0};
-  double drain_ms{0.0};
   double execute_ms{0.0};
   double barrier_wait_ms{0.0};
   double window_utilization{0.0};
@@ -109,14 +108,15 @@ struct Report {
   double barrier_p90_us{0.0};
   double barrier_p99_us{0.0};
   double barrier_max_us{0.0};
-  std::uint64_t mailbox_delivered{0};
   /// Busiest shard first — the straggler table.
   std::vector<ShardRow> stragglers;
 };
 
 /// Computes the report from the worker-side tracks (pid 1); the shard
-/// tracks (pid 2) duplicate drain/execute spans for Perfetto's benefit
-/// and are ignored here to avoid double counting.
+/// tracks (pid 2) duplicate execute spans for Perfetto's benefit and
+/// are ignored here to avoid double counting. A run is rounds of
+/// per-kernel execute spans; barrier waits are measured at each
+/// round's join.
 Report analyze(const Trace& trace);
 
 void print_report(const Report& report, std::ostream& os);
