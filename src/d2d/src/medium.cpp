@@ -116,9 +116,8 @@ void WifiDirectMedium::attach(WifiDirectRadio& radio,
     nodes_.set_d2d_slot(node, static_cast<std::uint32_t>(radios_.size()));
     radios_.push_back(&radio);
   }
-  mobility::SpatialGrid& grid = *grids_[strip_of(node)];
-  if (grid.contains(node)) grid.remove(node);
-  grid.insert(node, mobility);
+  // insert() replaces an existing entry, so re-attach needs no remove.
+  grids_[strip_of(node)]->insert(node, mobility);
 }
 
 void WifiDirectMedium::detach(NodeId node) {

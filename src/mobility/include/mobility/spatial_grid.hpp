@@ -67,7 +67,8 @@ class PointGrid {
   bool any_within(Vec2 center, Meters radius) const;
 
   /// Index of the nearest point (ties broken by lowest index — the same
-  /// rule as a first-strictly-closer linear scan). Requires size() > 0.
+  /// rule as a first-strictly-closer linear scan). Requires size() > 0
+  /// and a finite center.
   std::size_t nearest(Vec2 center) const;
 
  private:
@@ -76,11 +77,18 @@ class PointGrid {
     Vec2 position;
   };
 
+  /// Walks the cells overlapping the square of half-width `radius`
+  /// around `center`, clamped to the occupied-cell bounding box, and
+  /// hands each point to `visit` until it returns true.
   template <typename Visit>
   void visit_cells(Vec2 center, Meters radius, Visit&& visit) const;
 
   double cell_size_;
   std::vector<Point> points_;
+  /// Cell-coordinate bounding box of every inserted point (empty —
+  /// lo > hi — until the first insert). No bucket lies outside it.
+  std::int64_t lo_x_{INT64_MAX}, hi_x_{INT64_MIN};
+  std::int64_t lo_y_{INT64_MAX}, hi_y_{INT64_MIN};
   // detlint: allow(unordered-state): buckets are looked up by key only,
   // never iterated; query results are sorted before they escape.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
@@ -108,7 +116,7 @@ class SpatialGrid {
   void insert(NodeId node, const MobilityModel& model);
   void remove(NodeId node);
   bool contains(NodeId node) const;
-  std::size_t size() const { return active_; }
+  std::size_t size() const { return index_.size(); }
   Meters cell_size() const { return Meters{cell_size_}; }
 
   /// Exact position of a registered node at `t` (straight from the
@@ -137,39 +145,64 @@ class SpatialGrid {
                            NodeId exclude = NodeId::invalid()) const;
 
   /// Invariant audit (the D2DHB_AUDIT layer): refreshes to (t, epoch)
-  /// and verifies cache freshness and binning consistency — every
-  /// cached position matches its model at t, every slot's cell key
-  /// matches its cached position, every active node sits in exactly one
-  /// bucket (the right one), and `moving_` lists exactly the non-static
-  /// active nodes. Throws std::logic_error naming the violation.
+  /// and verifies cache freshness and binning consistency — the slot
+  /// table holds exactly size() slots (no tombstones), the NodeId
+  /// lookup is strictly ascending and each entry points at the slot
+  /// holding that node, every cached position matches its model at t,
+  /// every slot's cell key matches its cached position, every slot sits
+  /// in exactly one bucket (the right one), and `moving_` lists exactly
+  /// the non-static slots. Throws std::logic_error naming the violation.
   void audit(TimePoint t, std::uint64_t epoch) const;
 
+  /// Test backdoor (corrupts internals for the audit tests).
+  struct Internal;
+  friend struct Internal;
+
  private:
+  /// One registered node. Slots are dense — stored in insert order,
+  /// with remove() moving the last slot into the hole — so the table
+  /// holds exactly size() entries whatever the NodeId values are.
   struct Slot {
+    NodeId node;
     const MobilityModel* model{nullptr};
     Vec2 cached{};
     std::uint64_t cell{0};
     bool is_static{false};
   };
+  /// NodeId → slot lookup entry; `index_` keeps these sorted by node.
+  struct Entry {
+    std::uint64_t node;
+    std::uint32_t slot;
+  };
 
-  Slot* slot_of(NodeId node);
+  /// Position in `index_` where `node` is or would be inserted.
+  std::size_t lower_entry(std::uint64_t node) const;
+  /// Position of `node`'s entry in `index_`, or index_.size().
+  std::size_t entry_of(NodeId node) const;
   const Slot* slot_of(NodeId node) const;
-  void bin(std::uint64_t id, Slot& slot, Vec2 at);
-  void unbin(std::uint64_t id, Slot& slot);
+  std::uint64_t key_of(Vec2 at) const;
+  void unbin(std::uint32_t slot) const;
   void refresh(TimePoint t, std::uint64_t epoch) const;
+  /// Walks the buckets of every cell overlapping the square of
+  /// half-width `r` around `center` and hands each slot to `visit`.
+  template <typename Visit>
+  void visit_cells(Vec2 center, double r, Visit&& visit) const;
 
   double cell_size_;
-  std::size_t active_{0};
-  /// Dense slot table indexed by NodeId value (ids are contiguous from
-  /// 1 in every scenario, so this is a flat array, not a hash).
+  /// Dense slot table; buckets_ and moving_ hold indices into it.
   mutable std::vector<Slot> slots_;
+  /// NodeId → slot index, sorted by NodeId (one entry per slot). Only
+  /// insert/remove/contains/position/model consult it; queries and
+  /// refresh go through buckets_ and moving_ alone.
+  std::vector<Entry> index_;
   // detlint: allow(unordered-state): key-only lookups; every query
   // sorts its hits by NodeId before returning, so bucket layout never
   // reaches sim-visible state (see determinism rules above).
   mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
       buckets_;
-  /// Ids of nodes whose model is not static — the only ones refreshed.
-  mutable std::vector<std::uint32_t> moving_;
+  /// Slot indices of nodes whose model is not static — the only ones
+  /// refreshed.
+  std::vector<std::uint32_t> moving_;
   mutable TimePoint cached_time_{};
   mutable std::uint64_t cached_epoch_{0};
   mutable bool cache_primed_{false};

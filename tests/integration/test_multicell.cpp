@@ -31,6 +31,17 @@ TEST(MultiCell, PhonesAttachToNearestSite) {
   EXPECT_EQ(world.cell_of(middle.id()), 0u);
 }
 
+TEST(MultiCell, FarPhoneAttachesToTheDefaultLoneSite) {
+  Scenario world;
+  ASSERT_EQ(world.cell_count(), 1u);
+  for (const mobility::Vec2 at :
+       {mobility::Vec2{12000.0, 0.0}, mobility::Vec2{-7200.0, -9600.0}}) {
+    core::PhoneConfig pc;
+    pc.mobility = std::make_unique<mobility::StaticMobility>(at);
+    EXPECT_EQ(world.cell_of(world.add_phone(std::move(pc)).id()), 0u);
+  }
+}
+
 TEST(MultiCell, SignalingIsAccountedPerServingCell) {
   Scenario::Params params;
   params.cell_sites = {{0.0, 0.0}, {100.0, 0.0}};

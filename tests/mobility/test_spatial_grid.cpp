@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -86,9 +90,100 @@ TEST(PointGrid, NearestBreaksExactTiesByLowestIndex) {
   EXPECT_EQ(grid.nearest({0.0, 0.0}), 1u);
 }
 
+/// First-strictly-closer linear scan: the (distance, index) minimum.
+std::size_t linear_nearest(const std::vector<std::pair<std::size_t, Vec2>>& sites,
+                           Vec2 center) {
+  std::size_t best = sites[0].first;
+  double best_d = distance(center, sites[0].second).value;
+  for (const auto& [index, at] : sites) {
+    const double d = distance(center, at).value;
+    if (d < best_d || (d == best_d && index < best)) {
+      best_d = d;
+      best = index;
+    }
+  }
+  return best;
+}
+
+/// The one-site crowd: a lone site at the origin, binned at the
+/// scenario's 100 m default, answers queries far outside its cell —
+/// up to 20 km out, in all four quadrants and on both axes.
+TEST(PointGrid, NearestFindsALoneSiteFromFarAway) {
+  PointGrid grid{Meters{100.0}};
+  grid.insert(5, {0.0, 0.0});
+  for (const double d : {150.0, 999.0, 12000.0, 20000.0}) {
+    for (const Vec2 dir : {Vec2{1.0, 0.0}, Vec2{0.6, 0.8}, Vec2{0.0, 1.0},
+                           Vec2{-0.8, 0.6}, Vec2{-1.0, 0.0},
+                           Vec2{-0.6, -0.8}, Vec2{0.0, -1.0},
+                           Vec2{0.8, -0.6}}) {
+      const Vec2 center{d * dir.x, d * dir.y};
+      EXPECT_EQ(grid.nearest(center), 5u) << center.x << "," << center.y;
+      EXPECT_EQ(grid.count_within(center, Meters{d + 1.0}), 1u);
+      EXPECT_FALSE(grid.any_within(center, Meters{d - 1.0}));
+    }
+  }
+}
+
+/// Sites clustered in one corner, queries spread over a 40 km square
+/// around them (mostly outside the occupied cells): nearest, radius
+/// queries and counts all match a linear scan.
+TEST(PointGrid, FarQueriesMatchLinearScanForCornerClusteredSites) {
+  Rng rng{41};
+  for (int trial = 0; trial < 10; ++trial) {
+    PointGrid grid{Meters{rng.uniform(20.0, 200.0)}};
+    std::vector<std::pair<std::size_t, Vec2>> sites;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const Vec2 at{rng.uniform(9000.0, 10000.0),
+                    rng.uniform(-10000.0, -9000.0)};
+      sites.emplace_back(i, at);
+      grid.insert(i, at);
+    }
+    for (int q = 0; q < 40; ++q) {
+      const Vec2 center{rng.uniform(-20000.0, 20000.0),
+                        rng.uniform(-20000.0, 20000.0)};
+      EXPECT_EQ(grid.nearest(center), linear_nearest(sites, center))
+          << "trial " << trial << " query " << q;
+      const Meters radius{rng.uniform(0.0, 30000.0)};
+      std::vector<std::size_t> expected;
+      for (const auto& [index, at] : sites) {
+        if (distance(center, at).value <= radius.value) {
+          expected.push_back(index);
+        }
+      }
+      std::vector<std::size_t> got;
+      grid.query_radius(center, radius, got);
+      EXPECT_EQ(got, expected) << "trial " << trial << " query " << q;
+      EXPECT_EQ(grid.count_within(center, radius), expected.size());
+    }
+  }
+}
+
+/// Two sites mirrored about the y axis are exactly equidistant from any
+/// query on it; far from both, the lower index still wins.
+TEST(PointGrid, FarExactTiesGoToTheLowestIndex) {
+  PointGrid grid{Meters{50.0}};
+  const std::vector<std::pair<std::size_t, Vec2>> sites = {
+      {4, {100.0, 0.0}}, {2, {-100.0, 0.0}}, {9, {3000.0, 0.0}}};
+  for (const auto& [index, at] : sites) grid.insert(index, at);
+  for (const double y : {-20000.0, -12000.0, -3000.0, 7000.0, 19000.0}) {
+    const Vec2 center{0.0, y};
+    EXPECT_EQ(distance(center, sites[0].second).value,
+              distance(center, sites[1].second).value);
+    EXPECT_EQ(grid.nearest(center), 2u) << "y=" << y;
+    EXPECT_EQ(linear_nearest(sites, center), 2u);
+  }
+}
+
 TEST(PointGrid, EmptyNearestThrows) {
   PointGrid grid{Meters{5.0}};
   EXPECT_THROW(grid.nearest({0.0, 0.0}), std::out_of_range);
+}
+
+TEST(PointGrid, NonFiniteNearestThrows) {
+  PointGrid grid{Meters{5.0}};
+  grid.insert(0, {0.0, 0.0});
+  EXPECT_THROW(grid.nearest({std::nan(""), 0.0}), std::invalid_argument);
+  EXPECT_THROW(grid.nearest({0.0, -HUGE_VAL}), std::invalid_argument);
 }
 
 TEST(PointGrid, RejectsNonPositiveCellSize) {
@@ -206,6 +301,73 @@ TEST(SpatialGrid, RemoveAndReinsert) {
   // Removing an unknown node is a no-op.
   grid.remove(NodeId{42});
   EXPECT_EQ(grid.size(), 2u);
+}
+
+/// Sparse NodeIds with static and moving models mixed: removing the
+/// middle slot and then the last one, and re-inserting, keeps every
+/// query equal to a brute-force scan and the audit green.
+TEST(SpatialGrid, SparseIdsSurviveMiddleAndLastRemoval) {
+  SpatialGrid grid{Meters{10.0}};
+  StaticMobility first{{3.0, 4.0}};
+  LinearMobility middle{{0.0, 0.0}, {1.0, 0.5}};
+  LinearMobility last{{20.0, -5.0}, {-0.5, 0.25}};
+  const NodeId a{1}, b{70000}, c{5000000};
+  std::map<std::uint64_t, const MobilityModel*> live;
+  std::uint64_t epoch = 0;
+
+  auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(grid.size(), live.size());
+    for (const double t_s : {0.0, 15.0, 40.0}) {
+      const TimePoint t = TimePoint{} + seconds(t_s);
+      ++epoch;
+      EXPECT_NO_THROW(grid.audit(t, epoch));
+      for (const NodeId exclude : {NodeId::invalid(), a, b, c}) {
+        for (const double r : {5.0, 25.0, 60.0}) {
+          const Vec2 center{5.0, 2.0};
+          std::vector<SpatialGrid::Neighbor> expected;
+          for (const auto& [id, model] : live) {
+            if (NodeId{id} == exclude) continue;
+            const Meters d = distance(center, model->position_at(t));
+            if (d.value <= r) expected.push_back({NodeId{id}, d});
+          }
+          std::vector<SpatialGrid::Neighbor> got;
+          grid.query_radius(center, Meters{r}, t, epoch, got, exclude);
+          ASSERT_EQ(got.size(), expected.size()) << "t=" << t_s << " r=" << r;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].node, expected[i].node);
+            EXPECT_EQ(got[i].distance.value, expected[i].distance.value);
+          }
+          EXPECT_EQ(grid.count_within(center, Meters{r}, t, epoch, exclude),
+                    expected.size());
+        }
+      }
+    }
+    for (const NodeId id : {a, b, c}) {
+      const auto it = live.find(id.value);
+      EXPECT_EQ(grid.contains(id), it != live.end());
+      EXPECT_EQ(grid.model(id), it == live.end() ? nullptr : it->second);
+    }
+  };
+
+  grid.insert(a, first);
+  grid.insert(b, middle);
+  grid.insert(c, last);
+  live = {{a.value, &first}, {b.value, &middle}, {c.value, &last}};
+  check("insert all");
+  grid.remove(b);  // middle slot: the last slot moves into the hole
+  live.erase(b.value);
+  check("remove middle");
+  grid.remove(c);  // now the last slot
+  live.erase(c.value);
+  check("remove last");
+  grid.insert(c, last);
+  grid.insert(b, middle);
+  live = {{a.value, &first}, {b.value, &middle}, {c.value, &last}};
+  check("re-insert");
+  grid.insert(b, first);  // re-insert replaces the model in place
+  live[b.value] = &first;
+  check("replace");
 }
 
 TEST(SpatialGrid, MovingNodeCrossesCells) {

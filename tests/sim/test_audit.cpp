@@ -2,11 +2,14 @@
 // self-audit, the periodic sweep, registered substrate auditors, and
 // the SpatialGrid / WifiDirectMedium invariant checks — including the
 // negative paths that prove the auditor actually trips on corrupted
-// state (a zeroed event-slot generation, an asymmetric link table).
+// state (a zeroed event-slot generation, an asymmetric link table, a
+// tombstone grid slot).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -31,6 +34,18 @@ struct WifiDirectRadio::Internal {
 };
 
 }  // namespace d2dhb::d2d
+
+namespace d2dhb::mobility {
+
+/// Test backdoor: SpatialGrid befriends this struct so audit tests can
+/// corrupt its slot table.
+struct SpatialGrid::Internal {
+  static void append_tombstone(SpatialGrid& grid) {
+    grid.slots_.emplace_back();
+  }
+};
+
+}  // namespace d2dhb::mobility
 
 namespace d2dhb::sim {
 namespace {
@@ -158,6 +173,25 @@ TEST(SpatialGridAudit, HealthyGridPassesAcrossMovementAndRemoval) {
   EXPECT_NO_THROW(grid.audit(TimePoint{} + seconds(70), 70));
 }
 
+TEST(SpatialGridAudit, TombstoneSlotTripsTheSlotCount) {
+  mobility::SpatialGrid grid(Meters{30.0});
+  mobility::StaticMobility fixed(mobility::Vec2{5.0, 5.0});
+  mobility::LinearMobility walker(mobility::Vec2{0.0, 0.0},
+                                  mobility::Vec2{1.5, 0.0});
+  grid.insert(NodeId{3}, fixed);
+  grid.insert(NodeId{900000}, walker);
+  ASSERT_NO_THROW(grid.audit(TimePoint{}, 1));
+  mobility::SpatialGrid::Internal::append_tombstone(grid);
+  try {
+    grid.audit(TimePoint{} + seconds(1), 2);
+    FAIL() << "audit accepted a tombstone slot";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("slot count 3 != size() 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 class MediumAuditTest : public ::testing::Test {
  protected:
   struct Phone {
@@ -199,6 +233,26 @@ TEST_F(MediumAuditTest, SymmetricLinksPassTheMediumAuditor) {
   Phone relay(sim_, medium_, 2, 1.0, 0.0);
   connect(ue, relay);
   ASSERT_TRUE(ue.radio.connected_to(NodeId{2}));
+  EXPECT_NO_THROW(sim_.audit());
+}
+
+TEST_F(MediumAuditTest, ReattachAndDetachKeepTheMediumAuditorGreen) {
+  Phone first(sim_, medium_, 70000, 0.0, 0.0);
+  Phone other(sim_, medium_, 2, 1.0, 0.0);
+  {
+    // A second radio for the same node re-attaches in place: one grid
+    // entry, now tracking the new radio's position.
+    Phone again(sim_, medium_, 70000, 8.0, 0.0);
+    EXPECT_EQ(medium_.radio(NodeId{70000}), &again.radio);
+    EXPECT_EQ(medium_.grid().size(), 2u);
+    EXPECT_EQ(medium_.grid().position(NodeId{70000}, sim_.now()).x, 8.0);
+    EXPECT_NO_THROW(sim_.audit());
+  }
+  // Its destruction detaches the node (the first radio's later
+  // destruction is then a no-op).
+  EXPECT_EQ(medium_.radio(NodeId{70000}), nullptr);
+  EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
+  EXPECT_EQ(medium_.grid().size(), 1u);
   EXPECT_NO_THROW(sim_.audit());
 }
 
