@@ -12,7 +12,6 @@
 
 #include "common/units.hpp"
 #include "energy/energy_meter.hpp"
-#include "sim/simulator.hpp"
 
 namespace d2dhb::d2d {
 
@@ -29,10 +28,10 @@ struct PhaseShape {
   double weighted_seconds() const;
 };
 
-/// Schedules the phase's segments as transient loads on `component`,
-/// with currents scaled so the phase integrates to exactly `target`.
-/// Returns the phase's total duration.
-Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
+/// Queues the phase's segments as transient loads (pending meter steps,
+/// no events) on `component`, with currents scaled so the phase
+/// integrates to exactly `target`. Returns the phase's total duration.
+Duration apply_phase(energy::EnergyMeter& meter,
                      energy::ComponentHandle component,
                      const PhaseShape& shape, MicroAmpHours target);
 

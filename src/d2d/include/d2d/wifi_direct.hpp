@@ -95,6 +95,9 @@ class WifiDirectRadio {
   /// Group this radio belongs to (invalid if no links).
   GroupId group() const { return group_; }
   bool is_group_owner() const { return group_owner_; }
+  /// Whether the 1 Hz range-exit monitor is armed: only while some link
+  /// could break on its own (one endpoint moves, or the peer is gone).
+  bool link_monitor_armed() const { return link_monitor_.running(); }
 
   const mobility::MobilityModel& mobility() const { return mobility_; }
   MicroAmpHours radio_charge() { return meter_.component_charge(component_); }
@@ -117,6 +120,11 @@ class WifiDirectRadio {
 
   void charge_phase(const PhaseShape& shape, MicroAmpHours target);
   void update_idle_current();
+  /// Whether a link could break on its own: one endpoint moves, or the
+  /// peer radio is gone (its back-link waits for a monitor tick).
+  bool links_can_break() const;
+  /// Arms the 1 Hz link monitor exactly while links_can_break().
+  void update_link_monitor();
   const Link* find_link(NodeId peer) const;
   void establish_link(NodeId peer, GroupId group, bool as_owner);
   void break_link(NodeId peer, bool notify_peer);
@@ -145,6 +153,8 @@ class WifiDirectRadio {
   GroupId group_{};
   bool group_owner_{false};
 
+  /// Range-exit poll. Only armed while links_can_break(): a link
+  /// between two static endpoints can never drift out of range.
   sim::PeriodicTimer link_monitor_;
   ReceiveHandler on_receive_;
   DisconnectHandler on_disconnect_;

@@ -19,7 +19,7 @@ double PhaseShape::weighted_seconds() const {
   return sum;
 }
 
-Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
+Duration apply_phase(energy::EnergyMeter& meter,
                      energy::ComponentHandle component,
                      const PhaseShape& shape, MicroAmpHours target) {
   const double denom = shape.weighted_seconds();
@@ -28,6 +28,10 @@ Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
   }
   // Scale factor k so that sum(k·w_i · d_i)/3.6 = target µAh.
   const double k = target.value * 3.6 / denom;
+  // Same-instant ranks are reserved in the order an event-driven phase
+  // drew them: the first segment's end and every later segment's start
+  // when the phase begins, then each later segment's end (its start
+  // event scheduled it) — so the second pass below.
   Duration offset{};
   for (const auto& seg : shape.segments) {
     const MilliAmps current{k * seg.weight};
@@ -35,11 +39,17 @@ Duration apply_phase(sim::Simulator& sim, energy::EnergyMeter& meter,
       if (offset == Duration::zero()) {
         meter.add_load(component, current, seg.duration);
       } else {
-        sim.schedule_after(offset, [&meter, component, current,
-                                    d = seg.duration] {
-          meter.add_load(component, current, d);
-        });
+        meter.add_step(component, offset, meter.reserve_seq(), current);
       }
+    }
+    offset += seg.duration;
+  }
+  offset = Duration{};
+  for (const auto& seg : shape.segments) {
+    const MilliAmps current{k * seg.weight};
+    if (current.value > 0.0 && offset != Duration::zero()) {
+      meter.add_step(component, offset + seg.duration, meter.reserve_seq(),
+                     MilliAmps{-current.value});
     }
     offset += seg.duration;
   }

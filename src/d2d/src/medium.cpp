@@ -224,7 +224,8 @@ std::vector<NodeId> WifiDirectMedium::lost_peers(
   // Per-peer exact checks, same in both medium modes: a node's links
   // are bounded by max_group_clients (8), so O(links) distance checks
   // beat a radius query (O(neighbourhood), which in a dense cluster is
-  // far larger) — and this sweep runs every poll tick for every radio.
+  // far larger) — and this sweep runs on every monitor tick of a radio
+  // with a link that can break (one moving endpoint or a vanished peer).
   const std::uint32_t strip = strip_of(node);
   const mobility::Vec2 origin = nodes_.position_of(node, sim_.now());
   for (const NodeId peer : peers) {

@@ -38,8 +38,18 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
 
 WifiDirectRadio::~WifiDirectRadio() {
   // Tear down links without touching possibly-dead peers' callbacks.
+  const std::vector<Link> links = std::move(links_);
   links_.clear();
   medium_.detach(owner_);
+  // A survivor whose link to this radio was static has no monitor
+  // armed. Arm it: its next tick finds this radio gone and breaks the
+  // dangling back-link, handlers and all, outside this destructor.
+  for (const Link& link : links) {
+    if (WifiDirectRadio* survivor = medium_.radio(link.peer)) {
+      const sim::ShardGuard home(sim_, medium_.nodes().shard_of(link.peer));
+      survivor->update_link_monitor();
+    }
+  }
 }
 
 void WifiDirectRadio::set_group_owner_intent(int intent) {
@@ -48,17 +58,36 @@ void WifiDirectRadio::set_group_owner_intent(int intent) {
 
 void WifiDirectRadio::charge_phase(const PhaseShape& shape,
                                    MicroAmpHours target) {
-  apply_phase(sim_, meter_, component_, shape, target);
+  apply_phase(meter_, component_, shape, target);
 }
 
 void WifiDirectRadio::update_idle_current() {
   const bool should_be_on = !links_.empty();
   if (should_be_on == idle_current_on_) return;
   idle_current_on_ = should_be_on;
-  const MilliAmps base = meter_.component_current(component_);
-  meter_.set_current(component_, should_be_on
-                                     ? base + profile_.idle_connected
-                                     : base - profile_.idle_connected);
+  meter_.add_current(component_,
+                     should_be_on ? profile_.idle_connected
+                                  : MilliAmps{-profile_.idle_connected.value});
+}
+
+bool WifiDirectRadio::links_can_break() const {
+  if (links_.empty()) return false;
+  if (!mobility_.is_static()) return true;
+  for (const Link& link : links_) {
+    const WifiDirectRadio* peer = medium_.radio(link.peer);
+    if (peer == nullptr || !peer->mobility_.is_static()) return true;
+  }
+  return false;
+}
+
+void WifiDirectRadio::update_link_monitor() {
+  const bool needed = links_can_break();
+  if (needed == link_monitor_.running()) return;
+  if (needed) {
+    link_monitor_.start();
+  } else {
+    link_monitor_.stop();
+  }
 }
 
 void WifiDirectRadio::start_discovery(DiscoveryCallback callback) {
@@ -171,7 +200,7 @@ void WifiDirectRadio::establish_link(NodeId peer, GroupId group,
   group_ = group;
   group_owner_ = as_owner;
   update_idle_current();
-  if (!link_monitor_.running()) link_monitor_.start();
+  update_link_monitor();
 }
 
 void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
@@ -186,9 +215,9 @@ void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
   if (links_.empty()) {
     group_ = GroupId{};
     group_owner_ = false;
-    link_monitor_.stop();
   }
   update_idle_current();
+  update_link_monitor();
   if (notify_peer) {
     if (WifiDirectRadio* other = medium_.radio(peer)) {
       other->break_link(owner_, false);

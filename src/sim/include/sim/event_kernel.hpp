@@ -104,6 +104,16 @@ class EventKernel {
   /// Ids minted by a different kernel (shard mismatch) are rejected.
   bool cancel(EventId id);
 
+  /// Draws the sequence number an event scheduled right now would get,
+  /// without scheduling anything. Lets a substrate rank a computed
+  /// state change among the events of its instant exactly as if it had
+  /// been scheduled (energy::EnergyMeter's pending steps).
+  std::uint64_t reserve_seq() { return draw_seq(); }
+
+  /// Sequence number of the event executing right now, or UINT64_MAX
+  /// between events (everything reserved for now() then lies before).
+  std::uint64_t executing_seq() const { return executing_seq_; }
+
   /// The earliest armed entry's (when, seq), or nullopt when drained.
   /// Retires any cancelled tombstones found on the way, so a returned
   /// head is always live and step() will execute exactly that entry.
@@ -179,6 +189,7 @@ class EventKernel {
   std::uint64_t* seq_;  ///< &own_seq_ or the world's shared counter.
   std::uint64_t seq_stride_{1};  ///< Lane stride (1 = every number).
   std::uint64_t executed_{0};
+  std::uint64_t executing_seq_{UINT64_MAX};
   std::size_t live_{0};
   /// Binary heap managed with std::push_heap/pop_heap (the same
   /// algorithms std::priority_queue uses, so ordering is identical);

@@ -145,6 +145,15 @@ class Simulator {
   /// id's shard bits route it to the kernel that issued it.
   bool cancel(EventId id);
 
+  /// The current shard's EventKernel::reserve_seq() and
+  /// EventKernel::executing_seq().
+  std::uint64_t reserve_seq() {
+    return kernels_[active_shard()]->reserve_seq();
+  }
+  std::uint64_t executing_seq() const {
+    return kernels_[active_shard()]->executing_seq();
+  }
+
   /// Executes the globally next event — the smallest (when, seq) across
   /// all kernels, found by scanning every kernel head — if its time is
   /// <= `limit`, advancing the world clock. Returns false if no kernel

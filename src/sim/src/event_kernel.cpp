@@ -155,6 +155,11 @@ bool EventKernel::step() {
     }
     ++executed_;
     --live_;
+    executing_seq_ = top.seq;
+    struct Finished {  // between events again, even if fn throws
+      std::uint64_t& seq;
+      ~Finished() { seq = UINT64_MAX; }
+    } finished{executing_seq_};
     fn();
     return true;
   }

@@ -2,13 +2,115 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "net/message.hpp"
 #include "sim/simulator.hpp"
 
 namespace d2dhb::d2d {
 namespace {
+
+// The event-driven meter the lazy EnergyMeter replaced, kept only here
+// as its oracle: a transient load's end, and each later phase segment's
+// start, is a scheduled event that settles the component and steps its
+// draw.
+class EventDrivenMeter {
+ public:
+  explicit EventDrivenMeter(sim::Simulator& sim) : sim_(sim) {}
+
+  energy::ComponentHandle register_component(std::string /*name*/,
+                                             MilliAmps initial = {}) {
+    components_.push_back(Component{initial, {}, sim_.now()});
+    return energy::ComponentHandle{components_.size() - 1};
+  }
+  void set_current(energy::ComponentHandle c, MilliAmps current) {
+    settle(c).current = current;
+  }
+  void add_load(energy::ComponentHandle c, MilliAmps extra, Duration d) {
+    settle(c).current += extra;
+    sim_.schedule_after(d, [this, c, extra] { settle(c).current -= extra; });
+  }
+  void apply_phase(energy::ComponentHandle c, const PhaseShape& shape,
+                   MicroAmpHours target) {
+    const double k = target.value * 3.6 / shape.weighted_seconds();
+    Duration offset{};
+    for (const auto& seg : shape.segments) {
+      const MilliAmps current{k * seg.weight};
+      if (current.value > 0.0) {
+        if (offset == Duration::zero()) {
+          add_load(c, current, seg.duration);
+        } else {
+          sim_.schedule_after(offset, [this, c, current, d = seg.duration] {
+            add_load(c, current, d);
+          });
+        }
+      }
+      offset += seg.duration;
+    }
+  }
+  MilliAmps component_current(energy::ComponentHandle c) {
+    return components_[c.index].current;
+  }
+  MilliAmps instantaneous() {
+    MilliAmps sum;
+    for (const auto& c : components_) sum += c.current;
+    return sum;
+  }
+  MicroAmpHours component_charge(energy::ComponentHandle c) {
+    return settle(c).accumulated;
+  }
+
+ private:
+  struct Component {
+    MilliAmps current;
+    MicroAmpHours accumulated;
+    TimePoint last_update;
+  };
+  Component& settle(energy::ComponentHandle handle) {
+    Component& c = components_[handle.index];
+    if (sim_.now() > c.last_update) {
+      c.accumulated += integrate(c.current, sim_.now() - c.last_update);
+      c.last_update = sim_.now();
+    }
+    return c;
+  }
+
+  sim::Simulator& sim_;
+  std::vector<Component> components_;
+};
+
+/// The lazy meter behind the oracle's interface.
+struct LazyMeter {
+  explicit LazyMeter(sim::Simulator& sim) : meter(sim) {}
+  energy::ComponentHandle register_component(std::string name,
+                                             MilliAmps initial = {}) {
+    return meter.register_component(std::move(name), initial);
+  }
+  void set_current(energy::ComponentHandle c, MilliAmps current) {
+    meter.set_current(c, current);
+  }
+  void add_load(energy::ComponentHandle c, MilliAmps extra, Duration d) {
+    meter.add_load(c, extra, d);
+  }
+  void apply_phase(energy::ComponentHandle c, const PhaseShape& shape,
+                   MicroAmpHours target) {
+    d2d::apply_phase(meter, c, shape, target);
+  }
+  MilliAmps component_current(energy::ComponentHandle c) {
+    return meter.component_current(c);
+  }
+  MilliAmps instantaneous() { return meter.instantaneous(); }
+  MicroAmpHours component_charge(energy::ComponentHandle c) {
+    return meter.component_charge(c);
+  }
+  energy::EnergyMeter meter;
+};
 
 TEST(PhaseShape, TotalsAndWeights) {
   const PhaseShape shape{{{seconds(1), 2.0}, {seconds(3), 0.5}}};
@@ -22,7 +124,7 @@ TEST(ApplyPhase, IntegratesToExactTarget) {
   const auto c = meter.register_component("wifi");
   const PhaseShape shape = D2dEnergyProfile::send_shape();
   const Duration total =
-      apply_phase(sim, meter, c, shape, MicroAmpHours{73.09});
+      apply_phase(meter, c, shape, MicroAmpHours{73.09});
   EXPECT_EQ(total, shape.total_duration());
   sim.run_until(sim.now() + total + seconds(1));
   EXPECT_NEAR(meter.component_charge(c).value, 73.09, 1e-9);
@@ -32,7 +134,7 @@ TEST(ApplyPhase, RejectsZeroAreaShape) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
-  EXPECT_THROW(apply_phase(sim, meter, c, PhaseShape{}, MicroAmpHours{10.0}),
+  EXPECT_THROW(apply_phase(meter, c, PhaseShape{}, MicroAmpHours{10.0}),
                std::invalid_argument);
 }
 
@@ -40,7 +142,7 @@ TEST(ApplyPhase, SendShapeSpikesThenDecays) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
-  apply_phase(sim, meter, c, D2dEnergyProfile::send_shape(),
+  apply_phase(meter, c, D2dEnergyProfile::send_shape(),
               MicroAmpHours{73.09});
   // Sample the burst (inside 100..350 ms) and the decay (>350 ms).
   double burst = 0.0, decay = 0.0;
@@ -52,6 +154,203 @@ TEST(ApplyPhase, SendShapeSpikesThenDecays) {
   EXPECT_GT(burst, 500.0);  // Fig. 6 spike
   EXPECT_LT(decay, 200.0);  // rapid descent
   EXPECT_GT(decay, 0.0);
+}
+
+// One scripted meter operation. Loads and phases start on a 50 ms grid,
+// and every shape segment is a multiple of 50 ms, so steps land on the
+// grid too; set_current runs 1 µs off it, never at a step's instant.
+struct MeterOp {
+  enum Kind { load, phase, set, read } kind{load};
+  TimePoint at{};
+  std::size_t component{0};
+  double amount{0.0};   ///< mA for load/set, µAh for phase.
+  Duration duration{};  ///< load only.
+  int shape{0};         ///< phase only.
+  bool chained{false};  ///< Scheduled by the previous op, not up front.
+};
+
+std::vector<MeterOp> random_script(std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<MeterOp> ops(120);
+  for (auto& op : ops) {
+    op.kind = static_cast<MeterOp::Kind>(rng.uniform_int(0, 3));
+    const auto slot = static_cast<std::int64_t>(rng.uniform_int(0, 400));
+    op.at = TimePoint{} + milliseconds(50 * slot);
+    const bool read_off_grid = op.kind == MeterOp::read && rng.chance(0.5);
+    if (op.kind == MeterOp::set || read_off_grid) op.at += microseconds(1);
+    op.component = rng.uniform_int(0, 2);
+    op.amount = rng.uniform(1.0, 300.0);
+    const auto length = static_cast<std::int64_t>(rng.uniform_int(1, 40));
+    op.duration = milliseconds(50 * length);
+    op.shape = static_cast<int>(rng.uniform_int(0, 3));
+    op.chained = rng.chance(0.5);
+  }
+  std::stable_sort(
+      ops.begin(), ops.end(),
+      [](const MeterOp& a, const MeterOp& b) { return a.at < b.at; });
+  return ops;
+}
+
+PhaseShape script_shape(int shape) {
+  switch (shape) {
+    case 0:
+      return D2dEnergyProfile::discovery_shape();
+    case 1:
+      return D2dEnergyProfile::connection_shape();
+    case 2:
+      return D2dEnergyProfile::send_shape();
+    default:
+      return D2dEnergyProfile::receive_shape();
+  }
+}
+
+struct Reading {
+  TimePoint at{};
+  bool exact{true};  ///< Read order matches the oracle's (see run_script).
+  MilliAmps current{};
+  std::vector<MicroAmpHours> charges;
+};
+
+template <typename M>
+Reading read_all(const sim::Simulator& sim, M& meter,
+                 const std::vector<energy::ComponentHandle>& components) {
+  Reading r;
+  r.at = sim.now();
+  r.current = meter.instantaneous();
+  for (const auto handle : components) {
+    r.charges.push_back(meter.component_charge(handle));
+  }
+  return r;
+}
+
+// Runs `ops` on a fresh world with meter type M. Half the ops are
+// scheduled up front, half by the op before them, so read and step
+// sequence numbers interleave. A chained on-grid read may sit between
+// steps whose ranks the oracle drew mid-phase, so only its charges are
+// compared; every other read must also see the oracle's draw.
+template <typename M>
+std::vector<Reading> run_script(const std::vector<MeterOp>& ops) {
+  sim::Simulator sim;
+  M meter{sim};
+  std::vector<energy::ComponentHandle> components;
+  for (int i = 0; i < 3; ++i) {
+    components.push_back(meter.register_component("c", MilliAmps{5.0 * i}));
+  }
+  std::vector<Reading> readings;
+  std::function<void(std::size_t)> perform = [&](std::size_t i) {
+    const MeterOp& op = ops[i];
+    const auto c = components[op.component];
+    switch (op.kind) {
+      case MeterOp::load:
+        meter.add_load(c, MilliAmps{op.amount}, op.duration);
+        break;
+      case MeterOp::phase:
+        meter.apply_phase(c, script_shape(op.shape), MicroAmpHours{op.amount});
+        break;
+      case MeterOp::set:
+        meter.set_current(c, MilliAmps{op.amount / 10.0});
+        break;
+      case MeterOp::read:
+        readings.push_back(read_all(sim, meter, components));
+        readings.back().exact =
+            !op.chained || op.at.time_since_epoch().count() % 1000 != 0;
+        break;
+    }
+    if (i + 1 < ops.size() && ops[i + 1].chained) {
+      sim.schedule_at(ops[i + 1].at, [&perform, i] { perform(i + 1); });
+    }
+  };
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].chained || i == 0) {
+      sim.schedule_at(ops[i].at, [&perform, i] { perform(i); });
+    }
+  }
+  sim.run_until(TimePoint{} + seconds(40));
+  readings.push_back(read_all(sim, meter, components));
+  return readings;
+}
+
+bool near_rel(double a, double b, double rel) {
+  return std::abs(a - b) <= rel * std::max(std::abs(a), std::abs(b));
+}
+
+TEST(LazyMeter, AgreesWithEventDrivenOracleOnRandomScripts) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto ops = random_script(seed);
+    const auto lazy = run_script<LazyMeter>(ops);
+    const auto oracle = run_script<EventDrivenMeter>(ops);
+    ASSERT_EQ(lazy.size(), oracle.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < lazy.size(); ++i) {
+      const Reading& a = lazy[i];
+      const Reading& b = oracle[i];
+      ASSERT_EQ(a.at, b.at);
+      for (std::size_t c = 0; c < a.charges.size(); ++c) {
+        EXPECT_TRUE(near_rel(a.charges[c].value, b.charges[c].value, 1e-12))
+            << "seed " << seed << " read " << i << " component " << c
+            << ": " << a.charges[c].value << " vs " << b.charges[c].value;
+      }
+      if (a.exact) {
+        EXPECT_TRUE(near_rel(a.current.value, b.current.value, 1e-12))
+            << "seed " << seed << " read " << i << ": "
+            << a.current.value << " vs " << b.current.value;
+      }
+    }
+  }
+}
+
+// A sampler tick that lands exactly on a segment boundary must see what
+// the event-driven meter showed there — here the first segment still,
+// because the tick's rank was drawn before the phase began. A meter
+// that applied every step at or before now would show the second.
+template <typename M>
+std::vector<double> boundary_samples() {
+  sim::Simulator sim;
+  M meter{sim};
+  const auto c = meter.register_component("wifi", MilliAmps{2.0});
+  std::vector<double> samples;
+  sim::PeriodicTimer sampler(sim, milliseconds(100), [&] {
+    samples.push_back(meter.instantaneous().value);
+  });
+  sampler.start();
+  // Scheduled at 0.95 s, the phase event runs after the 1.0 s tick,
+  // which has already drawn the 1.1 s tick's rank.
+  sim.schedule_at(TimePoint{} + milliseconds(950), [&] {
+    sim.schedule_after(milliseconds(50), [&] {
+      meter.apply_phase(c, D2dEnergyProfile::send_shape(),
+                        MicroAmpHours{73.09});
+    });
+  });
+  sim.run_until(TimePoint{} + milliseconds(2500));
+  return samples;
+}
+
+TEST(LazyMeter, BoundarySampleMatchesEventDrivenValue) {
+  const auto lazy = boundary_samples<LazyMeter>();
+  const auto oracle = boundary_samples<EventDrivenMeter>();
+  ASSERT_EQ(lazy.size(), oracle.size());
+  for (std::size_t i = 0; i < lazy.size(); ++i) {
+    EXPECT_EQ(lazy[i], oracle[i]) << "sample " << i;
+  }
+  // Samples 9 and 10 are t = 1.0 s and 1.1 s: the 1.0 s tick ran before
+  // the phase began; the 1.1 s one still sees the first (wake) segment.
+  const PhaseShape shape = D2dEnergyProfile::send_shape();
+  const double k = 73.09 * 3.6 / shape.weighted_seconds();
+  ASSERT_GT(lazy.size(), 11u);
+  EXPECT_DOUBLE_EQ(lazy[9], 2.0);
+  EXPECT_DOUBLE_EQ(lazy[10], 2.0 + k * shape.segments[0].weight);
+}
+
+TEST(LazyMeter, PhaseStepsDrainAndReleaseStorage) {
+  sim::Simulator sim;
+  energy::EnergyMeter meter{sim};
+  const auto c = meter.register_component("wifi");
+  apply_phase(meter, c, D2dEnergyProfile::discovery_shape(),
+              MicroAmpHours{132.24});
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_GT(meter.step_capacity(c), 0u);
+  sim.run_until(TimePoint{} + seconds(9));
+  EXPECT_NEAR(meter.component_charge(c).value, 132.24, 1e-9);
+  EXPECT_EQ(meter.step_capacity(c), 0u);
 }
 
 TEST(D2dEnergyProfile, DefaultsMatchTableIII) {

@@ -296,5 +296,103 @@ TEST_F(WifiDirectTest, IdleConnectedDrawAccumulatesWhileLinked) {
   EXPECT_NEAR(ue->radio.radio_charge().value - after_disconnect, 0.0, 1e-6);
 }
 
+// --- Link monitor: armed only while a link can break ------------------
+
+TEST_F(WifiDirectTest, StaticPairSchedulesNoMonitorTick) {
+  auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
+  auto relay = TestPhone::at(sim_, medium_, 2, 1, 0);
+  ue->radio.connect(NodeId{2}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(4));
+  ASSERT_TRUE(ue->radio.connected_to(NodeId{2}));
+  EXPECT_FALSE(ue->radio.link_monitor_armed());
+  EXPECT_FALSE(relay->radio.link_monitor_armed());
+
+  const std::size_t pending = sim_.pending_events();
+  const std::uint64_t executed = sim_.executed_events();
+  sim_.run_until(sim_.now() + seconds(10));
+  EXPECT_LE(sim_.pending_events(), pending);
+  EXPECT_EQ(sim_.executed_events(), executed);  // not one tick
+  EXPECT_TRUE(ue->radio.connected_to(NodeId{2}));
+}
+
+TEST_F(WifiDirectTest, MonitorFollowsTheMovingClientOnly) {
+  auto relay = TestPhone::at(sim_, medium_, 1, 0, 0);
+  relay->radio.set_group_owner_intent(kMaxGroupOwnerIntent);
+  auto still = TestPhone::at(sim_, medium_, 2, 1, 0);
+  auto walker = std::make_unique<TestPhone>(
+      sim_, medium_, 3,
+      std::make_unique<mobility::LinearMobility>(
+          mobility::Vec2{0.0, 1.0}, mobility::Vec2{0.0, 2.0}));  // 2 m/s
+  still->radio.connect(NodeId{1}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(3));
+  ASSERT_EQ(relay->radio.link_count(), 1u);
+  EXPECT_FALSE(relay->radio.link_monitor_armed());
+
+  walker->radio.connect(NodeId{1}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(3));
+  ASSERT_EQ(relay->radio.link_count(), 2u);
+  EXPECT_TRUE(relay->radio.link_monitor_armed());
+  EXPECT_TRUE(walker->radio.link_monitor_armed());
+  EXPECT_FALSE(still->radio.link_monitor_armed());
+
+  // The walker leaves the 30 m range at about t = 14.5 s.
+  sim_.run_until(TimePoint{} + seconds(20));
+  EXPECT_FALSE(relay->radio.connected_to(NodeId{3}));
+  EXPECT_TRUE(relay->radio.connected_to(NodeId{2}));
+  EXPECT_FALSE(relay->radio.link_monitor_armed());
+  EXPECT_FALSE(walker->radio.link_monitor_armed());
+}
+
+TEST_F(WifiDirectTest, DepartingUeBreaksItsLink) {
+  auto relay = TestPhone::at(sim_, medium_, 1, 0, 0);
+  auto ue = std::make_unique<TestPhone>(
+      sim_, medium_, 2,
+      std::make_unique<mobility::DepartureMobility>(
+          mobility::Vec2{1.0, 0.0}, mobility::Vec2{200.0, 0.0},
+          TimePoint{} + seconds(30), 2.0));
+  ue->radio.connect(NodeId{1}, [](Result<GroupId>) {});
+  NodeId lost{};
+  ue->radio.set_disconnect_handler([&](NodeId peer) { lost = peer; });
+  sim_.run_until(TimePoint{} + seconds(29));
+  ASSERT_TRUE(ue->radio.connected_to(NodeId{1}));
+  EXPECT_TRUE(relay->radio.link_monitor_armed());
+
+  // Departs from 1 m at 30 s at 2 m/s: out of the 30 m range at ~45 s.
+  sim_.run_until(TimePoint{} + seconds(50));
+  EXPECT_EQ(lost, NodeId{1});
+  EXPECT_EQ(ue->radio.link_count(), 0u);
+  EXPECT_EQ(relay->radio.link_count(), 0u);
+  EXPECT_FALSE(relay->radio.link_monitor_armed());
+}
+
+TEST_F(WifiDirectTest, DestroyedStaticPeerIsDroppedWithinOneTick) {
+  auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
+  auto relay = TestPhone::at(sim_, medium_, 2, 1, 0);
+  ue->radio.connect(NodeId{2}, [](Result<GroupId>) {});
+  sim_.run_until(sim_.now() + seconds(4));
+  ASSERT_TRUE(relay->radio.connected_to(NodeId{1}));
+  ASSERT_FALSE(relay->radio.link_monitor_armed());
+
+  TimePoint destroyed_at{};
+  TimePoint lost_at{};
+  NodeId lost{};
+  relay->radio.set_disconnect_handler([&](NodeId peer) {
+    lost = peer;
+    lost_at = sim_.now();
+  });
+  sim_.schedule_after(milliseconds(2500), [&] {
+    destroyed_at = sim_.now();
+    ue.reset();  // no handler may run from the destructor
+    EXPECT_EQ(lost, NodeId{});
+  });
+  sim_.run_until(sim_.now() + seconds(10));
+  EXPECT_EQ(lost, NodeId{1});
+  EXPECT_GT(lost_at, destroyed_at);
+  EXPECT_LE(lost_at - destroyed_at, seconds(1));
+  EXPECT_EQ(relay->radio.link_count(), 0u);
+  EXPECT_FALSE(relay->radio.link_monitor_armed());
+  EXPECT_NO_THROW(sim_.audit());
+}
+
 }  // namespace
 }  // namespace d2dhb::d2d

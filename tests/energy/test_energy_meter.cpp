@@ -80,6 +80,53 @@ TEST(EnergyMeter, AddLoadRejectsNonPositiveDuration) {
   const auto c = meter.register_component("radio");
   EXPECT_THROW(meter.add_load(c, MilliAmps{10.0}, Duration::zero()),
                std::invalid_argument);
+  EXPECT_THROW(meter.add_load(c, MilliAmps{10.0}, milliseconds(-5)),
+               std::invalid_argument);
+  EXPECT_EQ(meter.step_capacity(c), 0u);
+  EXPECT_DOUBLE_EQ(meter.component_current(c).value, 0.0);
+}
+
+TEST(EnergyMeter, LoadsScheduleNoEvents) {
+  sim::Simulator sim;
+  EnergyMeter meter{sim};
+  const auto c = meter.register_component("radio");
+  meter.add_load(c, MilliAmps{100.0}, seconds(10));
+  meter.add_step(c, seconds(2), meter.reserve_seq(), MilliAmps{50.0});
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_GE(meter.step_capacity(c), 2u);
+  EXPECT_THROW(meter.add_step(c, Duration::zero(), meter.reserve_seq(),
+                              MilliAmps{1.0}),
+               std::invalid_argument);
+}
+
+TEST(EnergyMeter, DrainedComponentReleasesStepStorage) {
+  sim::Simulator sim;
+  EnergyMeter meter{sim};
+  const auto c = meter.register_component("radio");
+  for (int i = 1; i <= 8; ++i) {
+    meter.add_load(c, MilliAmps{10.0}, seconds(i));
+  }
+  EXPECT_GE(meter.step_capacity(c), 8u);
+  sim.run_until(TimePoint{} + seconds(4));
+  EXPECT_DOUBLE_EQ(meter.component_current(c).value, 40.0);
+  EXPECT_GE(meter.step_capacity(c), 4u);
+  sim.run_until(TimePoint{} + seconds(8));
+  EXPECT_DOUBLE_EQ(meter.component_current(c).value, 0.0);
+  EXPECT_EQ(meter.step_capacity(c), 0u);
+}
+
+TEST(EnergyMeter, AddCurrentShiftsTheDraw) {
+  sim::Simulator sim;
+  EnergyMeter meter{sim};
+  const auto c = meter.register_component("radio", MilliAmps{10.0});
+  meter.add_load(c, MilliAmps{100.0}, seconds(10));
+  meter.add_current(c, MilliAmps{1.0});
+  sim.run_until(TimePoint{} + seconds(20));
+  meter.add_current(c, MilliAmps{-1.0});
+  EXPECT_DOUBLE_EQ(meter.component_current(c).value, 10.0);
+  // 111 mA for 10 s, then 11 mA for 10 s, over 3.6.
+  EXPECT_NEAR(meter.component_charge(c).value, (1110.0 + 110.0) / 3.6,
+              1e-9);
 }
 
 TEST(EnergyMeter, CheckpointDeltas) {
