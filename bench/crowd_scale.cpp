@@ -8,9 +8,13 @@
 #include <cstddef>
 #include <fstream>
 #include <iostream>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+#include "metrics/export.hpp"
 #include "scenario/crowd.hpp"
 #include "scenario/crowd_cli.hpp"
 
@@ -45,41 +49,52 @@ CrowdConfig scale_point(std::size_t phones) {
   return config;
 }
 
+/// The deterministic metrics export of one run.
+std::string export_of(const CrowdMetrics& m) {
+  std::ostringstream os;
+  metrics::export_json(m.metrics, os);
+  return os.str();
+}
+
 /// Grid-vs-legacy medium comparison: the same seeded crowd answered by
-/// the spatial-grid world index and by the legacy linear-scan medium
-/// (bit-identical results, different wall clock). Events/sec old vs
-/// new, written machine-readably like perf_kernel's kernel report.
-void run_medium_comparison(std::size_t phones, double duration_s) {
+/// the listening-only discovery index and by the legacy full-table
+/// scan. The legacy arm is the reference: both must produce the same
+/// metrics export, event count and per-shard event counts. Writes each
+/// arm's wall seconds machine-readably; returns false (after an error
+/// line on stderr) if the arms diverged.
+bool run_medium_comparison(std::size_t phones, double duration_s) {
   CrowdConfig config = scale_point(phones);
   config.duration_s = duration_s;
   config.seed = 101;
   // Periodic relay re-assessment keeps connected UEs scanning for the
   // whole run — the discovery-dominated regime where the medium's
-  // query structure decides throughput.
+  // query structure decides the run time.
   config.reassess_interval_s = 60.0;
 
   auto timed = [&](bool legacy) {
     CrowdConfig arm = config;
     arm.legacy_scan = legacy;
     const auto t0 = std::chrono::steady_clock::now();
-    const CrowdMetrics m = run_d2d_crowd(arm);
+    CrowdMetrics m = run_d2d_crowd(arm);
     const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
     return std::pair<double, CrowdMetrics>{
-        static_cast<double>(m.sim_events) / s, m};
+        std::chrono::duration<double>(t1 - t0).count(), std::move(m)};
   };
 
-  std::cout << "\nMedium comparison (grid vs legacy linear scan), "
-            << phones << " phones, " << duration_s << " s simulated:\n";
-  const auto [grid_eps, grid_m] = timed(false);
-  const auto [legacy_eps, legacy_m] = timed(true);
-  const double speedup = legacy_eps == 0.0 ? 0.0 : grid_eps / legacy_eps;
-  if (grid_m.total_l3 != legacy_m.total_l3 ||
-      grid_m.sim_events != legacy_m.sim_events) {
-    std::cerr << "warning: grid and legacy runs diverged "
-              << "(L3 " << grid_m.total_l3 << " vs " << legacy_m.total_l3
-              << ", events " << grid_m.sim_events << " vs "
-              << legacy_m.sim_events << ")\n";
+  std::cout << "\nMedium comparison (discovery index vs legacy full-table "
+            << "scan), " << phones << " phones, " << duration_s
+            << " s simulated:\n";
+  const auto [grid_s, grid_m] = timed(false);
+  const auto [legacy_s, legacy_m] = timed(true);
+  const double speedup = grid_s == 0.0 ? 0.0 : legacy_s / grid_s;
+  const bool same_export = export_of(grid_m) == export_of(legacy_m);
+  const bool identical =
+      same_export && grid_m.sim_events == legacy_m.sim_events &&
+      grid_m.shard_events_executed == legacy_m.shard_events_executed;
+  if (!identical) {
+    std::cerr << "error: grid and legacy runs diverged (metrics export "
+              << (same_export ? "equal" : "differs") << ", events "
+              << grid_m.sim_events << " vs " << legacy_m.sim_events << ")\n";
   }
 
   std::string path = "BENCH_crowd_medium.json";
@@ -97,21 +112,17 @@ void run_medium_comparison(std::size_t phones, double duration_s) {
         << "  \"reassess_interval_s\": " << config.reassess_interval_s
         << ",\n"
         << "  \"sim_events\": " << grid_m.sim_events << ",\n"
-        << "  \"results_identical\": "
-        << ((grid_m.total_l3 == legacy_m.total_l3 &&
-             grid_m.sim_events == legacy_m.sim_events)
-                ? "true"
-                : "false")
+        << "  \"results_identical\": " << (identical ? "true" : "false")
         << ",\n"
-        << "  \"new_grid_events_per_sec\": " << grid_eps << ",\n"
-        << "  \"old_scan_events_per_sec\": " << legacy_eps << ",\n"
+        << "  \"grid_wall_s\": " << grid_s << ",\n"
+        << "  \"legacy_scan_wall_s\": " << legacy_s << ",\n"
         << "  \"speedup\": " << speedup << "\n"
         << "}\n";
   }
-  std::cout << "grid " << static_cast<std::uint64_t>(grid_eps)
-            << " ev/s vs legacy scan "
-            << static_cast<std::uint64_t>(legacy_eps) << " ev/s -> "
-            << speedup << "x\n(json written to " << path << ")\n";
+  std::cout << "index " << grid_s << " s vs legacy scan " << legacy_s
+            << " s wall -> " << speedup << "x\n(json written to " << path
+            << ")\n";
+  return identical;
 }
 
 }  // namespace
@@ -121,7 +132,8 @@ int main(int argc, char** argv) {
   //               metrics diff); skips the storm section.
   // --compare N   grid-vs-legacy medium comparison at N phones
   //               (--compare-duration S simulated seconds, default 120)
-  //               writing BENCH_crowd_medium.json.
+  //               writing BENCH_crowd_medium.json; exits 1 if the two
+  //               arms' metrics exports differ.
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const auto compare_phones = static_cast<std::size_t>(
       bench::flag_number(argc, argv, "--compare", 0.0));
@@ -200,8 +212,9 @@ int main(int argc, char** argv) {
   std::cout << "\nFirst-seed detail:\n";
   bench::emit(detail, "crowd_scale_detail");
 
-  if (compare_phones > 0) {
-    run_medium_comparison(compare_phones, compare_duration);
+  if (compare_phones > 0 &&
+      !run_medium_comparison(compare_phones, compare_duration)) {
+    return 1;
   }
   if (smoke) return 0;
 

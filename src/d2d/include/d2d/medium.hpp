@@ -7,13 +7,20 @@
 // Node state (position source, D2D slot) lives in the world::NodeTable
 // dense-state layer shared with the Scenario and operator selection;
 // the medium itself keeps only a compact radio array, with the table's
-// d2d_slot column mapping NodeId → array index. Proximity queries
-// (discovery scans, range-exit sweeps) go through the
-// mobility::SpatialGrid world index instead of walking every radio —
-// the difference between O(population) and O(neighbourhood) per scan
-// at crowd scale. A legacy linear-scan path is kept behind
-// Params::legacy_scan for the grid-vs-scan ablation; both paths visit
-// peers in ascending NodeId order and draw the RNG identically, so a
+// d2d_slot column mapping NodeId → array index. Discovery scans go
+// through a per-strip mobility::SpatialGrid discovery index instead of
+// walking every radio — the difference between O(population) and
+// O(listening neighbourhood) per scan at crowd scale. The index holds
+// exactly the attached radios that are listening(): only those can be
+// admitted to a scan (the Section III-C detector chooses among relay
+// adverts), so the filter lives in the data structure instead of being
+// applied per candidate. WifiDirectRadio::set_listening reports every
+// flag change here, and attach/detach follow the flag. Range-exit
+// sweeps (lost_peers) do not use the index: they check each link's
+// peer directly. A legacy linear-scan path over the whole table is
+// kept behind Params::legacy_scan as the full-table reference; both
+// paths visit peers in ascending NodeId order and draw the RNG
+// identically (a non-listening peer is dropped before any draw), so a
 // seeded run is bit-identical whichever path answers it.
 //
 // Strip confinement: every node is homed to a world strip (its
@@ -98,9 +105,11 @@ class WifiDirectMedium {
   /// classic 1, 2, 3, ... sequence.
   GroupId allocate_group(NodeId owner);
 
-  /// Invariant audit (the D2DHB_AUDIT layer): checks the world index
-  /// (SpatialGrid::audit at the current sim time), NodeTable↔radio-array
-  /// slot consistency in both directions, and link-table symmetry — for
+  /// Invariant audit (the D2DHB_AUDIT layer): checks the discovery
+  /// index (SpatialGrid::audit at the current sim time, and in both
+  /// directions that each strip's grid holds exactly the attached
+  /// listening radios homed to that strip), NodeTable↔radio-array slot
+  /// consistency in both directions, and link-table symmetry — for
   /// every attached radio, each link (peer, group) must be mirrored by
   /// an identical link back from the peer. Registered with the
   /// simulator's auditor list on construction, so audit builds run it
@@ -134,13 +143,28 @@ class WifiDirectMedium {
   /// The shared dense node-state layer (home shards, positions, slots).
   world::NodeTable& nodes() { return nodes_; }
   const world::NodeTable& nodes() const { return nodes_; }
-  /// A strip's world index (exposed for diagnostics); strip 0 by
-  /// default — the whole world when there is a single strip.
+  /// A strip's discovery index (exposed for diagnostics): the attached
+  /// listening radios homed to that strip. Strip 0 by default — the
+  /// whole world when there is a single strip.
   const mobility::SpatialGrid& grid(std::size_t strip = 0) const {
     return *grids_[strip];
   }
 
+  /// Test backdoor (corrupts internals for the audit tests).
+  struct Internal;
+
  private:
+  friend class WifiDirectRadio;
+  friend struct Internal;
+
+  /// Called by `radio`'s set_listening after its flag changed. A radio
+  /// that a re-attach has replaced no longer speaks for its node and
+  /// leaves the index alone.
+  void listening_changed(const WifiDirectRadio& radio);
+  /// Bins or unbins `radio`'s node in its strip's discovery index to
+  /// match its listening flag.
+  void sync_index(const WifiDirectRadio& radio,
+                  const mobility::MobilityModel& mobility);
   void require_attached(NodeId node) const;
   mobility::Vec2 checked_position(NodeId node) const;
   std::uint32_t strip_of(NodeId node) const { return nodes_.shard_of(node); }
@@ -161,9 +185,11 @@ class WifiDirectMedium {
   /// maps NodeId → index here. Detach swap-removes, so the array stays
   /// dense no matter the attach/detach order.
   std::vector<WifiDirectRadio*> radios_;
-  /// One world index per strip, holding only nodes homed there. Scans
-  /// on strip k query grids_[k] alone — the grid's lazy position cache
-  /// then only ever touches strip-k mobility models.
+  /// One discovery index per strip, holding only the listening radios
+  /// homed there. Scans on strip k query grids_[k] alone, and only
+  /// strip k's kernel (or the world build) changes a strip-k radio's
+  /// flag — the grid and its lazy position cache then only ever touch
+  /// strip-k mobility models.
   std::vector<std::unique_ptr<mobility::SpatialGrid>> grids_;
   /// Per-strip scratch buffers for grid queries (avoid per-scan
   /// allocation without sharing a buffer across threads).

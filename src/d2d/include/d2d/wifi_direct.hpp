@@ -60,9 +60,12 @@ class WifiDirectRadio {
   /// discoverable in-range peers after the scan window.
   void start_discovery(DiscoveryCallback callback);
 
-  /// Whether this radio charges passive-discovery energy when scanned.
-  /// (Relays listen for scans; pure clients do not.)
-  void set_listening(bool listening) { listening_ = listening; }
+  /// Whether this radio answers scans: only listening radios appear in
+  /// peers' scans (and charge passive-discovery energy when scanned).
+  /// Relays listen; pure clients do not. The flag also decides
+  /// membership in the medium's discovery index, so every change is
+  /// reported to the medium.
+  void set_listening(bool listening);
   bool listening() const { return listening_; }
 
   /// GO negotiation + provisioning with `peer`. Charges connection

@@ -77,6 +77,33 @@ void WifiDirectMedium::audit() const {
                             std::to_string(slot));
     }
   }
+  // Discovery index, both directions: every attached radio is binned
+  // in its home strip's grid exactly while it listens, and no grid
+  // holds more entries than its strip has listening radios — so no
+  // grid holds a detached, non-listening or foreign node either.
+  std::vector<std::size_t> listening(grids_.size(), 0);
+  for (const WifiDirectRadio* radio : radios_) {
+    const NodeId node = radio->owner();
+    const std::uint32_t strip = strip_of(node);
+    if (radio->listening() != grids_[strip]->contains(node)) {
+      throw sim::AuditError(
+          "WifiDirectMedium audit: node #" + std::to_string(node.value) +
+          (radio->listening() ? " listens but is missing from"
+                              : " does not listen but is binned in") +
+          " strip " + std::to_string(strip) + "'s discovery index");
+    }
+    if (radio->listening()) ++listening[strip];
+  }
+  for (std::size_t strip = 0; strip < grids_.size(); ++strip) {
+    if (grids_[strip]->size() != listening[strip]) {
+      throw sim::AuditError(
+          "WifiDirectMedium audit: strip " + std::to_string(strip) +
+          "'s discovery index holds " +
+          std::to_string(grids_[strip]->size()) + " nodes but only " +
+          std::to_string(listening[strip]) +
+          " attached listening radios are homed there");
+    }
+  }
   // Link symmetry over the attached radios.
   for (const WifiDirectRadio* radio : radios_) {
     const std::uint64_t id = radio->owner().value;
@@ -116,8 +143,23 @@ void WifiDirectMedium::attach(WifiDirectRadio& radio,
     nodes_.set_d2d_slot(node, static_cast<std::uint32_t>(radios_.size()));
     radios_.push_back(&radio);
   }
-  // insert() replaces an existing entry, so re-attach needs no remove.
-  grids_[strip_of(node)]->insert(node, mobility);
+  // A re-attach re-bins or unbins the node per the new radio's flag.
+  sync_index(radio, mobility);
+}
+
+void WifiDirectMedium::listening_changed(const WifiDirectRadio& radio) {
+  if (this->radio(radio.owner()) != &radio) return;
+  sync_index(radio, radio.mobility());
+}
+
+void WifiDirectMedium::sync_index(const WifiDirectRadio& radio,
+                                  const mobility::MobilityModel& mobility) {
+  mobility::SpatialGrid& grid = *grids_[strip_of(radio.owner())];
+  if (radio.listening()) {
+    grid.insert(radio.owner(), mobility);  // replaces an existing entry
+  } else {
+    grid.remove(radio.owner());
+  }
 }
 
 void WifiDirectMedium::detach(NodeId node) {
@@ -175,7 +217,9 @@ std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(NodeId scanner) {
   // Both paths visit peers in ascending NodeId order with identical
   // distance arithmetic and RNG draws, so a seeded run's behaviour is
   // bit-identical whichever one answers the scan (asserted by the
-  // grid-equivalence integration test). Both are confined to the
+  // grid-equivalence integration test). The grid path only sees
+  // listening peers; the legacy path sees every radio, and admit()
+  // drops the others before any draw. Both are confined to the
   // scanner's strip: the grid path by construction (a strip's grid only
   // holds its own nodes), the legacy path by an explicit home-strip
   // filter applied before any position is read.

@@ -40,7 +40,8 @@ WifiDirectRadio::~WifiDirectRadio() {
   // Tear down links without touching possibly-dead peers' callbacks.
   const std::vector<Link> links = std::move(links_);
   links_.clear();
-  medium_.detach(owner_);
+  // A radio that a re-attach replaced no longer speaks for its node.
+  if (medium_.radio(owner_) == this) medium_.detach(owner_);
   // A survivor whose link to this radio was static has no monitor
   // armed. Arm it: its next tick finds this radio gone and breaks the
   // dangling back-link, handlers and all, outside this destructor.
@@ -50,6 +51,12 @@ WifiDirectRadio::~WifiDirectRadio() {
       survivor->update_link_monitor();
     }
   }
+}
+
+void WifiDirectRadio::set_listening(bool listening) {
+  if (listening == listening_) return;
+  listening_ = listening;
+  medium_.listening_changed(*this);
 }
 
 void WifiDirectRadio::set_group_owner_intent(int intent) {

@@ -50,9 +50,9 @@ struct CrowdConfig {
   /// range). Exposed for the grid ablation (`d2dhb_sim crowd
   /// --grid-cell`).
   double grid_cell_m{0.0};
-  /// Ablation: answer discovery/range queries with the legacy linear
-  /// scan instead of the spatial grid (seeded runs are bit-identical
-  /// either way; only the speed differs).
+  /// Reference path: answer discovery scans with the legacy full-table
+  /// scan instead of the listening-only discovery index (seeded runs
+  /// are bit-identical either way; only the speed differs).
   bool legacy_scan{false};
   /// Connected UEs re-scan every this many seconds and switch to a
   /// markedly closer relay (core::UeAgent::Params::reassess_interval).

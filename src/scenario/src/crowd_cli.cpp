@@ -86,8 +86,9 @@ const char* crowd_flags_help() {
       "    --mobile --policy greedy|random|density|first-n --seed S\n"
       "    --cell-grid N (n-cell grid over the area; 1 = single BS)\n"
       "    --grid-cell M (world-index cell size in meters; default =\n"
-      "    D2D range) --legacy-scan (linear-scan medium, for the\n"
-      "    grid-vs-scan ablation; seeded results are identical)\n"
+      "    D2D range) --legacy-scan (full-table scan medium, the\n"
+      "    reference for the discovery index; seeded results are\n"
+      "    identical)\n"
       "    --reassess S (connected UEs re-scan every S seconds and\n"
       "    switch to a markedly closer relay; 0 = off)\n"
       "    --threads N (worker threads driving the kernels; 1 = inline.\n"

@@ -3,6 +3,8 @@
 // fall back.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/relay_agent.hpp"
 #include "core/ue_agent.hpp"
 #include "scenario/scenario.hpp"
@@ -75,6 +77,30 @@ TEST_F(BatteryRelayTest, RetiresBelowThresholdAndStopsAdvertising) {
   // Retirement is sticky: start() is refused.
   relay.start();
   EXPECT_FALSE(relay.running());
+}
+
+TEST_F(BatteryRelayTest, RetiredRelayLeavesScansAndTheDiscoveryIndex) {
+  Phone& relay_phone = add_phone(0);
+  Phone& ue_phone = add_phone(1);
+  RelayAgent& relay = world_.add_relay(relay_phone, relay_params(4000.0));
+  relay.start();
+  d2d::WifiDirectMedium& medium = world_.medium();
+  const mobility::SpatialGrid& index =
+      medium.grid(medium.nodes().shard_of(relay_phone.id()));
+  auto ue_sees_relay = [&] {
+    const auto peers = medium.scan_from(ue_phone.id());
+    return std::any_of(peers.begin(), peers.end(),
+                       [&](const d2d::DiscoveredPeer& p) {
+                         return p.node == relay_phone.id();
+                       });
+  };
+  EXPECT_TRUE(index.contains(relay_phone.id()));
+  EXPECT_TRUE(ue_sees_relay());
+  world_.sim().run_until(TimePoint{} + seconds(600));
+  ASSERT_TRUE(relay.retired());
+  EXPECT_FALSE(index.contains(relay_phone.id()));
+  EXPECT_FALSE(ue_sees_relay());
+  EXPECT_NO_THROW(world_.sim().audit());
 }
 
 TEST_F(BatteryRelayTest, UeSurvivesRelayRetirement) {

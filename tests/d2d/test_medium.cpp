@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -156,6 +158,162 @@ TEST_F(MediumTest, LegacyScanAndGridScanAreIdenticalUnderOneSeed) {
   EXPECT_EQ(grid, legacy);
   EXPECT_EQ(grid, coarse);
   EXPECT_EQ(grid, fine);
+}
+
+/// One radio of the scripted property test: a static or walking phone
+/// homed to a given strip.
+struct ScriptPhone {
+  ScriptPhone(sim::Simulator& sim, WifiDirectMedium& medium,
+              world::NodeTable& nodes, std::uint64_t id, std::uint32_t strip,
+              std::unique_ptr<mobility::MobilityModel> model)
+      : meter(sim), mobility(std::move(model)) {
+    // Home the node before its radio attaches (and is indexed).
+    nodes.add(NodeId{id}, mobility.get());
+    nodes.set_shard(NodeId{id}, strip);
+    radio = std::make_unique<WifiDirectRadio>(sim, NodeId{id}, medium,
+                                              *mobility, meter,
+                                              D2dEnergyProfile{}, Rng{id});
+  }
+
+  energy::EnergyMeter meter;
+  std::unique_ptr<mobility::MobilityModel> mobility;
+  std::unique_ptr<WifiDirectRadio> radio;
+};
+
+/// One medium of the property test with the phones attached to it.
+struct ScriptArm {
+  ScriptArm(sim::Simulator& sim, bool legacy)
+      : medium(sim, nodes, params(legacy), Rng{2024}) {}
+
+  static WifiDirectMedium::Params params(bool legacy) {
+    WifiDirectMedium::Params p;
+    p.rssi_noise_stddev_m = 0.5;
+    p.discovery_miss_probability = 0.2;
+    p.legacy_scan = legacy;
+    return p;
+  }
+
+  world::NodeTable nodes;
+  WifiDirectMedium medium;
+  /// The radio currently attached for each node.
+  std::map<std::uint64_t, std::unique_ptr<ScriptPhone>> current;
+  /// Radios a re-attach replaced; still alive, no longer in charge.
+  std::vector<std::unique_ptr<ScriptPhone>> replaced;
+};
+
+// Property: the listening-only discovery index answers every scan
+// exactly like the full-table reference (legacy_scan), through a seeded
+// script of listening toggles, attaches, detaches, re-attaches and time
+// advances over static and walking radios with sparse ids on 3 strips.
+TEST(MediumIndexProperty, ListeningIndexMatchesTheFullTableReference) {
+  constexpr std::uint32_t kStrips = 3;
+  sim::Simulator sim{kStrips};
+  ScriptArm grid{sim, false};
+  ScriptArm legacy{sim, true};
+  ScriptArm* const arms[] = {&grid, &legacy};
+
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t k = 0; k < 30; ++k) ids.push_back(3 + k * k * 7);
+  Rng script{0x5eed};
+  std::map<std::uint64_t, std::uint32_t> home;
+  for (const std::uint64_t id : ids) {
+    home[id] = static_cast<std::uint32_t>(script.uniform_int(0, kStrips - 1));
+  }
+  auto attach = [&](std::uint64_t id) {
+    const mobility::Vec2 at{script.uniform(0.0, 70.0),
+                            script.uniform(0.0, 70.0)};
+    const bool walks = script.chance(0.5);
+    const mobility::Vec2 velocity{script.uniform(-1.5, 1.5),
+                                  script.uniform(-1.5, 1.5)};
+    const bool listens = script.chance(0.5);
+    const RelayAdvert advert{
+        script.chance(0.8),
+        static_cast<std::uint32_t>(script.uniform_int(0, 7))};
+    for (ScriptArm* arm : arms) {
+      std::unique_ptr<mobility::MobilityModel> model;
+      if (walks) {
+        model = std::make_unique<mobility::LinearMobility>(at, velocity);
+      } else {
+        model = std::make_unique<mobility::StaticMobility>(at);
+      }
+      auto phone = std::make_unique<ScriptPhone>(
+          sim, arm->medium, arm->nodes, id, home[id], std::move(model));
+      phone->radio->set_advert(advert);
+      phone->radio->set_listening(listens);
+      auto& slot = arm->current[id];
+      if (slot) arm->replaced.push_back(std::move(slot));
+      slot = std::move(phone);
+    }
+  };
+  for (const std::uint64_t id : ids) {
+    if (script.chance(0.7)) attach(id);
+  }
+
+  std::size_t peers_seen = 0;
+  std::size_t reattaches = 0;
+  std::size_t stale_toggles = 0;  // by a replaced radio of an attached node
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t id = ids[script.uniform_int(0, ids.size() - 1)];
+    const bool attached = grid.current.count(id) != 0;
+    const double op = script.next_double();
+    if (op < 0.35 && attached) {
+      const bool listens = script.chance(0.5);
+      for (ScriptArm* arm : arms) {
+        arm->current[id]->radio->set_listening(listens);
+      }
+    } else if (op < 0.5) {
+      if (attached) ++reattaches;
+      attach(id);  // a fresh attach, or a re-attach replacing the radio
+    } else if (op < 0.55 && attached) {
+      for (ScriptArm* arm : arms) arm->current.erase(id);  // detaches
+    } else if (op < 0.75 && !grid.replaced.empty()) {
+      // A replaced radio toggles, or dies; neither touches the index.
+      const std::size_t k = script.uniform_int(0, grid.replaced.size() - 1);
+      const bool dies = script.chance(0.2);
+      const NodeId owner = grid.replaced[k]->radio->owner();
+      if (!dies && grid.current.count(owner.value) != 0) ++stale_toggles;
+      for (ScriptArm* arm : arms) {
+        auto& phone = arm->replaced[k];
+        if (dies) {
+          arm->replaced.erase(arm->replaced.begin() +
+                              static_cast<std::ptrdiff_t>(k));
+        } else {
+          phone->radio->set_listening(!phone->radio->listening());
+        }
+      }
+    } else {
+      const auto dt = static_cast<double>(script.uniform_int(1, 20));
+      sim.run_until(sim.now() + seconds(dt));
+    }
+
+    for (const auto& [scanner, phone] : grid.current) {
+      const auto want = legacy.medium.scan_from(NodeId{scanner});
+      const auto got = grid.medium.scan_from(NodeId{scanner});
+      ASSERT_EQ(got.size(), want.size())
+          << "step " << step << ", scanner #" << scanner;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].node, want[i].node) << "step " << step;
+        EXPECT_EQ(std::memcmp(&got[i].estimated_distance.value,
+                              &want[i].estimated_distance.value,
+                              sizeof(double)),
+                  0)
+            << "step " << step << ", peer #" << got[i].node.value;
+        EXPECT_EQ(got[i].advert.offers_relay, want[i].advert.offers_relay);
+        EXPECT_EQ(got[i].advert.capacity_remaining,
+                  want[i].advert.capacity_remaining);
+      }
+      peers_seen += got.size();
+    }
+    ASSERT_NO_THROW(sim.audit()) << "step " << step;
+  }
+  // The script really exercised the index.
+  EXPECT_GT(peers_seen, 1000u);
+  EXPECT_GT(reattaches, 10u);
+  EXPECT_GT(stale_toggles, 10u);
+  EXPECT_GT(sim.now(), TimePoint{} + seconds(300));
+  for (std::uint32_t strip = 0; strip < kStrips; ++strip) {
+    EXPECT_GT(grid.medium.grid(strip).size(), 0u) << "strip " << strip;
+  }
 }
 
 TEST_F(MediumTest, LostPeersFlagsDetachedAndOutOfRange) {

@@ -3,7 +3,8 @@
 // the SpatialGrid / WifiDirectMedium invariant checks — including the
 // negative paths that prove the auditor actually trips on corrupted
 // state (a zeroed event-slot generation, an asymmetric link table, a
-// tombstone grid slot).
+// tombstone grid slot, a discovery index out of step with the radios'
+// listening flags).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +31,19 @@ struct WifiDirectRadio::Internal {
   }
   static void corrupt_first_group(WifiDirectRadio& radio) {
     radio.links_.front().group = GroupId{9999};
+  }
+  /// Flips the listening flag without telling the medium.
+  static void force_listening(WifiDirectRadio& radio, bool listening) {
+    radio.listening_ = listening;
+  }
+};
+
+/// Test backdoor: WifiDirectMedium befriends this struct so audit tests
+/// can plant entries in a strip's discovery index.
+struct WifiDirectMedium::Internal {
+  static void bin(WifiDirectMedium& medium, std::size_t strip, NodeId node,
+                  const mobility::MobilityModel& mobility) {
+    medium.grids_[strip]->insert(node, mobility);
   }
 };
 
@@ -237,23 +251,91 @@ TEST_F(MediumAuditTest, SymmetricLinksPassTheMediumAuditor) {
 }
 
 TEST_F(MediumAuditTest, ReattachAndDetachKeepTheMediumAuditorGreen) {
+  // The discovery index holds a node exactly while the radio currently
+  // attached for it listens.
   Phone first(sim_, medium_, 70000, 0.0, 0.0);
   Phone other(sim_, medium_, 2, 1.0, 0.0);
+  first.radio.set_listening(true);
+  other.radio.set_listening(true);
+  EXPECT_EQ(medium_.grid().size(), 2u);
   {
-    // A second radio for the same node re-attaches in place: one grid
-    // entry, now tracking the new radio's position.
+    // A second radio for the same node re-attaches in place. It does
+    // not listen yet, so the node leaves the index.
     Phone again(sim_, medium_, 70000, 8.0, 0.0);
     EXPECT_EQ(medium_.radio(NodeId{70000}), &again.radio);
+    EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
+    EXPECT_EQ(medium_.grid().size(), 1u);
+    EXPECT_NO_THROW(sim_.audit());
+    // The replacing radio's flag decides membership, binned at the
+    // replacing radio's position.
+    again.radio.set_listening(true);
     EXPECT_EQ(medium_.grid().size(), 2u);
     EXPECT_EQ(medium_.grid().position(NodeId{70000}, sim_.now()).x, 8.0);
     EXPECT_NO_THROW(sim_.audit());
+    // The replaced radio's flag no longer touches the index.
+    first.radio.set_listening(false);
+    EXPECT_TRUE(medium_.grid().contains(NodeId{70000}));
+    EXPECT_EQ(medium_.grid().position(NodeId{70000}, sim_.now()).x, 8.0);
+    EXPECT_NO_THROW(sim_.audit());
+    first.radio.set_listening(true);
   }
-  // Its destruction detaches the node (the first radio's later
-  // destruction is then a no-op).
+  // Its destruction detaches and unbins the node (the first radio's
+  // later destruction is then a no-op).
   EXPECT_EQ(medium_.radio(NodeId{70000}), nullptr);
   EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
   EXPECT_EQ(medium_.grid().size(), 1u);
   EXPECT_NO_THROW(sim_.audit());
+  // A detached radio's flag leaves the index alone as well.
+  first.radio.set_listening(false);
+  first.radio.set_listening(true);
+  EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
+  EXPECT_NO_THROW(sim_.audit());
+}
+
+/// Runs the auditor and returns its message ("" if it passed).
+std::string audit_error(Simulator& sim) {
+  try {
+    sim.audit();
+  } catch (const AuditError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(MediumAuditTest, NonListeningRadioInTheIndexTripsTheMediumAuditor) {
+  Phone ue(sim_, medium_, 1, 0.0, 0.0);
+  Phone relay(sim_, medium_, 2, 1.0, 0.0);
+  relay.radio.set_listening(true);
+  ASSERT_EQ(audit_error(sim_), "");
+  d2d::WifiDirectMedium::Internal::bin(medium_, 0, NodeId{1}, ue.mobility);
+  EXPECT_NE(audit_error(sim_).find(
+                "node #1 does not listen but is binned in strip 0"),
+            std::string::npos)
+      << audit_error(sim_);
+}
+
+TEST_F(MediumAuditTest, UnattachedNodeInTheIndexTripsTheMediumAuditor) {
+  Phone relay(sim_, medium_, 2, 1.0, 0.0);
+  relay.radio.set_listening(true);
+  mobility::StaticMobility ghost(mobility::Vec2{3.0, 0.0});
+  d2d::WifiDirectMedium::Internal::bin(medium_, 0, NodeId{1}, ghost);
+  EXPECT_NE(audit_error(sim_).find("strip 0's discovery index holds 2 "
+                                   "nodes but only 1 attached listening"),
+            std::string::npos)
+      << audit_error(sim_);
+}
+
+TEST_F(MediumAuditTest, UnbinnedListeningRadioTripsTheMediumAuditor) {
+  Phone ue(sim_, medium_, 1, 0.0, 0.0);
+  Phone relay(sim_, medium_, 2, 1.0, 0.0);
+  ASSERT_EQ(audit_error(sim_), "");
+  // The flag flips behind the medium's back: the relay now answers
+  // scans on the legacy path but is absent from its strip's index.
+  d2d::WifiDirectRadio::Internal::force_listening(relay.radio, true);
+  EXPECT_NE(audit_error(sim_).find(
+                "node #2 listens but is missing from strip 0"),
+            std::string::npos)
+      << audit_error(sim_);
 }
 
 TEST_F(MediumAuditTest, DroppedBackLinkTripsTheMediumAuditor) {
