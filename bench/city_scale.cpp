@@ -1,9 +1,9 @@
 // City-scale throughput and memory: the arena-backed world at 100k,
 // 250k, and 1M phones — events/sec, wall time split into build vs run,
-// strip-arena footprint, and process peak RSS per arm. Arms ascend by
-// phone count so the getrusage peak-RSS reading after each arm is
-// attributable to it (ru_maxrss is process-monotone). Writes
-// BENCH_city_scale.json.
+// strip-arena and metrics-registry footprint, and process peak RSS per
+// arm. Arms ascend by phone count so the getrusage peak-RSS reading
+// after each arm is attributable to it (ru_maxrss is process-monotone).
+// Writes BENCH_city_scale.json.
 //
 //   bench_city_scale [--smoke] [--threads T] [--duration S]
 //                    [--heap-agents] [--max-rss-mb N]
@@ -46,6 +46,8 @@ struct CityArm {
   double build_s{0.0};
   double run_s{0.0};
   double events_per_sec{0.0};
+  /// MetricsRegistry::bytes_reserved() after the run, per phone.
+  double registry_bytes_per_phone{0.0};
   CityMetrics metrics;
 };
 
@@ -59,6 +61,9 @@ CityArm run_arm(const CityConfig& config) {
   const auto t1 = clock::now();
   arm.metrics = run_city(*world, config);
   const auto t2 = clock::now();
+  arm.registry_bytes_per_phone =
+      static_cast<double>(world->metrics().bytes_reserved()) /
+      static_cast<double>(config.phones);
   arm.build_s = std::chrono::duration<double>(t1 - t0).count();
   arm.run_s = std::chrono::duration<double>(t2 - t1).count();
   arm.events_per_sec =
@@ -117,6 +122,7 @@ void emit_arm_json(std::ostream& out, const CityArm& a, bool last) {
       << ", \"arena_bytes_allocated\": " << a.metrics.arena_bytes_allocated
       << ", \"arena_bytes_reserved\": " << a.metrics.arena_bytes_reserved
       << ", \"arena_objects\": " << a.metrics.arena_objects
+      << ", \"registry_bytes_per_phone\": " << a.registry_bytes_per_phone
       // getrusage peak — monotone, so ascending arms attribute it.
       << ", \"peak_rss_bytes\": " << a.metrics.peak_rss_bytes
       << "}" << (last ? "" : ",") << "\n";

@@ -8,6 +8,16 @@
 // chase, so always-on counting stays off the simulator's hot path.
 // Samplers are zero-overhead when sampling is disabled (one bool load).
 //
+// Storage is one family per metric name: the name, the kind and (for
+// histograms) the bucket bounds, interned once. Each series is a row of
+// its family: a {node, cell, component id} key, with label components
+// interned registry-wide, and a payload in a std::deque, whose appends
+// never move an element. Registering a series allocates nothing of its
+// own. Rows sit in registration order, so eight counters share a cache
+// line: the series of one strip are contiguous only where a world
+// registers its strips one after another (a city does; a crowd
+// registers in node order, interleaving strips).
+//
 // snapshot() materializes the whole tree in deterministic (name, node,
 // cell, component) order; because every simulation is a pure function of
 // (config, seed), snapshots — and their JSON/CSV exports — are
@@ -22,17 +32,18 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <tuple>
-#include <variant>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 
 namespace d2dhb::metrics {
+
+class MetricsRegistry;
 
 /// Hierarchical label set identifying one series of a named metric.
 /// Unset dimensions (node 0, cell -1, empty component) are omitted from
@@ -63,19 +74,12 @@ using StatsRow = std::vector<StatsField>;
 /// Monotonically increasing event count. Increments are relaxed
 /// atomics: shared series (a base station's per-cell counters) are hit
 /// from several worker threads, and a sum is order-free — the snapshot
-/// total is deterministic regardless of increment interleaving. Copy
-/// operations exist only for registry/variant storage (single-threaded
-/// registration paths).
+/// total is deterministic regardless of increment interleaving.
 class Counter {
  public:
   Counter() = default;
-  Counter(const Counter& other)
-      : value_(other.value_.load(std::memory_order_relaxed)) {}
-  Counter& operator=(const Counter& other) {
-    value_.store(other.value_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    return *this;
-  }
+  Counter(const Counter&) = delete;
+  Counter& operator=(const Counter&) = delete;
 
   void inc(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
@@ -107,11 +111,23 @@ class Gauge {
 /// (value <= bound); one implicit overflow bucket catches the rest.
 class Histogram {
  public:
+  /// Observes into caller-owned storage: sorted `bounds` and
+  /// `bounds.size() + 1` zeroed `counts`, both outliving the histogram.
+  /// The registry passes its family's bounds and a slot of the family's
+  /// bucket chunks, so a series carries no heap block of its own.
+  Histogram(const std::vector<double>& bounds, std::uint64_t* counts)
+      : bounds_(&bounds), counts_(counts) {}
+  /// A copy would share the bucket counts but not count() and sum().
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+
   void observe(double v);
 
-  const std::vector<double>& bounds() const { return bounds_; }
+  const std::vector<double>& bounds() const { return *bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
+  std::span<const std::uint64_t> bucket_counts() const {
+    return {counts_, bounds_->size() + 1};
+  }
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double mean() const {
@@ -119,11 +135,8 @@ class Histogram {
   }
 
  private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::vector<double> bounds);
-
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
+  const std::vector<double>* bounds_;
+  std::uint64_t* counts_;
   std::uint64_t count_{0};
   double sum_{0.0};
 };
@@ -138,18 +151,15 @@ class Sampler {
     auto operator<=>(const Sample&) const = default;
   };
 
-  void sample(TimePoint when, double value) {
-    if (!*enabled_) return;
-    samples_.push_back(Sample{to_seconds(when), value});
-  }
-  bool enabled() const { return *enabled_; }
+  inline void sample(TimePoint when, double value);
+  inline bool enabled() const;
   const std::vector<Sample>& samples() const { return samples_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Sampler(const bool* enabled) : enabled_(enabled) {}
+  explicit Sampler(const MetricsRegistry& registry) : registry_(&registry) {}
 
-  const bool* enabled_;
+  const MetricsRegistry* registry_;
   std::vector<Sample> samples_;
 };
 
@@ -199,57 +209,90 @@ Snapshot merge(const std::vector<Snapshot>& parts);
 
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  MetricsRegistry();
+  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Registers (or finds) a metric. Re-registering the same
   /// (name, labels) returns the same object, so substrates recreated
-  /// within one world keep accumulating into one series. Registering an
-  /// existing key as a different kind throws std::logic_error.
+  /// within one world keep accumulating into one series. A name has one
+  /// kind (and, for histograms, one set of bounds): registering it as a
+  /// different kind, or a histogram with other bounds, throws
+  /// std::logic_error.
   ///
-  /// The returned reference is stable (std::map never relocates) and is
-  /// used lock-free afterwards: Counters are relaxed atomics, the other
-  /// kinds are only touched from their owning kernel's strip. The lock
-  /// guards the map itself — concurrent registration from different
-  /// strips stays safe.
-  Counter& counter(std::string name, Labels labels = {})
+  /// The returned reference is stable (payloads live in deques, which
+  /// never move an element on append) and is used lock-free afterwards:
+  /// Counters are relaxed atomics, the other kinds are only touched from
+  /// their owning kernel's strip. The lock guards the tables themselves
+  /// — concurrent registration from different strips stays safe. A
+  /// registration that throws (a kind collision, or a failed
+  /// allocation) adds no series.
+  Counter& counter(std::string_view name, const Labels& labels = {})
       D2DHB_EXCLUDES(mutex_);
-  Gauge& gauge(std::string name, Labels labels = {}) D2DHB_EXCLUDES(mutex_);
+  Gauge& gauge(std::string_view name, const Labels& labels = {})
+      D2DHB_EXCLUDES(mutex_);
   /// Callback-backed gauge, evaluated at snapshot time. Re-registering
   /// replaces the callback (so a recreated object rebinds cleanly).
-  Gauge& gauge_fn(std::string name, Labels labels, std::function<double()> fn)
-      D2DHB_EXCLUDES(mutex_);
-  Histogram& histogram(std::string name, std::vector<double> bounds,
-                       Labels labels = {}) D2DHB_EXCLUDES(mutex_);
-  Sampler& sampler(std::string name, Labels labels = {})
+  Gauge& gauge_fn(std::string_view name, const Labels& labels,
+                  std::function<double()> fn) D2DHB_EXCLUDES(mutex_);
+  Histogram& histogram(std::string_view name, std::vector<double> bounds,
+                       const Labels& labels = {}) D2DHB_EXCLUDES(mutex_);
+  Sampler& sampler(std::string_view name, const Labels& labels = {})
       D2DHB_EXCLUDES(mutex_);
 
   /// Master switch for time-series samplers (off by default). Flip only
-  /// while the world is quiescent: samplers read the flag through a raw
-  /// pointer on the hot path, deliberately outside the lock.
+  /// while the world is quiescent: samplers read it through their
+  /// registry on the hot path, deliberately outside the lock.
   void set_sampling_enabled(bool on) { sampling_enabled_ = on; }
   bool sampling_enabled() const { return sampling_enabled_; }
 
+  /// Number of registered series.
   std::size_t size() const D2DHB_EXCLUDES(mutex_);
+
+  /// Heap and table bytes the registry's own storage holds: families,
+  /// row keys, sorted row indexes, payload columns, histogram bucket
+  /// chunks (full chunks, used or not) and interned strings. Deques are
+  /// estimated from libstdc++'s block layout.
+  /// Excludes what payloads own themselves: gauge callbacks' captures
+  /// and sampler points.
+  std::size_t bytes_reserved() const D2DHB_EXCLUDES(mutex_);
 
   Snapshot snapshot() const D2DHB_EXCLUDES(mutex_);
 
  private:
-  using Key = std::tuple<std::string, std::uint64_t, std::int64_t,
-                         std::string>;  // name, node, cell, component
-  using Metric = std::variant<Counter, Gauge, Histogram, Sampler>;
+  /// One metric name: its histogram bounds, row keys, sorted row index
+  /// and payload column (defined in registry.cpp).
+  struct Family;
 
-  static Key key_of(std::string name, const Labels& labels) {
-    return Key{std::move(name), labels.node, labels.cell, labels.component};
-  }
-  template <typename T>
-  T& find_or_insert(std::string name, const Labels& labels, T prototype)
+  Family& family_of(std::string_view name, Kind kind,
+                    const std::vector<double>* bounds) D2DHB_REQUIRES(mutex_);
+  std::uint32_t intern_component(std::string_view component)
+      D2DHB_REQUIRES(mutex_);
+  /// Returns the payload of `labels`' series in `name`'s family, first
+  /// appending one with `add(family, column)` if the series is new.
+  template <typename T, typename Add>
+  T& find_or_add(std::string_view name, Kind kind, const Labels& labels,
+                 const std::vector<double>* bounds, Add add)
       D2DHB_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
-  std::map<Key, Metric> metrics_ D2DHB_GUARDED_BY(mutex_);
+  /// Families in creation order (ids), and their ids sorted by name.
+  std::vector<std::unique_ptr<Family>> families_ D2DHB_GUARDED_BY(mutex_);
+  std::vector<std::uint32_t> families_by_name_ D2DHB_GUARDED_BY(mutex_);
+  /// Interned label components in first-use order (ids), and their ids
+  /// sorted by string.
+  std::vector<std::string> components_ D2DHB_GUARDED_BY(mutex_);
+  std::vector<std::uint32_t> components_by_name_ D2DHB_GUARDED_BY(mutex_);
+  std::size_t size_ D2DHB_GUARDED_BY(mutex_){0};
   bool sampling_enabled_{false};
 };
+
+void Sampler::sample(TimePoint when, double value) {
+  if (!registry_->sampling_enabled()) return;
+  samples_.push_back(Sample{to_seconds(when), value});
+}
+
+bool Sampler::enabled() const { return registry_->sampling_enabled(); }
 
 }  // namespace d2dhb::metrics

@@ -20,8 +20,8 @@ struct HeartbeatMessage {
   AppId app;              ///< IM app instance on that phone.
   std::string app_name;   ///< e.g. "WeChat" — for reporting only.
   Bytes size;             ///< Wire size of the heartbeat.
-  Duration period;        ///< App's heartbeat period (e.g. 270 s).
-  Duration expiry;        ///< T_k: how long the server tolerates silence
+  Duration period{};      ///< App's heartbeat period (e.g. 270 s).
+  Duration expiry{};      ///< T_k: how long the server tolerates silence
                           ///< past this heartbeat's nominal send time.
   TimePoint created_at;   ///< When the app emitted it.
   std::uint64_t seq{0};   ///< Per-app sequence number.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <new>
+
 namespace d2dhb::net {
 namespace {
 
@@ -16,6 +19,19 @@ HeartbeatMessage make(std::uint64_t id, std::uint32_t size,
   m.expiry = seconds(expiry_s);
   m.created_at = TimePoint{} + seconds(100);
   return m;
+}
+
+TEST(HeartbeatMessage, DefaultConstructedHasZeroPeriodAndExpiry) {
+  // Default-initialize over dirty bytes, so a field without its own
+  // initializer would read back the fill pattern instead of zero.
+  alignas(HeartbeatMessage) std::array<unsigned char, sizeof(HeartbeatMessage)>
+      storage;
+  storage.fill(0xAB);
+  auto* m = ::new (storage.data()) HeartbeatMessage;
+  EXPECT_EQ(m->period, Duration::zero());
+  EXPECT_EQ(m->expiry, Duration::zero());
+  EXPECT_EQ(m->deadline() - m->created_at, Duration::zero());
+  m->~HeartbeatMessage();
 }
 
 TEST(HeartbeatMessage, DeadlineIsCreationPlusExpiry) {
