@@ -13,18 +13,21 @@
 // when the final peak RSS exceeds N MB — the CI memory-regression
 // bound for the smoke leg (0 = unbounded, the default).
 //
-// After the ladder the bench re-runs one arm twice — profiler off and
-// on — and reports the overhead as a percentage of the off run.
-// --max-profile-overhead-pct P fails (exit 1) when that delta exceeds
-// P% (smoke defaults to 3, full runs to unbounded); --trace-out PATH
-// writes the on-arm's Chrome trace for trace_report / Perfetto.
+// After the ladder the bench re-runs one arm as 9 profiler off/on
+// pairs (see run_overhead_pairs); the overhead is the median of the
+// pairs' on/off ratios, as a percentage.
+// --max-profile-overhead-pct P fails (exit 1) when that overhead
+// exceeds P% (smoke defaults to 3, full runs to unbounded);
+// --trace-out PATH writes the last profiled slice's Chrome trace for
+// trace_report / Perfetto.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +36,7 @@
 #include "common/table.hpp"
 #include "scenario/city.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/engine.hpp"
 #include "sim/profiler.hpp"
 
 namespace {
@@ -73,39 +77,98 @@ CityArm run_arm(const CityConfig& config) {
   return arm;
 }
 
-/// The profiler on/off pair: one ladder arm re-run with spans disabled
-/// and enabled, best-of-`samples` wall time each so scheduler noise
-/// does not masquerade as span overhead.
-struct OverheadPair {
+/// Profiler on/off pairs: one ladder arm re-run with spans disabled and
+/// enabled. On a shared host two runs of one world often differ by more
+/// than 5 %, above a 3 % bound, and so do two identically built worlds
+/// run side by side (memory layout). So each pair is measured in lock
+/// step:
+///  * the pair builds two identical worlds and advances both through
+///    the arm's duration in kSlices equal slices. Each slice profiles
+///    one world and not the other, and the two worlds take turns, so
+///    a faster world speeds up both arms alike; which world runs first
+///    alternates every two slices, so host drift does too;
+///  * a pair's ratio is the geometric mean of its slices' on/off time
+///    ratios, in which a world's layout factor cancels exactly;
+///  * the duration doubles until one whole run takes at least
+///    kMinOverheadRunS, so each world of a pair runs that long;
+///  * the gate reads the median of the pairs' ratios, so one disturbed
+///    pair cannot move it.
+constexpr int kOverheadPairs = 9;
+constexpr int kSlices = 16;
+constexpr double kMinOverheadRunS = 0.5;
+
+struct OverheadPairs {
   std::size_t phones{0};
+  double duration_s{0.0};
+  int pairs{0};
+  /// Median over the pairs of each arm's summed slice times.
   double run_s_off{0.0};
   double run_s_on{0.0};
-  /// (on - off) / off, in percent; negative deltas report as measured.
+  /// 100 * (median pair ratio - 1); negative values report as measured.
   double overhead_pct{0.0};
 };
 
-OverheadPair run_overhead_pair(const CityConfig& base, std::size_t phones,
-                               int samples, d2dhb::sim::Profiler* profiler) {
-  OverheadPair pair;
-  pair.phones = phones;
-  pair.run_s_off = std::numeric_limits<double>::infinity();
-  pair.run_s_on = std::numeric_limits<double>::infinity();
-  CityConfig off = base;
-  off.phones = phones;
-  CityConfig on = off;
-  on.profile = true;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// Wall seconds of advancing `world` to `until`.
+double timed_run(Scenario& world, TimePoint until,
+                 const sim::RunOptions& options) {
+  using clock = std::chrono::steady_clock;
+  const auto t0 = clock::now();
+  sim::run(world.sim(), until, options);
+  return std::chrono::duration<double>(clock::now() - t0).count();
+}
+
+OverheadPairs run_overhead_pairs(const CityConfig& base, std::size_t phones,
+                                 d2dhb::sim::Profiler* profiler) {
+  OverheadPairs result;
+  result.phones = phones;
+  result.pairs = kOverheadPairs;
+  CityConfig config = base;
+  config.phones = phones;
+  while (run_arm(config).run_s < kMinOverheadRunS) config.duration_s *= 2.0;
+  result.duration_s = config.duration_s;
+  sim::RunOptions off;
+  off.threads = config.threads;
+  sim::RunOptions on = off;
   on.profiler = profiler;
-  for (int i = 0; i < samples; ++i) {
-    pair.run_s_off = std::min(pair.run_s_off, run_arm(off).run_s);
-    // On-arm last so the caller-owned profiler keeps the final (best
-    // measured) run's spans for --trace-out.
-    pair.run_s_on = std::min(pair.run_s_on, run_arm(on).run_s);
+  std::vector<double> offs, ons, ratios;
+  for (int i = 0; i < kOverheadPairs; ++i) {
+    const std::unique_ptr<Scenario> worlds[] = {build_city(config),
+                                                build_city(config)};
+    double off_s = 0.0;
+    double on_s = 0.0;
+    double log_ratio = 0.0;
+    for (int k = 0; k < kSlices; ++k) {
+      const TimePoint until =
+          TimePoint{} + seconds(config.duration_s * (k + 1) / kSlices);
+      Scenario& profiled = *worlds[k % 2];
+      Scenario& plain = *worlds[1 - k % 2];
+      double on_k = 0.0;
+      double off_k = 0.0;
+      if ((k / 2) % 2 == 0) {
+        on_k = timed_run(profiled, until, on);
+        off_k = timed_run(plain, until, off);
+      } else {
+        off_k = timed_run(plain, until, off);
+        on_k = timed_run(profiled, until, on);
+      }
+      on_s += on_k;
+      off_s += off_k;
+      log_ratio += std::log(on_k / off_k);
+    }
+    offs.push_back(off_s);
+    ons.push_back(on_s);
+    ratios.push_back(std::exp(log_ratio / kSlices));
   }
-  if (pair.run_s_off > 0.0) {
-    pair.overhead_pct =
-        100.0 * (pair.run_s_on - pair.run_s_off) / pair.run_s_off;
-  }
-  return pair;
+  result.run_s_off = median(offs);
+  result.run_s_on = median(ons);
+  result.overhead_pct = 100.0 * (median(ratios) - 1.0);
+  return result;
 }
 
 void emit_arm_json(std::ostream& out, const CityArm& a, bool last) {
@@ -182,22 +245,22 @@ int main(int argc, char** argv) {
   }
   bench::emit(table, "city_scale");
 
-  // Profiler overhead pair: smoke re-measures its largest arm, the
+  // Profiler overhead pairs: smoke re-measures its largest arm, the
   // full ladder its smallest (100k) — the biggest world that is still
-  // cheap to run twice. Smoke takes best-of-3 because its runs are
-  // short enough for scheduler noise to dwarf a 3% bound.
+  // cheap to run 18 times, two worlds at a time.
   const double max_overhead_pct = bench::flag_number(
       argc, argv, "--max-profile-overhead-pct", smoke ? 3.0 : 0.0);
   const std::string trace_out =
       bench::flag_value(argc, argv, "--trace-out");
   sim::Profiler profiler;
-  const OverheadPair overhead = run_overhead_pair(
-      base, smoke ? ladder.back() : ladder.front(), smoke ? 3 : 1,
-      &profiler);
-  std::cout << "profiler overhead @ " << overhead.phones << " phones: off "
+  const OverheadPairs overhead = run_overhead_pairs(
+      base, smoke ? ladder.back() : ladder.front(), &profiler);
+  std::cout << "profiler overhead @ " << overhead.phones << " phones, "
+            << Table::num(overhead.duration_s, 0) << " s, "
+            << overhead.pairs << " pairs: median off "
             << Table::num(overhead.run_s_off, 3) << " s, on "
-            << Table::num(overhead.run_s_on, 3) << " s ("
-            << Table::num(overhead.overhead_pct, 2) << "%)\n";
+            << Table::num(overhead.run_s_on, 3) << " s, median ratio "
+            << Table::num(overhead.overhead_pct, 2) << "%\n";
   if (!trace_out.empty() && profiler.write_chrome_trace_file(trace_out)) {
     std::cout << "(trace written to " << trace_out << ")\n";
   }
@@ -222,6 +285,8 @@ int main(int argc, char** argv) {
     }
     out << "  ],\n"
         << "  \"profile_overhead\": {\"phones\": " << overhead.phones
+        << ", \"duration_s\": " << overhead.duration_s
+        << ", \"pairs\": " << overhead.pairs
         << ", \"run_s_off\": " << overhead.run_s_off
         << ", \"run_s_on\": " << overhead.run_s_on
         << ", \"overhead_pct\": " << overhead.overhead_pct << "}\n"

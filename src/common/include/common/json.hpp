@@ -1,7 +1,7 @@
 // Minimal deterministic JSON writing helpers.
 //
 // One shared writer for every machine-readable export in the repo
-// (metrics snapshots, TraceLog JSONL): locale-independent, shortest
+// (metrics snapshots, engine profile traces): locale-independent, shortest
 // round-trip number formatting via std::to_chars, so exports are
 // byte-identical for identical values regardless of thread count or
 // global stream state.

@@ -50,8 +50,6 @@ class CellularBaselineAgent {
     std::uint64_t data_sends{0};
     std::uint64_t piggybacked{0};   ///< Heartbeats that rode a data send.
     std::uint64_t sent_alone{0};    ///< Heartbeats that hit their margin.
-
-    metrics::StatsRow row() const;
   };
 
   CellularBaselineAgent(sim::Simulator& sim, Phone& phone, Params params,

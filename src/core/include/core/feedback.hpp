@@ -31,8 +31,6 @@ class FeedbackTracker {
     std::uint64_t acknowledged{0};
     std::uint64_t timed_out{0};
     std::uint64_t failed_immediately{0};  ///< fail_all_pending() victims.
-
-    metrics::StatsRow row() const;
   };
 
   /// `node` labels this tracker's metrics (0 = unlabeled unit-test use).

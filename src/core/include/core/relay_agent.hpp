@@ -47,8 +47,6 @@ class RelayAgent {
     std::uint64_t bundles_sent{0};
     std::uint64_t heartbeats_uplinked{0};
     std::uint64_t feedback_acks_sent{0};
-
-    metrics::StatsRow row() const;
   };
 
   /// `arena` pools extra own-apps (a Scenario passes the phone's strip
@@ -81,8 +79,8 @@ class RelayAgent {
 
  private:
   void on_own_heartbeat(const net::HeartbeatMessage& message);
-  void on_d2d_receive(const net::D2dPayload& payload, NodeId from);
-  void on_flush(std::vector<net::HeartbeatMessage> batch, FlushReason reason);
+  void on_d2d_receive(const net::D2dPayload& payload);
+  void on_flush(std::vector<net::HeartbeatMessage> batch);
   void on_uplink_complete(const net::UplinkBundle& bundle);
   void refresh_advert();
   void poll_battery();
@@ -112,7 +110,6 @@ class RelayAgent {
   metrics::Counter* bundles_sent_ctr_;
   metrics::Counter* heartbeats_uplinked_ctr_;
   metrics::Counter* feedback_acks_sent_ctr_;
-  metrics::Sampler* battery_sampler_{nullptr};
 };
 
 }  // namespace d2dhb::core

@@ -84,7 +84,6 @@ class MessageScheduler {
                                 : static_cast<double>(flushed_messages) /
                                       static_cast<double>(flushes_total);
     }
-    metrics::StatsRow row() const;
 
     // Snapshot storage (prefer the typed accessors above).
     std::uint64_t flushes_total{0};

@@ -55,8 +55,6 @@ class UeAgent {
     std::uint64_t link_losses{0};
     std::uint64_t reassessments{0};
     std::uint64_t handovers{0};
-
-    metrics::StatsRow row() const;
   };
 
   enum class LinkState { idle, discovering, connecting, connected };

@@ -131,13 +131,4 @@ CellularBaselineAgent::Stats CellularBaselineAgent::stats() const {
   return s;
 }
 
-metrics::StatsRow CellularBaselineAgent::Stats::row() const {
-  return {
-      {"heartbeats", static_cast<double>(heartbeats)},
-      {"data_sends", static_cast<double>(data_sends)},
-      {"piggybacked", static_cast<double>(piggybacked)},
-      {"sent_alone", static_cast<double>(sent_alone)},
-  };
-}
-
 }  // namespace d2dhb::core

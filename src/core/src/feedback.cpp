@@ -74,13 +74,4 @@ FeedbackTracker::Stats FeedbackTracker::stats() const {
   return s;
 }
 
-metrics::StatsRow FeedbackTracker::Stats::row() const {
-  return {
-      {"tracked", static_cast<double>(tracked)},
-      {"acknowledged", static_cast<double>(acknowledged)},
-      {"timed_out", static_cast<double>(timed_out)},
-      {"failed_immediately", static_cast<double>(failed_immediately)},
-  };
-}
-
 }  // namespace d2dhb::core

@@ -5,8 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "common/log.hpp"
-#include "common/tracelog.hpp"
 #include "d2d/wifi_direct.hpp"
 
 namespace d2dhb::core {
@@ -30,9 +28,7 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
       ledger_(ledger),
       scheduler_(sim, labelled(params.scheduler, phone.id()),
                  [this](std::vector<net::HeartbeatMessage> batch,
-                        FlushReason reason) {
-                   on_flush(std::move(batch), reason);
-                 }),
+                        FlushReason) { on_flush(std::move(batch)); }),
       own_app_(sim, phone.id(), AppId{phone.id().value}, params.own_app,
                message_ids,
                [this](const net::HeartbeatMessage& m) { on_own_heartbeat(m); }),
@@ -40,8 +36,8 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
   phone_.modem().set_uplink_handler(
       [this](const net::UplinkBundle& bundle) { on_uplink_complete(bundle); });
   phone_.wifi().set_receive_handler(
-      [this](const net::D2dPayload& payload, NodeId from) {
-        on_d2d_receive(payload, from);
+      [this](const net::D2dPayload& payload, NodeId) {
+        on_d2d_receive(payload);
       });
   auto& reg = sim_.metrics();
   const metrics::Labels labels{phone_.id().value, -1, "relay"};
@@ -58,7 +54,6 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
                           [this] { poll_battery(); });
     reg.gauge_fn("battery.level", labels,
                  [this] { return battery_->level(); });
-    battery_sampler_ = &reg.sampler("battery.trace", labels);
   }
 }
 
@@ -68,9 +63,6 @@ double RelayAgent::battery_level() {
 
 void RelayAgent::poll_battery() {
   if (!battery_ || retired_) return;
-  if (battery_sampler_ != nullptr) {
-    battery_sampler_->sample(sim_.now(), battery_->level());
-  }
   if (battery_->level() <= params_.retire_battery_level) {
     retire();
     return;
@@ -81,8 +73,6 @@ void RelayAgent::poll_battery() {
 void RelayAgent::retire() {
   if (retired_) return;
   retired_ = true;
-  trace(sim_.now(), TraceCategory::agent, phone_.id(),
-        "relay retired (battery)");
   stop();
   if (battery_poll_) battery_poll_->stop();
   if (battery_ && battery_->depleted()) {
@@ -139,28 +129,19 @@ void RelayAgent::on_own_heartbeat(const net::HeartbeatMessage& message) {
   refresh_advert();
 }
 
-void RelayAgent::on_d2d_receive(const net::D2dPayload& payload, NodeId from) {
+void RelayAgent::on_d2d_receive(const net::D2dPayload& payload) {
   const auto* hb = std::get_if<net::HeartbeatMessage>(&payload);
   if (hb == nullptr) return;  // relays don't consume feedback acks
   if (!running_ || !scheduler_.collect(*hb)) {
     forwarded_rejected_ctr_->inc();
-    D2DHB_LOG(debug) << "relay " << phone_.id().value
-                     << " rejected heartbeat from " << from.value;
     return;
   }
   forwarded_received_ctr_->inc();
   refresh_advert();
 }
 
-void RelayAgent::on_flush(std::vector<net::HeartbeatMessage> batch,
-                          FlushReason reason) {
+void RelayAgent::on_flush(std::vector<net::HeartbeatMessage> batch) {
   if (batch.empty()) return;
-  D2DHB_LOG(debug) << "relay " << phone_.id().value << " flush ("
-                   << to_string(reason) << "): " << batch.size()
-                   << " heartbeats";
-  trace(sim_.now(), TraceCategory::scheduler, phone_.id(),
-        std::string("flush (") + to_string(reason) + "): " +
-            std::to_string(batch.size()) + " heartbeats");
   net::UplinkBundle bundle;
   bundle.sender = phone_.id();
   bundle.messages = std::move(batch);
@@ -226,17 +207,6 @@ RelayAgent::Stats RelayAgent::stats() const {
   s.heartbeats_uplinked = heartbeats_uplinked_ctr_->value();
   s.feedback_acks_sent = feedback_acks_sent_ctr_->value();
   return s;
-}
-
-metrics::StatsRow RelayAgent::Stats::row() const {
-  return {
-      {"own_heartbeats", static_cast<double>(own_heartbeats)},
-      {"forwarded_received", static_cast<double>(forwarded_received)},
-      {"forwarded_rejected", static_cast<double>(forwarded_rejected)},
-      {"bundles_sent", static_cast<double>(bundles_sent)},
-      {"heartbeats_uplinked", static_cast<double>(heartbeats_uplinked)},
-      {"feedback_acks_sent", static_cast<double>(feedback_acks_sent)},
-  };
 }
 
 }  // namespace d2dhb::core

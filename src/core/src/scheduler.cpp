@@ -153,20 +153,4 @@ MessageScheduler::Stats MessageScheduler::stats() const {
   return s;
 }
 
-metrics::StatsRow MessageScheduler::Stats::row() const {
-  return {
-      {"windows", static_cast<double>(windows)},
-      {"collected", static_cast<double>(collected)},
-      {"flushes", static_cast<double>(flushes())},
-      {"flushed_messages", static_cast<double>(flushed_messages)},
-      {"rejected", static_cast<double>(rejected)},
-      {"flushes_capacity", static_cast<double>(flushes(FlushReason::capacity))},
-      {"flushes_expiry", static_cast<double>(flushes(FlushReason::expiry))},
-      {"flushes_window_end",
-       static_cast<double>(flushes(FlushReason::window_end))},
-      {"flushes_forced", static_cast<double>(flushes(FlushReason::forced))},
-      {"mean_bundle_size", mean_bundle_size()},
-  };
-}
-
 }  // namespace d2dhb::core

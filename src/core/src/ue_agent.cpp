@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/log.hpp"
-#include "common/tracelog.hpp"
 #include "d2d/wifi_direct.hpp"
 
 namespace d2dhb::core {
@@ -21,9 +19,6 @@ UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
           sim, params.feedback_timeout,
           [this](const net::HeartbeatMessage& m) {
             fallback_cellular_ctr_->inc();
-            trace(sim_.now(), TraceCategory::agent, phone_.id(),
-                  "fallback to cellular (heartbeat " +
-                      std::to_string(m.id.value) + ")");
             send_via_cellular(m, /*is_fallback=*/true);
           },
           phone.id()),
@@ -118,14 +113,10 @@ void UeAgent::on_discovery(const std::vector<d2d::DiscoveredPeer>& peers) {
   if (!running_) return;
   const auto choice = detector_.match(peers);
   if (!choice) {
-    D2DHB_LOG(debug) << "ue " << phone_.id().value << ": no suitable relay";
     fail_d2d_attempt();
     return;
   }
   matches_ctr_->inc();
-  trace(sim_.now(), TraceCategory::agent, phone_.id(),
-        "matched relay #" + std::to_string(choice->node.value) + " at ~" +
-            std::to_string(choice->estimated_distance.value) + " m");
   state_ = LinkState::connecting;
   phone_.wifi().connect(choice->node, [this, relay = choice->node](
                                           Result<GroupId> result) {
@@ -171,16 +162,10 @@ void UeAgent::send_via_d2d(net::HeartbeatMessage message) {
   // Track before sending: the feedback covers the BS hop as well.
   feedback_.track(message);
   sent_via_d2d_ctr_->inc();
+  // A send that fails because the link died needs no handling here: the
+  // disconnect handler fails the tracker entry (or it times out).
   phone_.wifi().send(relay_, net::D2dPayload{std::move(message)},
-                     [this](Status status) {
-                       if (!status.ok()) {
-                         // Link died mid-send; the tracker entry will be
-                         // failed by the disconnect handler (or time out).
-                         D2DHB_LOG(debug)
-                             << "ue " << phone_.id().value
-                             << " d2d send failed: " << status.error().message;
-                       }
-                     });
+                     [](const Status&) {});
 }
 
 void UeAgent::send_via_cellular(const net::HeartbeatMessage& message,
@@ -220,8 +205,6 @@ void UeAgent::on_link_lost(NodeId peer) {
       }
       connects_ctr_->inc();
       handovers_ctr_->inc();
-      trace(sim_.now(), TraceCategory::agent, phone_.id(),
-            "handover to relay #" + std::to_string(target.value));
       state_ = LinkState::connected;
       relay_ = target;
       current_backoff_ = Duration::zero();
@@ -278,22 +261,6 @@ UeAgent::Stats UeAgent::stats() const {
   s.reassessments = reassessments_ctr_->value();
   s.handovers = handovers_ctr_->value();
   return s;
-}
-
-metrics::StatsRow UeAgent::Stats::row() const {
-  return {
-      {"heartbeats", static_cast<double>(heartbeats)},
-      {"sent_via_d2d", static_cast<double>(sent_via_d2d)},
-      {"sent_via_cellular", static_cast<double>(sent_via_cellular)},
-      {"fallback_cellular", static_cast<double>(fallback_cellular)},
-      {"discoveries", static_cast<double>(discoveries)},
-      {"matches", static_cast<double>(matches)},
-      {"connects", static_cast<double>(connects)},
-      {"connect_failures", static_cast<double>(connect_failures)},
-      {"link_losses", static_cast<double>(link_losses)},
-      {"reassessments", static_cast<double>(reassessments)},
-      {"handovers", static_cast<double>(handovers)},
-  };
 }
 
 }  // namespace d2dhb::core

@@ -5,9 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "common/log.hpp"
-#include "common/tracelog.hpp"
-
 namespace d2dhb::d2d {
 
 WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
@@ -176,8 +173,6 @@ void WifiDirectRadio::connect(NodeId peer, ConnectCallback callback) {
         }
         establish_link(peer, group, !peer_is_owner);
         other->establish_link(owner_, group, peer_is_owner);
-        D2DHB_LOG(debug) << "d2d link " << owner_.value << " <-> "
-                         << peer.value << " group " << group.value;
         callback(Result<GroupId>{group});
       });
 }
@@ -191,10 +186,6 @@ const WifiDirectRadio::Link* WifiDirectRadio::find_link(NodeId peer) const {
 
 void WifiDirectRadio::establish_link(NodeId peer, GroupId group,
                                      bool as_owner) {
-  trace(sim_.now(), TraceCategory::d2d, owner_,
-        "link up with #" + std::to_string(peer.value) + " (group " +
-            std::to_string(group.value) +
-            (as_owner ? ", owner)" : ", client)"));
   const auto it = std::lower_bound(
       links_.begin(), links_.end(), peer,
       [](const Link& l, NodeId p) { return l.peer < p; });
@@ -215,8 +206,6 @@ void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
       links_.begin(), links_.end(), peer,
       [](const Link& l, NodeId p) { return l.peer < p; });
   if (it == links_.end() || it->peer != peer) return;
-  trace(sim_.now(), TraceCategory::d2d, owner_,
-        "link down with #" + std::to_string(peer.value));
   links_.erase(it);
   links_broken_ctr_->inc();
   if (links_.empty()) {

@@ -30,7 +30,7 @@ bool is_runtime_metric(std::string_view name);
 void export_json(const Snapshot& snapshot, std::ostream& os);
 
 /// Flat CSV: name,kind,node,cell,component,value,count,sum — one row per
-/// series (histograms report count/sum/mean; samplers their point count).
+/// series (histograms report count/sum/mean).
 /// Excludes `runtime/` entries, like export_json.
 void export_csv(const Snapshot& snapshot, std::ostream& os);
 

@@ -1,12 +1,11 @@
 // Unified metrics registry — the observability substrate.
 //
 // One MetricsRegistry per simulated world (owned by the Simulator) holds
-// every named counter, gauge, fixed-bucket histogram, and time-series
-// sampler the substrates register, keyed by hierarchical labels
-// (node, cell, component). Substrates register once at construction and
-// cache the returned reference — an increment is then a single pointer
-// chase, so always-on counting stays off the simulator's hot path.
-// Samplers are zero-overhead when sampling is disabled (one bool load).
+// every named counter, gauge and fixed-bucket histogram the substrates
+// register, keyed by hierarchical labels (node, cell, component).
+// Substrates register once at construction and cache the returned
+// reference — an increment is then a single pointer chase, so always-on
+// counting stays off the simulator's hot path.
 //
 // Storage is one family per metric name: the name, the kind and (for
 // histograms) the bucket bounds, interned once. Each series is a row of
@@ -39,7 +38,6 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "common/units.hpp"
 
 namespace d2dhb::metrics {
 
@@ -56,20 +54,9 @@ struct Labels {
   auto operator<=>(const Labels&) const = default;
 };
 
-enum class Kind : std::uint8_t { counter, gauge, histogram, sampler };
+enum class Kind : std::uint8_t { counter, gauge, histogram };
 
 const char* to_string(Kind kind);
-
-/// One (field, value) cell of a Stats row.
-struct StatsField {
-  std::string name;
-  double value{0.0};
-};
-
-/// Uniform row shape shared by every substrate's `Stats::row()` — one
-/// flat schema that tables, benches, and exports can consume without
-/// knowing the concrete Stats type.
-using StatsRow = std::vector<StatsField>;
 
 /// Monotonically increasing event count. Increments are relaxed
 /// atomics: shared series (a base station's per-cell counters) are hit
@@ -141,28 +128,6 @@ class Histogram {
   double sum_{0.0};
 };
 
-/// Time series of (seconds, value) points. Records only while the
-/// registry's sampling switch is on; a disabled sampler costs one branch.
-class Sampler {
- public:
-  struct Sample {
-    double t{0.0};
-    double v{0.0};
-    auto operator<=>(const Sample&) const = default;
-  };
-
-  inline void sample(TimePoint when, double value);
-  inline bool enabled() const;
-  const std::vector<Sample>& samples() const { return samples_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Sampler(const MetricsRegistry& registry) : registry_(&registry) {}
-
-  const MetricsRegistry* registry_;
-  std::vector<Sample> samples_;
-};
-
 struct HistogramSnapshot {
   std::vector<double> bounds;
   std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 (overflow last).
@@ -178,7 +143,6 @@ struct SnapshotEntry {
   std::uint64_t count{0};     ///< Counters.
   double value{0.0};          ///< Gauges.
   HistogramSnapshot histogram;
-  std::vector<Sampler::Sample> samples;
 };
 
 /// Deterministic point-in-time view of a registry: entries sorted by
@@ -203,8 +167,8 @@ struct Snapshot {
 };
 
 /// Element-wise aggregation: counters, gauges, and histograms sum across
-/// parts (matching on name + labels + kind); sampler series concatenate
-/// in part order. Entry order stays deterministic.
+/// parts (matching on name + labels + kind). Entry order stays
+/// deterministic.
 Snapshot merge(const std::vector<Snapshot>& parts);
 
 class MetricsRegistry {
@@ -238,14 +202,6 @@ class MetricsRegistry {
                   std::function<double()> fn) D2DHB_EXCLUDES(mutex_);
   Histogram& histogram(std::string_view name, std::vector<double> bounds,
                        const Labels& labels = {}) D2DHB_EXCLUDES(mutex_);
-  Sampler& sampler(std::string_view name, const Labels& labels = {})
-      D2DHB_EXCLUDES(mutex_);
-
-  /// Master switch for time-series samplers (off by default). Flip only
-  /// while the world is quiescent: samplers read it through their
-  /// registry on the hot path, deliberately outside the lock.
-  void set_sampling_enabled(bool on) { sampling_enabled_ = on; }
-  bool sampling_enabled() const { return sampling_enabled_; }
 
   /// Number of registered series.
   std::size_t size() const D2DHB_EXCLUDES(mutex_);
@@ -254,8 +210,7 @@ class MetricsRegistry {
   /// row keys, sorted row indexes, payload columns, histogram bucket
   /// chunks (full chunks, used or not) and interned strings. Deques are
   /// estimated from libstdc++'s block layout.
-  /// Excludes what payloads own themselves: gauge callbacks' captures
-  /// and sampler points.
+  /// Excludes what payloads own themselves: gauge callbacks' captures.
   std::size_t bytes_reserved() const D2DHB_EXCLUDES(mutex_);
 
   Snapshot snapshot() const D2DHB_EXCLUDES(mutex_);
@@ -285,14 +240,6 @@ class MetricsRegistry {
   std::vector<std::string> components_ D2DHB_GUARDED_BY(mutex_);
   std::vector<std::uint32_t> components_by_name_ D2DHB_GUARDED_BY(mutex_);
   std::size_t size_ D2DHB_GUARDED_BY(mutex_){0};
-  bool sampling_enabled_{false};
 };
-
-void Sampler::sample(TimePoint when, double value) {
-  if (!registry_->sampling_enabled()) return;
-  samples_.push_back(Sample{to_seconds(when), value});
-}
-
-bool Sampler::enabled() const { return registry_->sampling_enabled(); }
 
 }  // namespace d2dhb::metrics

@@ -60,16 +60,6 @@ void write_entry(const SnapshotEntry& e, std::ostream& os) {
       os << ']';
       break;
     }
-    case Kind::sampler: {
-      os << ",\"samples\":[";
-      for (std::size_t i = 0; i < e.samples.size(); ++i) {
-        if (i > 0) os << ',';
-        os << '[' << json::number(e.samples[i].t) << ','
-           << json::number(e.samples[i].v) << ']';
-      }
-      os << ']';
-      break;
-    }
   }
   os << '}';
 }
@@ -128,11 +118,6 @@ void export_csv(const Snapshot& snapshot, std::ostream& os) {
                                      static_cast<double>(e.histogram.count))
            << ',' << json::number(e.histogram.count) << ','
            << json::number(e.histogram.sum);
-        break;
-      case Kind::sampler:
-        os << json::number(static_cast<std::uint64_t>(e.samples.size()))
-           << ',' << json::number(static_cast<std::uint64_t>(e.samples.size()))
-           << ",";
         break;
     }
     os << '\n';

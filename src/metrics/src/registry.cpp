@@ -16,7 +16,6 @@ const char* to_string(Kind kind) {
     case Kind::counter: return "counter";
     case Kind::gauge: return "gauge";
     case Kind::histogram: return "histogram";
-    case Kind::sampler: return "sampler";
   }
   return "?";
 }
@@ -82,7 +81,7 @@ constexpr auto emplace_default = [](auto& /*family*/, auto& column) -> auto& {
 struct MetricsRegistry::Family {
   /// Payload column, indexed by Kind; a family uses only its own.
   using Column = std::variant<std::deque<Counter>, std::deque<Gauge>,
-                              std::deque<Histogram>, std::deque<Sampler>>;
+                              std::deque<Histogram>>;
 
   Family(std::string_view n, Kind kind, std::vector<double> b)
       : name(n), bounds(std::move(b)), payloads(column_of(kind)) {}
@@ -92,7 +91,6 @@ struct MetricsRegistry::Family {
       case Kind::counter: return Column{std::in_place_index<0>};
       case Kind::gauge: return Column{std::in_place_index<1>};
       case Kind::histogram: return Column{std::in_place_index<2>};
-      case Kind::sampler: return Column{std::in_place_index<3>};
     }
     throw std::logic_error("MetricsRegistry: unknown kind");
   }
@@ -277,15 +275,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
       });
 }
 
-Sampler& MetricsRegistry::sampler(std::string_view name, const Labels& labels) {
-  const MutexLock lock(mutex_);
-  return find_or_add<Sampler>(
-      name, Kind::sampler, labels, nullptr,
-      [this](Family&, std::deque<Sampler>& s) -> Sampler& {
-        return s.emplace_back(Sampler{*this});
-      });
-}
-
 std::size_t MetricsRegistry::size() const {
   const MutexLock lock(mutex_);
   return size_;
@@ -327,9 +316,6 @@ Snapshot MetricsRegistry::snapshot() const {
               f.bounds, {counts.begin(), counts.end()}, h.count(), h.sum()};
           break;
         }
-        case Kind::sampler:
-          entry.samples = f.column<Sampler>()[row].samples();
-          break;
       }
       snap.entries.push_back(std::move(entry));
     }
@@ -408,10 +394,6 @@ Snapshot merge(const std::vector<Snapshot>& parts) {
           acc.histogram.sum += e.histogram.sum;
           break;
         }
-        case Kind::sampler:
-          acc.samples.insert(acc.samples.end(), e.samples.begin(),
-                             e.samples.end());
-          break;
       }
     }
   }

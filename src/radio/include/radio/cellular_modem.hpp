@@ -92,7 +92,6 @@ class CellularModem {
   metrics::Counter* bundles_sent_ctr_;
   metrics::Counter* promotions_ctr_;
   metrics::Counter* transitions_ctr_;
-  metrics::Sampler* state_sampler_;
 };
 
 }  // namespace d2dhb::radio

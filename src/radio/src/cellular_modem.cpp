@@ -1,10 +1,7 @@
 #include "radio/cellular_modem.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
-
-#include "common/tracelog.hpp"
 
 namespace d2dhb::radio {
 
@@ -34,7 +31,6 @@ CellularModem::CellularModem(sim::Simulator& sim, NodeId owner,
   bundles_sent_ctr_ = &reg.counter("cellular.bundles_sent", labels);
   promotions_ctr_ = &reg.counter("rrc.promotions", labels);
   transitions_ctr_ = &reg.counter("rrc.transitions", labels);
-  state_sampler_ = &reg.sampler("rrc.state", labels);
   reg.gauge_fn("energy.cellular_uah", {owner_.value, -1, "cellular"},
                [this] { return radio_charge().value; });
 }
@@ -52,12 +48,7 @@ MilliAmps CellularModem::state_current(RrcState s) const {
 }
 
 void CellularModem::enter(RrcState next) {
-  if (next != state_) {
-    trace(sim_.now(), TraceCategory::rrc, owner_,
-          std::string(to_string(state_)) + " -> " + to_string(next));
-    transitions_ctr_->inc();
-    state_sampler_->sample(sim_.now(), static_cast<double>(next));
-  }
+  if (next != state_) transitions_ctr_->inc();
   state_ = next;
   meter_.set_current(component_, state_current(next));
 }

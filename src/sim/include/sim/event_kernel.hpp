@@ -15,13 +15,11 @@
 // exactly like the pre-split Simulator core):
 //  * a shard id baked into every EventId it issues, so the owning world
 //    can route cancellations back to the right kernel;
-//  * an externally owned sequence counter, so events scheduled across
-//    N kernels remain globally totally ordered by (time, seq) — the
-//    property the sharded executor's byte-identical contract rests on;
-//  * a sequence *lane* (set_seq_lane), the thread-safe alternative to a
-//    shared counter: kernel k of V draws seq k, k+V, k+2V, ... from its
-//    own counter, so draws stay globally unique (and totally ordered
-//    per kernel) without any cross-thread traffic;
+//  * a sequence *lane* (set_seq_lane): kernel k of V draws seq k, k+V,
+//    k+2V, ... from its own counter, so events scheduled across V
+//    kernels stay globally totally ordered by (time, seq) without any
+//    cross-thread traffic — the property the sharded executor's
+//    byte-identical contract rests on;
 //  * peek(), which exposes the head (time, seq) for the world-level
 //    merge-step (Simulator::step), the global-order reference.
 #pragma once
@@ -65,12 +63,8 @@ class EventKernel {
   static constexpr std::uint32_t kGenMask = (1u << kGenBits) - 1u;
   static constexpr std::uint32_t kMaxShards = 256;
 
-  /// `shard` is baked into issued EventIds; `shared_seq`, when given,
-  /// replaces the kernel-local sequence counter (the sharded world
-  /// passes one counter to all its kernels so (when, seq) is a global
-  /// total order).
-  explicit EventKernel(std::uint32_t shard = 0,
-                       std::uint64_t* shared_seq = nullptr);
+  /// `shard` is baked into issued EventIds.
+  explicit EventKernel(std::uint32_t shard = 0);
 
   EventKernel(const EventKernel&) = delete;
   EventKernel& operator=(const EventKernel&) = delete;
@@ -79,11 +73,10 @@ class EventKernel {
 
   /// Restricts this kernel's sequence draws to the lane
   /// {start, start + stride, start + 2*stride, ...}. With one lane per
-  /// kernel (start = k, stride = V) draws are globally unique without a
-  /// shared counter, which is what lets kernels draw concurrently from
-  /// worker threads. Only valid on a kernel that owns its counter and
-  /// has not scheduled or executed anything yet. stride 1 / start 0 is
-  /// the default single-kernel behaviour.
+  /// kernel (start = k, stride = V) draws are globally unique, which is
+  /// what lets kernels draw concurrently from worker threads. Only
+  /// valid on a kernel that has not scheduled or executed anything yet.
+  /// stride 1 / start 0 is the default single-kernel behaviour.
   void set_seq_lane(std::uint64_t start, std::uint64_t stride);
 
   /// Current kernel-local time. In a sharded world this lags the world
@@ -185,8 +178,7 @@ class EventKernel {
   std::uint32_t shard_;
   TimePoint now_{};
   std::uint64_t time_epoch_{0};
-  std::uint64_t own_seq_{0};
-  std::uint64_t* seq_;  ///< &own_seq_ or the world's shared counter.
+  std::uint64_t next_seq_{0};  ///< Next draw of this kernel's lane.
   std::uint64_t seq_stride_{1};  ///< Lane stride (1 = every number).
   std::uint64_t executed_{0};
   std::uint64_t executing_seq_{UINT64_MAX};

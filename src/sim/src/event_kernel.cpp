@@ -23,8 +23,7 @@ constexpr std::uint32_t id_gen(std::uint64_t value) {
 }
 }  // namespace
 
-EventKernel::EventKernel(std::uint32_t shard, std::uint64_t* shared_seq)
-    : shard_(shard), seq_(shared_seq != nullptr ? shared_seq : &own_seq_) {
+EventKernel::EventKernel(std::uint32_t shard) : shard_(shard) {
   if (shard >= kMaxShards) {
     throw std::invalid_argument("EventKernel: shard id exceeds " +
                                 std::to_string(kMaxShards - 1));
@@ -69,22 +68,18 @@ void EventKernel::set_seq_lane(std::uint64_t start, std::uint64_t stride) {
   if (stride == 0) {
     throw std::invalid_argument("EventKernel::set_seq_lane: zero stride");
   }
-  if (seq_ != &own_seq_) {
-    throw std::logic_error(
-        "EventKernel::set_seq_lane: kernel uses a shared sequence counter");
-  }
-  if (own_seq_ != 0 || executed_ != 0 || !heap_.empty()) {
+  if (next_seq_ != 0 || executed_ != 0 || !heap_.empty()) {
     throw std::logic_error(
         "EventKernel::set_seq_lane: kernel has already drawn sequence "
         "numbers");
   }
-  own_seq_ = start;
+  next_seq_ = start;
   seq_stride_ = stride;
 }
 
 std::uint64_t EventKernel::draw_seq() {
-  const std::uint64_t seq = *seq_;
-  *seq_ += seq_stride_;
+  const std::uint64_t seq = next_seq_;
+  next_seq_ += seq_stride_;
   return seq;
 }
 
@@ -235,7 +230,7 @@ void EventKernel::audit() const {
       audit_fail("heap entry references out-of-range slot " +
                  std::to_string(e.slot));
     }
-    if (e.seq >= *seq_) {
+    if (e.seq >= next_seq_) {
       audit_fail("heap entry for slot " + std::to_string(e.slot) +
                  " has sequence number from the future");
     }

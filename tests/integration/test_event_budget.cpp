@@ -5,17 +5,29 @@
 // moment it appears. Phase energy is computed by the meter and the
 // link monitor only runs for links that can break, so what remains is
 // protocol traffic: under 10 events per delivered heartbeat.
+//
+// Next to it, the registry's series count is pinned exactly on that
+// crowd and on a small streamed city: every per-phone series is paid
+// on every phone of a city, so a new one must be a deliberate change.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "scenario/city.hpp"
 #include "scenario/crowd.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 
 namespace d2dhb::scenario {
 namespace {
 
-CrowdMetrics run_static_two_cell_crowd(std::size_t threads) {
+struct CrowdRun {
+  CrowdMetrics metrics;
+  std::size_t series_after_build{0};
+  std::size_t series_after_run{0};
+};
+
+CrowdRun run_static_two_cell_crowd(std::size_t threads) {
   CrowdConfig config;
   config.phones = 400;
   config.area_m = 500.0;
@@ -23,12 +35,16 @@ CrowdMetrics run_static_two_cell_crowd(std::size_t threads) {
   config.duration_s = 900.0;
   config.threads = threads;
   CrowdWorld built = build_d2d_crowd(config);
+  CrowdRun run;
+  run.series_after_build = built.world->metrics().size();
   sim::RunOptions options;
   options.threads = threads;
   const sim::RunStats stats =
       sim::run(built.world->sim(), TimePoint{} + seconds(config.duration_s),
                options);
-  return collect_d2d_crowd(built, stats);
+  run.metrics = collect_d2d_crowd(built, stats);
+  run.series_after_run = built.world->metrics().size();
+  return run;
 }
 
 // Pinned by the change that stopped polling links between static
@@ -37,16 +53,44 @@ CrowdMetrics run_static_two_cell_crowd(std::size_t threads) {
 // it. Re-pin only with a stated reason for every event added.
 constexpr std::uint64_t kStaticTwoCellEvents = 5481;
 
+// Registry series of the same crowd (400 phones) and of a 3000-phone
+// city (3 strips, 2 cells, 384 relays), pinned by the change that
+// removed the per-phone `rrc.state` sampler: 11,213 and 84,013 before
+// it, exactly one series per phone more. Re-pin only with a stated
+// reason for every series added.
+constexpr std::size_t kStaticTwoCellSeries = 10813;
+constexpr std::size_t kSmallCitySeries = 81013;
+
 TEST(EventBudget, StaticTwoCellCrowdIsPinned) {
   for (const std::size_t threads : {1u, 2u}) {
-    const CrowdMetrics m = run_static_two_cell_crowd(threads);
+    const CrowdRun run = run_static_two_cell_crowd(threads);
+    const CrowdMetrics& m = run.metrics;
     ASSERT_GT(m.heartbeats_delivered, 0u);
     EXPECT_EQ(m.sim_events, kStaticTwoCellEvents) << threads << " threads";
     EXPECT_LT(static_cast<double>(m.sim_events),
               10.0 * static_cast<double>(m.heartbeats_delivered))
         << threads << " threads: " << m.sim_events << " events for "
         << m.heartbeats_delivered << " heartbeats";
+    EXPECT_EQ(run.series_after_build, kStaticTwoCellSeries)
+        << threads << " threads";
+    EXPECT_EQ(run.series_after_run, kStaticTwoCellSeries)
+        << threads << " threads";
   }
+}
+
+TEST(EventBudget, SmallCitySeriesArePinned) {
+  CityConfig config;
+  config.phones = 3000;
+  config.phones_per_strip = 1000;
+  config.phones_per_cell = 1500;
+  config.duration_s = 60.0;
+  const auto world = build_city(config);
+  EXPECT_EQ(world->metrics().size(), kSmallCitySeries);
+  const CityMetrics m = run_city(*world, config);
+  EXPECT_EQ(m.strips, 3u);
+  EXPECT_EQ(m.cells, 2u);
+  EXPECT_EQ(m.relays, 384u);
+  EXPECT_EQ(world->metrics().size(), kSmallCitySeries);
 }
 
 }  // namespace

@@ -44,18 +44,6 @@ TEST(MetricsExport, CsvGolden) {
             "hb.sent,counter,1,,ue,3,3,\n");
 }
 
-TEST(MetricsExport, SamplerSerializesPoints) {
-  MetricsRegistry reg;
-  reg.set_sampling_enabled(true);
-  Sampler& s = reg.sampler("trace");
-  s.sample(TimePoint{} + seconds(1), 2.0);
-  s.sample(TimePoint{} + seconds(2.5), -1.0);
-  std::ostringstream os;
-  export_json(reg.snapshot(), os);
-  EXPECT_NE(os.str().find("\"samples\":[[1,2],[2.5,-1]]"),
-            std::string::npos);
-}
-
 TEST(MetricsExport, JsonReportWrapsSections) {
   MetricsRegistry a, b;
   a.counter("c").inc(1);

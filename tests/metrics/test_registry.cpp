@@ -72,7 +72,6 @@ TEST(MetricsRegistry, KindCollisionThrows) {
   reg.counter("x");
   EXPECT_THROW(reg.gauge("x"), std::logic_error);
   EXPECT_THROW(reg.histogram("x", {1.0}), std::logic_error);
-  EXPECT_THROW(reg.sampler("x"), std::logic_error);
 }
 
 TEST(MetricsRegistry, KindIsPerNameNotPerSeries) {
@@ -147,7 +146,6 @@ TEST(MetricsRegistry, FailedAllocationAddsNoHalfBuiltSeries) {
     with_faults([&] {
       reg.histogram("faulty.histogram", {1.0, 2.0}, down).observe(1.5);
     });
-    with_faults([&] { reg.sampler("faulty.sampler", up); });
     with_faults(
         [&] { reg.gauge_fn("faulty.gauge", down, [] { return 1.0; }); });
     if (first == nullptr) first = &reg.counter("faulty.counter", up);
@@ -156,7 +154,7 @@ TEST(MetricsRegistry, FailedAllocationAddsNoHalfBuiltSeries) {
   EXPECT_EQ(&reg.counter("faulty.counter", {1, -1, "1"}), first);
 
   const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.entries.size(), 4 * kNodes);
+  ASSERT_EQ(snap.entries.size(), 3 * kNodes);
   EXPECT_EQ(snap.counter_total("faulty.counter"), kNodes);
   EXPECT_DOUBLE_EQ(snap.gauge_total("faulty.gauge"),
                    static_cast<double>(kNodes));
@@ -203,23 +201,6 @@ TEST(MetricsRegistry, HistogramBuckets) {
   EXPECT_EQ(h.bucket_counts()[2], 1u);
   EXPECT_EQ(h.bucket_counts()[3], 1u);
   EXPECT_DOUBLE_EQ(h.mean(), 26.5);
-}
-
-TEST(MetricsRegistry, SamplerGatedByMasterSwitch) {
-  MetricsRegistry reg;
-  Sampler& s = reg.sampler("trace");
-  s.sample(TimePoint{} + seconds(1), 10.0);
-  EXPECT_TRUE(s.samples().empty());  // off by default
-
-  reg.set_sampling_enabled(true);
-  s.sample(TimePoint{} + seconds(2), 20.0);
-  ASSERT_EQ(s.samples().size(), 1u);
-  EXPECT_DOUBLE_EQ(s.samples()[0].t, 2.0);
-  EXPECT_DOUBLE_EQ(s.samples()[0].v, 20.0);
-
-  reg.set_sampling_enabled(false);
-  s.sample(TimePoint{} + seconds(3), 30.0);
-  EXPECT_EQ(s.samples().size(), 1u);
 }
 
 TEST(MetricsRegistry, SnapshotSortedByNameThenLabels) {
@@ -286,7 +267,6 @@ struct OracleSeries {
   std::vector<std::uint64_t> buckets;
   std::uint64_t observations{0};
   double sum{0.0};
-  std::vector<Sampler::Sample> samples;
 };
 
 using OracleKey =
@@ -311,7 +291,6 @@ class Oracle {
           e.histogram = HistogramSnapshot{s.bounds, s.buckets, s.observations,
                                           s.sum};
           break;
-        case Kind::sampler: e.samples = s.samples; break;
       }
       snap.entries.push_back(std::move(e));
     }
@@ -341,7 +320,7 @@ void run_script(std::uint64_t seed, int steps) {
 
   const std::array<std::string, 10> names = {
       "ue.heartbeats", "relay.forwarded_received", "a", "energy.radio_uah",
-      "scheduler.flushes.capacity_reached", "b.c", "battery.trace",
+      "scheduler.flushes.capacity_reached", "b.c", "battery.level",
       "runtime/shard_events", "z", "scheduler.bundle_size"};
   const std::array<std::string, 6> components = {
       "zeta", "", "relay-with-a-long-component", "alpha", "ue", "b"};
@@ -357,8 +336,6 @@ void run_script(std::uint64_t seed, int steps) {
     std::swap(nodes[i - 1], nodes[rng.uniform_int(0, i - 1)]);
   }
   std::size_t cursor = 0;
-  bool sampling = false;
-  double clock = 0.0;
 
   for (int step = 0; step < steps; ++step) {
     const std::string& name = names[rng.uniform_int(0, names.size() - 1)];
@@ -377,11 +354,11 @@ void run_script(std::uint64_t seed, int steps) {
     const OracleKey key{name, labels.node, labels.cell, labels.component};
 
     auto known = oracle.kinds.find(name);
-    Kind kind = static_cast<Kind>(rng.uniform_int(0, 3));
+    Kind kind = static_cast<Kind>(rng.uniform_int(0, 2));
     const bool collide = known != oracle.kinds.end() && rng.chance(0.05);
     if (known != oracle.kinds.end() && !collide) kind = known->second;
     if (collide && kind == known->second) {
-      kind = static_cast<Kind>((static_cast<int>(kind) + 1) % 4);
+      kind = static_cast<Kind>((static_cast<int>(kind) + 1) % 3);
     }
     if (kind == Kind::histogram && !bounds_of.contains(name)) {
       bounds_of[name] = bounds_pool[rng.uniform_int(0, 1)];
@@ -398,9 +375,6 @@ void run_script(std::uint64_t seed, int steps) {
         case Kind::histogram:
           EXPECT_THROW(reg.histogram(name, bounds_of[name], labels),
                        std::logic_error);
-          break;
-        case Kind::sampler:
-          EXPECT_THROW(reg.sampler(name, labels), std::logic_error);
           break;
       }
       EXPECT_EQ(reg.size(), size_before);
@@ -460,19 +434,6 @@ void run_script(std::uint64_t seed, int steps) {
         got = &h;
         break;
       }
-      case Kind::sampler: {
-        if (rng.chance(0.2)) {
-          sampling = !sampling;
-          reg.set_sampling_enabled(sampling);
-        }
-        Sampler& s = reg.sampler(name, labels);
-        clock += 0.5;
-        const double v = rng.uniform(0.0, 1.0);
-        s.sample(TimePoint{} + seconds(clock), v);
-        if (sampling) want.samples.push_back({clock, v});
-        got = &s;
-        break;
-      }
     }
     if (fresh) want.object = got;
     EXPECT_EQ(got, want.object) << "re-registration moved " << name;
@@ -494,7 +455,6 @@ void run_script(std::uint64_t seed, int steps) {
     EXPECT_EQ(g.histogram.counts, w.histogram.counts) << "entry " << i;
     EXPECT_EQ(g.histogram.count, w.histogram.count) << "entry " << i;
     EXPECT_EQ(g.histogram.sum, w.histogram.sum) << "entry " << i;
-    EXPECT_EQ(g.samples, w.samples) << "entry " << i;
   }
   EXPECT_EQ(json_of(got), json_of(want));
   EXPECT_EQ(csv_of(got), csv_of(want));

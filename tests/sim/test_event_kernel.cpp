@@ -85,19 +85,6 @@ TEST(EventKernel, ShardIdBakedIntoHandles) {
   EXPECT_EQ(other.pending_events(), 1u);
 }
 
-TEST(EventKernel, SharedSequenceCounterOrdersAcrossKernels) {
-  std::uint64_t seq = 0;
-  EventKernel a{0, &seq};
-  EventKernel b{1, &seq};
-  a.schedule_after(seconds(1), [] {});
-  b.schedule_after(seconds(1), [] {});
-  a.schedule_after(seconds(1), [] {});
-  EXPECT_EQ(seq, 3u);
-  // Heads expose the global draw order: a got 0 and 2, b got 1.
-  EXPECT_EQ(a.peek()->seq, 0u);
-  EXPECT_EQ(b.peek()->seq, 1u);
-}
-
 TEST(EventKernel, PeekRetiresTombstonesAndMatchesStep) {
   EventKernel kernel;
   const EventId doomed = kernel.schedule_after(seconds(1), [] {});
