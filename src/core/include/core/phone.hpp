@@ -22,8 +22,11 @@
 namespace d2dhb::core {
 
 struct PhoneConfig {
-  radio::RrcProfile rrc{radio::wcdma_profile()};
-  d2d::D2dEnergyProfile d2d_energy{};
+  /// Shared, immutable profiles: a default config points at the
+  /// process-wide WCDMA and Table III/IV profiles, and a builder that
+  /// needs another one makes it once per world, not once per phone.
+  radio::RrcProfilePtr rrc{radio::shared_wcdma_profile()};
+  d2d::D2dEnergyProfilePtr d2d_energy{d2d::shared_default_energy_profile()};
   /// Screen-off platform draw — everything that isn't a radio. Excluded
   /// from radio-attributable comparisons; identical across systems.
   MilliAmps baseline_current{40.0};

@@ -8,6 +8,7 @@
 // Fig. 6 current trace, the integral for everything else.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/units.hpp"
@@ -84,5 +85,13 @@ struct D2dEnergyProfile {
   static PhaseShape send_shape();     ///< Spike + fast decay (Fig. 6).
   static PhaseShape receive_shape();
 };
+
+/// A profile is per-world configuration, never per-phone state: every
+/// radio that runs a given profile points at one immutable instance.
+using D2dEnergyProfilePtr = std::shared_ptr<const D2dEnergyProfile>;
+
+/// The one process-wide default (Table III/IV) profile that a default
+/// PhoneConfig shares.
+const D2dEnergyProfilePtr& shared_default_energy_profile();
 
 }  // namespace d2dhb::d2d

@@ -39,7 +39,7 @@ class WifiDirectRadio {
 
   WifiDirectRadio(sim::Simulator& sim, NodeId owner, WifiDirectMedium& medium,
                   const mobility::MobilityModel& mobility,
-                  energy::EnergyMeter& meter, D2dEnergyProfile profile,
+                  energy::EnergyMeter& meter, D2dEnergyProfilePtr profile,
                   Rng rng);
   ~WifiDirectRadio();
   WifiDirectRadio(const WifiDirectRadio&) = delete;
@@ -103,6 +103,7 @@ class WifiDirectRadio {
   bool link_monitor_armed() const { return link_monitor_.running(); }
 
   const mobility::MobilityModel& mobility() const { return mobility_; }
+  const D2dEnergyProfile& profile() const { return *profile_; }
   MicroAmpHours radio_charge() { return meter_.component_charge(component_); }
 
   /// Called by the medium/peer internals — not public API.
@@ -140,7 +141,7 @@ class WifiDirectRadio {
   const mobility::MobilityModel& mobility_;
   energy::EnergyMeter& meter_;
   energy::ComponentHandle component_;
-  D2dEnergyProfile profile_;
+  D2dEnergyProfilePtr profile_;  ///< Shared, never null.
   Rng rng_;
 
   RelayAdvert advert_{};

@@ -76,6 +76,12 @@ MicroAmpHours D2dEnergyProfile::receive_charge(Bytes size) const {
   return MicroAmpHours{charge};
 }
 
+const D2dEnergyProfilePtr& shared_default_energy_profile() {
+  static const D2dEnergyProfilePtr profile =
+      std::make_shared<const D2dEnergyProfile>();
+  return profile;
+}
+
 PhaseShape D2dEnergyProfile::discovery_shape() {
   // Repeated scan bursts over the 8 s window.
   return PhaseShape{{

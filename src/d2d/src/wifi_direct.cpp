@@ -11,14 +11,17 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
                                  WifiDirectMedium& medium,
                                  const mobility::MobilityModel& mobility,
                                  energy::EnergyMeter& meter,
-                                 D2dEnergyProfile profile, Rng rng)
+                                 D2dEnergyProfilePtr profile, Rng rng)
     : sim_(sim),
       owner_(owner),
       medium_(medium),
       mobility_(mobility),
       meter_(meter),
       component_(meter.register_component("wifi_direct")),
-      profile_(profile),
+      profile_(profile != nullptr
+                   ? std::move(profile)
+                   : throw std::invalid_argument(
+                         "WifiDirectRadio: energy profile is required")),
       rng_(rng),
       link_monitor_(sim, seconds(1), [this] { poll_links(); }) {
   medium_.attach(*this, mobility_);
@@ -70,8 +73,8 @@ void WifiDirectRadio::update_idle_current() {
   if (should_be_on == idle_current_on_) return;
   idle_current_on_ = should_be_on;
   meter_.add_current(component_,
-                     should_be_on ? profile_.idle_connected
-                                  : MilliAmps{-profile_.idle_connected.value});
+                     should_be_on ? profile_->idle_connected
+                                  : MilliAmps{-profile_->idle_connected.value});
 }
 
 bool WifiDirectRadio::links_can_break() const {
@@ -96,19 +99,19 @@ void WifiDirectRadio::update_link_monitor() {
 
 void WifiDirectRadio::start_discovery(DiscoveryCallback callback) {
   discovery_scans_ctr_->inc();
-  charge_phase(D2dEnergyProfile::discovery_shape(), profile_.ue_discovery);
+  charge_phase(D2dEnergyProfile::discovery_shape(), profile_->ue_discovery);
   // Listening peers spend passive-discovery energy responding to probes
   // — once per response window, no matter how many peers scan at once.
   for (const auto& peer : medium_.scan_from(owner_)) {
     if (WifiDirectRadio* r = medium_.radio(peer.node)) {
       if (sim_.now() >= r->passive_window_end_) {
-        r->passive_window_end_ = sim_.now() + r->profile_.discovery_scan;
+        r->passive_window_end_ = sim_.now() + r->profile_->discovery_scan;
         r->charge_phase(D2dEnergyProfile::discovery_shape(),
-                        r->profile_.relay_discovery);
+                        r->profile_->relay_discovery);
       }
     }
   }
-  sim_.schedule_after(profile_.discovery_scan,
+  sim_.schedule_after(profile_->discovery_scan,
                       [this, callback = std::move(callback)] {
                         // Re-scan at completion: peers may have moved
                         // during the window.
@@ -135,12 +138,12 @@ void WifiDirectRadio::connect(NodeId peer, ConnectCallback callback) {
     return;
   }
   // Both ends burn connection energy during negotiation + provisioning.
-  charge_phase(D2dEnergyProfile::connection_shape(), profile_.ue_connection);
+  charge_phase(D2dEnergyProfile::connection_shape(), profile_->ue_connection);
   other->charge_phase(D2dEnergyProfile::connection_shape(),
-                      other->profile_.relay_connection);
+                      other->profile_->relay_connection);
 
   sim_.schedule_after(
-      profile_.connection_setup,
+      profile_->connection_setup,
       [this, peer, callback = std::move(callback)] {
         WifiDirectRadio* other = medium_.radio(peer);
         if (other == nullptr || !medium_.in_range(owner_, peer)) {
@@ -270,23 +273,23 @@ void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
     transfer_bytes_ctr_->inc(hb->size.value);
     const Meters d = medium_.distance(owner_, peer);
     charge_phase(D2dEnergyProfile::send_shape(),
-                 profile_.send_charge(hb->size, d));
+                 profile_->send_charge(hb->size, d));
     other->charge_phase(D2dEnergyProfile::receive_shape(),
-                        other->profile_.receive_charge(hb->size));
+                        other->profile_->receive_charge(hb->size));
   } else {
     // Control frame: flat small cost on both ends.
     meter_.add_load(component_,
-                    MilliAmps{profile_.control_send.value * 3.6 / 0.2},
+                    MilliAmps{profile_->control_send.value * 3.6 / 0.2},
                     milliseconds(200));
     other->meter_.add_load(
         other->component_,
-        MilliAmps{other->profile_.control_receive.value * 3.6 / 0.2},
+        MilliAmps{other->profile_->control_receive.value * 3.6 / 0.2},
         milliseconds(200));
   }
   // Fire-and-forget: in-flight transfers are never cancelled, only
   // re-checked for liveness on arrival.
   sim_.schedule_after(
-      profile_.transfer_latency,
+      profile_->transfer_latency,
       [this, peer, payload = std::move(payload),
        callback = std::move(callback)] {
         WifiDirectRadio* other = medium_.radio(peer);

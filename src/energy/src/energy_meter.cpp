@@ -10,6 +10,9 @@ namespace d2dhb::energy {
 
 ComponentHandle EnergyMeter::register_component(std::string name,
                                                 MilliAmps initial) {
+  // Grow by exactly one: a phone registers three components, and a
+  // doubling vector would hold four slots for them in every phone.
+  components_.reserve(components_.size() + 1);
   components_.push_back(Component{std::move(name), initial, MicroAmpHours{},
                                   sim_.now(), nullptr});
   return ComponentHandle{components_.size() - 1};

@@ -7,7 +7,7 @@
 //
 // Thread-safety: uplinks are delivered on their sender's kernel, so
 // kernels running on different threads deliver concurrently. One mutex
-// guards the session maps. Each session is only ever written from its
+// guards the session map. Each session is only ever written from its
 // origin phone's strip (a relay and its UEs share a strip, because D2D
 // links never leave one), so every session still sees its heartbeats
 // in that kernel's (when, seq) order, and the totals are order-free
@@ -80,14 +80,18 @@ class ImServer {
 
  private:
   using Key = std::pair<NodeId, AppId>;
+  /// One tree node per session: its stats and its server-side expiry.
+  struct Session {
+    SessionStats stats;
+    Duration expiry;
+  };
 
-  void register_locked(const Key& key, Duration expiry)
-      D2DHB_REQUIRES(mutex_);
+  /// A fresh session whose deadline is `expiry` from now.
+  Session open_session(Duration expiry) const;
 
   sim::Simulator& sim_;
   mutable Mutex mutex_;
-  std::map<Key, SessionStats> sessions_ D2DHB_GUARDED_BY(mutex_);
-  std::map<Key, Duration> expiries_ D2DHB_GUARDED_BY(mutex_);
+  std::map<Key, Session> sessions_ D2DHB_GUARDED_BY(mutex_);
 
   // Registry-backed aggregate counters (per-session detail stays in
   // sessions_; these feed the exported metrics tree).

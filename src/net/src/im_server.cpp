@@ -15,26 +15,25 @@ ImServer::ImServer(sim::Simulator& sim) : sim_(sim) {
 
 void ImServer::register_client(NodeId node, AppId app, Duration expiry) {
   const MutexLock lock(mutex_);
-  register_locked(Key{node, app}, expiry);
+  sessions_.insert_or_assign(Key{node, app}, open_session(expiry));
 }
 
-void ImServer::register_locked(const Key& key, Duration expiry) {
-  SessionStats stats;
-  stats.deadline = sim_.now() + expiry;
-  sessions_[key] = stats;
-  expiries_[key] = expiry;
+ImServer::Session ImServer::open_session(Duration expiry) const {
+  Session session{SessionStats{}, expiry};
+  session.stats.deadline = sim_.now() + expiry;
+  return session;
 }
 
 void ImServer::deliver(const HeartbeatMessage& message) {
   const Key key{message.origin, message.app};
   const MutexLock lock(mutex_);
-  auto it = sessions_.find(key);
-  if (it == sessions_.end()) {
+  auto it = sessions_.lower_bound(key);
+  if (it == sessions_.end() || it->first != key) {
     // Auto-register on first contact using the message's own expiry.
-    register_locked(key, message.expiry);
-    it = sessions_.find(key);
+    it = sessions_.emplace_hint(it, key, open_session(message.expiry));
   }
-  SessionStats& s = it->second;
+  Session& session = it->second;
+  SessionStats& s = session.stats;
   const TimePoint now = sim_.now();
   ++s.delivered;
   delivered_ctr_->inc();
@@ -50,7 +49,7 @@ void ImServer::deliver(const HeartbeatMessage& message) {
     s.total_offline += now - s.deadline;
   }
   // A delivered heartbeat resets the expiration timer from now.
-  s.deadline = now + expiries_.at(key);
+  s.deadline = now + session.expiry;
 }
 
 void ImServer::deliver(const UplinkBundle& bundle) {
@@ -61,7 +60,7 @@ bool ImServer::online(NodeId node, AppId app) const {
   const MutexLock lock(mutex_);
   const auto it = sessions_.find(Key{node, app});
   if (it == sessions_.end()) return false;
-  return sim_.now() <= it->second.deadline;
+  return sim_.now() <= it->second.stats.deadline;
 }
 
 ImServer::SessionStats ImServer::stats(NodeId node, AppId app) const {
@@ -70,13 +69,14 @@ ImServer::SessionStats ImServer::stats(NodeId node, AppId app) const {
   if (it == sessions_.end()) {
     throw std::out_of_range("ImServer::stats: unknown session");
   }
-  return it->second;
+  return it->second.stats;
 }
 
 ImServer::Totals ImServer::totals() const {
   const MutexLock lock(mutex_);
   Totals t;
-  for (const auto& [key, s] : sessions_) {
+  for (const auto& [key, session] : sessions_) {
+    const SessionStats& s = session.stats;
     t.delivered += s.delivered;
     t.on_time += s.on_time;
     t.late += s.late;

@@ -7,8 +7,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/id.hpp"
 #include "common/units.hpp"
@@ -30,7 +30,8 @@ class CellularModem {
   /// Called when a bundle finishes its uplink burst (i.e. reached the BS).
   using UplinkHandler = std::function<void(const net::UplinkBundle&)>;
 
-  CellularModem(sim::Simulator& sim, NodeId owner, RrcProfile profile,
+  /// `profile` is shared, not copied: it must not be null.
+  CellularModem(sim::Simulator& sim, NodeId owner, RrcProfilePtr profile,
                 energy::EnergyMeter& meter, SignalingCounter& signaling);
 
   CellularModem(const CellularModem&) = delete;
@@ -53,7 +54,7 @@ class CellularModem {
 
   RrcState state() const { return state_; }
   NodeId owner() const { return owner_; }
-  const RrcProfile& profile() const { return profile_; }
+  const RrcProfile& profile() const { return *profile_; }
 
   /// Cumulative charge drawn by the cellular component.
   MicroAmpHours radio_charge() { return meter_.component_charge(component_); }
@@ -76,7 +77,7 @@ class CellularModem {
 
   sim::Simulator& sim_;
   NodeId owner_;
-  RrcProfile profile_;
+  RrcProfilePtr profile_;
   energy::EnergyMeter& meter_;
   energy::ComponentHandle component_;
   SignalingCounter& signaling_;
@@ -84,7 +85,10 @@ class CellularModem {
 
   RrcState state_{RrcState::idle};
   bool fast_dormancy_{false};
-  std::deque<net::UplinkBundle> queue_;
+  /// FIFO of bundles waiting for the radio. It holds at most a few, so
+  /// front erase is cheap, and unlike a deque it allocates nothing until
+  /// the first transmit (most UEs of a crowd never transmit).
+  std::vector<net::UplinkBundle> queue_;
   sim::EventId inactivity_event_{};
   std::uint64_t epoch_{0};  ///< Invalidates in-flight events on force_idle().
 

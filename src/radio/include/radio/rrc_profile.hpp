@@ -14,6 +14,7 @@
 // draw that the energy meter integrates.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,11 +60,19 @@ struct RrcProfile {
   }
 };
 
+/// A profile is per-world configuration, never per-phone state: every
+/// modem that runs a given profile points at one immutable instance.
+using RrcProfilePtr = std::shared_ptr<const RrcProfile>;
+
 /// WCDMA (UMTS) profile — the network the paper measures with
 /// NetOptiMaster (Section V-B). Calibrated so that one isolated 54 B
 /// heartbeat costs ~750 µAh of cellular-radio charge and 8 layer-3
 /// messages per full RRC cycle (Fig. 15's original-system slope).
 RrcProfile wcdma_profile();
+
+/// The one process-wide wcdma_profile() that a default PhoneConfig
+/// shares.
+const RrcProfilePtr& shared_wcdma_profile();
 
 /// LTE profile — shorter promotion, connected-mode DRX tail. Provided for
 /// the generality discussion in Section III ("schemes ... vary in

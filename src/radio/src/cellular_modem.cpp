@@ -1,6 +1,7 @@
 #include "radio/cellular_modem.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace d2dhb::radio {
@@ -17,14 +18,18 @@ const char* to_string(RrcState s) {
 }
 
 CellularModem::CellularModem(sim::Simulator& sim, NodeId owner,
-                             RrcProfile profile, energy::EnergyMeter& meter,
+                             RrcProfilePtr profile,
+                             energy::EnergyMeter& meter,
                              SignalingCounter& signaling)
     : sim_(sim),
       owner_(owner),
-      profile_(std::move(profile)),
+      profile_(profile != nullptr
+                   ? std::move(profile)
+                   : throw std::invalid_argument(
+                         "CellularModem: RRC profile is required")),
       meter_(meter),
-      component_(meter.register_component("cellular:" + profile_.name,
-                                          profile_.idle_current)),
+      component_(meter.register_component("cellular:" + profile_->name,
+                                          profile_->idle_current)),
       signaling_(signaling) {
   auto& reg = sim_.metrics();
   const metrics::Labels labels{owner_.value, -1, "cellular"};
@@ -37,12 +42,12 @@ CellularModem::CellularModem(sim::Simulator& sim, NodeId owner,
 
 MilliAmps CellularModem::state_current(RrcState s) const {
   switch (s) {
-    case RrcState::idle: return profile_.idle_current;
-    case RrcState::promoting: return profile_.promotion_current;
-    case RrcState::high: return profile_.high_current;
+    case RrcState::idle: return profile_->idle_current;
+    case RrcState::promoting: return profile_->promotion_current;
+    case RrcState::high: return profile_->high_current;
     case RrcState::transmitting:
-      return profile_.high_current + profile_.tx_extra_current;
-    case RrcState::low: return profile_.low_current;
+      return profile_->high_current + profile_->tx_extra_current;
+    case RrcState::low: return profile_->low_current;
   }
   return MilliAmps{0};
 }
@@ -58,11 +63,11 @@ void CellularModem::transmit(net::UplinkBundle bundle) {
   switch (state_) {
     case RrcState::idle: {
       // Full RRC connection establishment.
-      signaling_.record_sequence(sim_.now(), owner_, profile_.setup_sequence);
+      signaling_.record_sequence(sim_.now(), owner_, profile_->setup_sequence);
       promotions_ctr_->inc();
       enter(RrcState::promoting);
       const std::uint64_t epoch = epoch_;
-      sim_.schedule_after(profile_.promotion_delay, [this, epoch] {
+      sim_.schedule_after(profile_->promotion_delay, [this, epoch] {
         if (epoch != epoch_) return;
         enter(RrcState::high);
         start_next_burst();
@@ -72,11 +77,11 @@ void CellularModem::transmit(net::UplinkBundle bundle) {
     case RrcState::low: {
       // FACH -> DCH reconfiguration.
       signaling_.record_sequence(sim_.now(), owner_,
-                                 profile_.low_to_high_sequence);
+                                 profile_->low_to_high_sequence);
       cancel_inactivity();
       enter(RrcState::promoting);
       const std::uint64_t epoch = epoch_;
-      sim_.schedule_after(profile_.reconfig_delay, [this, epoch] {
+      sim_.schedule_after(profile_->reconfig_delay, [this, epoch] {
         if (epoch != epoch_) return;
         enter(RrcState::high);
         start_next_burst();
@@ -101,7 +106,7 @@ void CellularModem::start_next_burst() {
       signaling_.record(sim_.now(), owner_,
                         L3MessageType::signaling_connection_release_indication);
       signaling_.record_sequence(sim_.now(), owner_,
-                                 profile_.release_sequence);
+                                 profile_->release_sequence);
       enter(RrcState::idle);
       return;
     }
@@ -109,17 +114,17 @@ void CellularModem::start_next_burst() {
     return;
   }
   net::UplinkBundle bundle = std::move(queue_.front());
-  queue_.pop_front();
+  queue_.erase(queue_.begin());
 
   const Bytes payload = bundle.payload_size();
-  if (payload > profile_.rb_reconfig_threshold) {
+  if (payload > profile_->rb_reconfig_threshold) {
     signaling_.record_sequence(sim_.now(), owner_,
-                               profile_.rb_reconfig_sequence);
+                               profile_->rb_reconfig_sequence);
   }
   const Duration burst = std::max(
-      profile_.min_tx_duration,
+      profile_->min_tx_duration,
       seconds(static_cast<double>(payload.value) /
-              profile_.uplink_bytes_per_second));
+              profile_->uplink_bytes_per_second));
   enter(RrcState::transmitting);
   const std::uint64_t epoch = epoch_;
   sim_.schedule_after(burst, [this, epoch, bundle = std::move(bundle)] {
@@ -133,10 +138,10 @@ void CellularModem::start_next_burst() {
 
 void CellularModem::arm_high_inactivity() {
   cancel_inactivity();
-  inactivity_event_ = sim_.schedule_after(profile_.high_inactivity, [this] {
+  inactivity_event_ = sim_.schedule_after(profile_->high_inactivity, [this] {
     inactivity_event_ = {};
     signaling_.record_sequence(sim_.now(), owner_,
-                               profile_.high_to_low_sequence);
+                               profile_->high_to_low_sequence);
     enter(RrcState::low);
     arm_low_inactivity();
   });
@@ -144,9 +149,9 @@ void CellularModem::arm_high_inactivity() {
 
 void CellularModem::arm_low_inactivity() {
   cancel_inactivity();
-  inactivity_event_ = sim_.schedule_after(profile_.low_inactivity, [this] {
+  inactivity_event_ = sim_.schedule_after(profile_->low_inactivity, [this] {
     inactivity_event_ = {};
-    signaling_.record_sequence(sim_.now(), owner_, profile_.release_sequence);
+    signaling_.record_sequence(sim_.now(), owner_, profile_->release_sequence);
     enter(RrcState::idle);
   });
 }

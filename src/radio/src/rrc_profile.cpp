@@ -45,6 +45,12 @@ RrcProfile wcdma_profile() {
   return p;
 }
 
+const RrcProfilePtr& shared_wcdma_profile() {
+  static const RrcProfilePtr profile =
+      std::make_shared<const RrcProfile>(wcdma_profile());
+  return profile;
+}
+
 // LTE: fast promotion, higher active draw, long connected-DRX tail.
 RrcProfile lte_profile() {
   RrcProfile p;

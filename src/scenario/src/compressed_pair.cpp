@@ -1,6 +1,7 @@
 #include "scenario/compressed_pair.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "apps/app_profile.hpp"
 #include "scenario/scenario.hpp"
@@ -17,11 +18,25 @@ apps::AppProfile compressed_app(const CompressedPairConfig& config) {
   return app;
 }
 
-core::PhoneConfig phone_config(const CompressedPairConfig& config,
+/// The radio profiles of one run: made once and shared by its phones.
+struct PairProfiles {
+  radio::RrcProfilePtr rrc;
+  d2d::D2dEnergyProfilePtr d2d_energy;
+};
+
+PairProfiles pair_profiles(const CompressedPairConfig& config) {
+  return PairProfiles{
+      config.use_lte
+          ? std::make_shared<const radio::RrcProfile>(radio::lte_profile())
+          : radio::shared_wcdma_profile(),
+      std::make_shared<const d2d::D2dEnergyProfile>(config.technology.energy)};
+}
+
+core::PhoneConfig phone_config(const PairProfiles& profiles,
                                mobility::Vec2 position) {
   core::PhoneConfig pc;
-  pc.rrc = config.use_lte ? radio::lte_profile() : radio::wcdma_profile();
-  pc.d2d_energy = config.technology.energy;
+  pc.rrc = profiles.rrc;
+  pc.d2d_energy = profiles.d2d_energy;
   pc.mobility = std::make_unique<mobility::StaticMobility>(position);
   return pc;
 }
@@ -40,10 +55,11 @@ PairMetrics run_d2d_pair(const CompressedPairConfig& config) {
   Scenario world{
       Scenario::Params{config.seed, config.technology.medium, {}}};
   const apps::AppProfile app = compressed_app(config);
+  const PairProfiles profiles = pair_profiles(config);
 
   // Relay at the origin; UEs on a circle of the configured radius.
   core::Phone& relay_phone =
-      world.add_phone(phone_config(config, mobility::Vec2{0.0, 0.0}));
+      world.add_phone(phone_config(profiles, mobility::Vec2{0.0, 0.0}));
   core::RelayAgent::Params relay_params;
   relay_params.own_app = app;
   relay_params.scheduler.capacity = config.capacity;
@@ -64,7 +80,7 @@ PairMetrics run_d2d_pair(const CompressedPairConfig& config) {
         static_cast<double>(std::max<std::size_t>(config.num_ues, 1));
     const mobility::Vec2 pos{config.ue_distance_m * std::cos(angle),
                              config.ue_distance_m * std::sin(angle)};
-    core::Phone& phone = world.add_phone(phone_config(config, pos));
+    core::Phone& phone = world.add_phone(phone_config(profiles, pos));
     ue_phones.push_back(&phone);
     core::UeAgent::Params ue_params;
     ue_params.app = app;
@@ -114,9 +130,10 @@ PairMetrics run_d2d_pair(const CompressedPairConfig& config) {
 PairMetrics run_original_pair(const CompressedPairConfig& config) {
   Scenario world{Scenario::Params{config.seed, {}, {}}};
   const apps::AppProfile app = compressed_app(config);
+  const PairProfiles profiles = pair_profiles(config);
 
   core::Phone& relay_phone =
-      world.add_phone(phone_config(config, mobility::Vec2{0.0, 0.0}));
+      world.add_phone(phone_config(profiles, mobility::Vec2{0.0, 0.0}));
   core::OriginalAgent& relay_agent = world.add_original(relay_phone, app);
   relay_agent.apps().front()->set_max_emissions(config.transmissions);
   world.register_session(relay_phone, 3 * app.heartbeat_period);
@@ -124,7 +141,7 @@ PairMetrics run_original_pair(const CompressedPairConfig& config) {
   std::vector<core::Phone*> ue_phones;
   for (std::size_t i = 0; i < config.num_ues; ++i) {
     const mobility::Vec2 pos{config.ue_distance_m, 0.0};
-    core::Phone& phone = world.add_phone(phone_config(config, pos));
+    core::Phone& phone = world.add_phone(phone_config(profiles, pos));
     ue_phones.push_back(&phone);
     core::OriginalAgent& agent = world.add_original(phone, app);
     agent.apps().front()->set_max_emissions(config.transmissions);

@@ -143,7 +143,9 @@ TraceResult trace_cellular_transfer(std::uint64_t seed, bool use_lte) {
   auto world = std::make_unique<Scenario>(Scenario::Params{seed, {}, {}});
   core::PhoneConfig pc;
   pc.baseline_current = MilliAmps{200.0};
-  if (use_lte) pc.rrc = radio::lte_profile();
+  if (use_lte) {
+    pc.rrc = std::make_shared<const radio::RrcProfile>(radio::lte_profile());
+  }
   pc.mobility = std::make_unique<mobility::StaticMobility>(
       mobility::Vec2{0.0, 0.0});
   core::Phone& phone = world->add_phone(std::move(pc));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -36,6 +37,17 @@ TEST_F(PhoneTest, AssemblesAllComponents) {
   EXPECT_EQ(phone.wifi().owner(), NodeId{1});
   // Components: baseline + cellular + wifi.
   EXPECT_EQ(phone.meter().component_count(), 3u);
+  EXPECT_EQ(phone.meter().component_name(energy::ComponentHandle{1}),
+            "cellular:WCDMA");
+}
+
+TEST_F(PhoneTest, DefaultConfigSharesTheProcessWideProfiles) {
+  Phone a{sim_, NodeId{1}, config(), medium_, signaling_, Rng{2}};
+  Phone b{sim_, NodeId{2}, config({1.0, 0.0}), medium_, signaling_, Rng{3}};
+  EXPECT_EQ(&a.modem().profile(), radio::shared_wcdma_profile().get());
+  EXPECT_EQ(&b.modem().profile(), &a.modem().profile());
+  EXPECT_EQ(&a.wifi().profile(), d2d::shared_default_energy_profile().get());
+  EXPECT_EQ(&b.wifi().profile(), &a.wifi().profile());
 }
 
 TEST_F(PhoneTest, RequiresMobility) {
@@ -81,10 +93,23 @@ TEST_F(PhoneTest, CellularTransmitChargesCellularComponent) {
 }
 
 TEST_F(PhoneTest, CustomRrcProfileIsUsed) {
+  const auto lte = std::make_shared<const radio::RrcProfile>(
+      radio::lte_profile());
   PhoneConfig pc = config();
-  pc.rrc = radio::lte_profile();
+  pc.rrc = lte;
   Phone phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_, Rng{2}};
+  EXPECT_EQ(&phone.modem().profile(), lte.get());
   EXPECT_EQ(phone.modem().profile().name, "LTE");
+  EXPECT_EQ(phone.meter().component_name(energy::ComponentHandle{1}),
+            "cellular:LTE");
+}
+
+TEST_F(PhoneTest, RequiresAnRrcProfile) {
+  PhoneConfig pc = config();
+  pc.rrc = nullptr;
+  EXPECT_THROW(
+      (Phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_, Rng{2}}),
+      std::invalid_argument);
 }
 
 }  // namespace

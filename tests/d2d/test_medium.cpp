@@ -22,8 +22,8 @@ struct TestPhone {
             mobility::Vec2 pos)
       : meter(sim),
         mobility(pos),
-        radio(sim, NodeId{id}, medium, mobility, meter, D2dEnergyProfile{},
-              Rng{id}) {}
+        radio(sim, NodeId{id}, medium, mobility, meter,
+              shared_default_energy_profile(), Rng{id}) {}
 
   energy::EnergyMeter meter;
   mobility::StaticMobility mobility;
@@ -170,9 +170,9 @@ struct ScriptPhone {
     // Home the node before its radio attaches (and is indexed).
     nodes.add(NodeId{id}, mobility.get());
     nodes.set_shard(NodeId{id}, strip);
-    radio = std::make_unique<WifiDirectRadio>(sim, NodeId{id}, medium,
-                                              *mobility, meter,
-                                              D2dEnergyProfile{}, Rng{id});
+    radio = std::make_unique<WifiDirectRadio>(
+        sim, NodeId{id}, medium, *mobility, meter,
+        shared_default_energy_profile(), Rng{id});
   }
 
   energy::EnergyMeter meter;

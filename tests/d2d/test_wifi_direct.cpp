@@ -16,8 +16,8 @@ struct TestPhone {
             std::unique_ptr<mobility::MobilityModel> mob)
       : meter(sim),
         mobility(std::move(mob)),
-        radio(sim, NodeId{id}, medium, *mobility, meter, D2dEnergyProfile{},
-              Rng{id}) {}
+        radio(sim, NodeId{id}, medium, *mobility, meter,
+              shared_default_energy_profile(), Rng{id}) {}
 
   static std::unique_ptr<TestPhone> at(sim::Simulator& sim,
                                        WifiDirectMedium& medium,
@@ -98,6 +98,15 @@ TEST_F(WifiDirectTest, ConnectionEnergyMatchesTableIII) {
   // Idle-connected draw starts after setup; allow a small margin.
   EXPECT_NEAR(ue->radio.radio_charge().value, 63.74, 1.0);
   EXPECT_NEAR(relay->radio.radio_charge().value, 60.29, 1.0);
+}
+
+TEST_F(WifiDirectTest, RequiresAnEnergyProfile) {
+  energy::EnergyMeter meter{sim_};
+  const mobility::StaticMobility place{mobility::Vec2{0.0, 0.0}};
+  EXPECT_THROW((WifiDirectRadio{sim_, NodeId{1}, medium_, place, meter,
+                                nullptr, Rng{1}}),
+               std::invalid_argument);
+  EXPECT_EQ(medium_.radio(NodeId{1}), nullptr);
 }
 
 TEST_F(WifiDirectTest, ConnectToSelfIsRejected) {

@@ -7,8 +7,9 @@
 // protocol traffic: under 10 events per delivered heartbeat.
 //
 // Next to it, the registry's series count is pinned exactly on that
-// crowd and on a small streamed city: every per-phone series is paid
-// on every phone of a city, so a new one must be a deliberate change.
+// crowd and on a small streamed city, and so are the city's strip-arena
+// bytes: every per-phone series or byte is paid on every phone of a
+// city, so a new one must be a deliberate change.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,6 +62,15 @@ constexpr std::uint64_t kStaticTwoCellEvents = 5481;
 constexpr std::size_t kStaticTwoCellSeries = 10813;
 constexpr std::size_t kSmallCitySeries = 81013;
 
+// Strip-arena bytes (`arena_stats().bytes_allocated`) of the same city,
+// after build and after the run, pinned by the change that made phones
+// point at shared immutable radio profiles and keep the modem queue in
+// a vector: 5,705,856 before it (1,902 per phone, 392 more). The
+// arenas hold the same objects; only the Phone shrank. The figure
+// follows the standard library's object sizes (x86-64 libstdc++).
+// Re-pin only with a stated reason for every byte added per phone.
+constexpr std::uint64_t kSmallCityArenaBytes = 4529856;
+
 TEST(EventBudget, StaticTwoCellCrowdIsPinned) {
   for (const std::size_t threads : {1u, 2u}) {
     const CrowdRun run = run_static_two_cell_crowd(threads);
@@ -78,12 +88,17 @@ TEST(EventBudget, StaticTwoCellCrowdIsPinned) {
   }
 }
 
-TEST(EventBudget, SmallCitySeriesArePinned) {
+CityConfig small_city() {
   CityConfig config;
   config.phones = 3000;
   config.phones_per_strip = 1000;
   config.phones_per_cell = 1500;
   config.duration_s = 60.0;
+  return config;
+}
+
+TEST(EventBudget, SmallCitySeriesArePinned) {
+  const CityConfig config = small_city();
   const auto world = build_city(config);
   EXPECT_EQ(world->metrics().size(), kSmallCitySeries);
   const CityMetrics m = run_city(*world, config);
@@ -91,6 +106,14 @@ TEST(EventBudget, SmallCitySeriesArePinned) {
   EXPECT_EQ(m.cells, 2u);
   EXPECT_EQ(m.relays, 384u);
   EXPECT_EQ(world->metrics().size(), kSmallCitySeries);
+}
+
+TEST(EventBudget, SmallCityArenaBytesArePinned) {
+  const CityConfig config = small_city();
+  const auto world = build_city(config);
+  EXPECT_EQ(world->arena_stats().bytes_allocated, kSmallCityArenaBytes);
+  run_city(*world, config);
+  EXPECT_EQ(world->arena_stats().bytes_allocated, kSmallCityArenaBytes);
 }
 
 }  // namespace

@@ -25,8 +25,10 @@ TEST_P(RrcFuzzTest, RandomTrafficKeepsInvariants) {
   energy::EnergyMeter meter{sim};
   radio::SignalingCounter signaling;
   radio::CellularModem modem{sim, NodeId{1},
-                             rng.chance(0.5) ? radio::wcdma_profile()
-                                             : radio::lte_profile(),
+                             rng.chance(0.5)
+                                 ? radio::shared_wcdma_profile()
+                                 : std::make_shared<const radio::RrcProfile>(
+                                       radio::lte_profile()),
                              meter, signaling};
   std::uint64_t submitted = 0, completed = 0;
   modem.set_uplink_handler(
@@ -78,7 +80,7 @@ struct FuzzPhone {
       : meter(sim),
         mobility(pos),
         radio(sim, NodeId{id}, medium, mobility, meter,
-              d2d::D2dEnergyProfile{}, Rng{id * 31}) {
+              d2d::shared_default_energy_profile(), Rng{id * 31}) {
     radio.set_listening(true);
   }
   energy::EnergyMeter meter;

@@ -30,9 +30,7 @@ apps::AppProfile compressed_app() {
 }
 
 core::PhoneConfig phone_at(mobility::Vec2 position) {
-  core::PhoneConfig pc;
-  pc.rrc = radio::wcdma_profile();
-  pc.d2d_energy = d2d::wifi_direct_tech().energy;
+  core::PhoneConfig pc;  // the shared WCDMA and Wi-Fi Direct profiles
   pc.mobility = std::make_unique<mobility::StaticMobility>(position);
   return pc;
 }

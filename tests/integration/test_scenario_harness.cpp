@@ -50,6 +50,24 @@ TEST(ScenarioHarness, RegisterSessionOverloads) {
   EXPECT_TRUE(world.server().online(phone.id(), AppId{4242}));
 }
 
+TEST(ScenarioHarness, DefaultPhonesShareOneProfileAcrossStrips) {
+  Scenario::Params params;
+  params.shard_plan = world::ShardPlan{3, 0.0, 300.0};
+  Scenario world{params};
+  for (int i = 0; i < 6; ++i) world.add_phone(at(50.0 * i));
+  for (core::Phone* phone : world.phones()) {
+    EXPECT_EQ(&phone->modem().profile(), radio::shared_wcdma_profile().get())
+        << "node " << phone->id().value;
+    EXPECT_EQ(&phone->wifi().profile(),
+              d2d::shared_default_energy_profile().get())
+        << "node " << phone->id().value;
+  }
+  // The phones span every strip (and so every strip arena).
+  EXPECT_EQ(world.nodes().shard_of(NodeId{1}), 0u);
+  EXPECT_EQ(world.nodes().shard_of(NodeId{3}), 1u);
+  EXPECT_EQ(world.nodes().shard_of(NodeId{6}), 2u);
+}
+
 TEST(ScenarioHarness, ForkRngIsDeterministicPerSeed) {
   Scenario a{Scenario::Params{99, {}, {}, {}}};
   Scenario b{Scenario::Params{99, {}, {}, {}}};

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "energy/energy_meter.hpp"
 #include "radio/cellular_modem.hpp"
 #include "sim/simulator.hpp"
@@ -23,7 +26,7 @@ class RrcTest : public ::testing::Test {
  protected:
   RrcTest()
       : meter_(sim_),
-        modem_(sim_, NodeId{1}, wcdma_profile(), meter_, signaling_) {}
+        modem_(sim_, NodeId{1}, shared_wcdma_profile(), meter_, signaling_) {}
 
   sim::Simulator sim_;
   energy::EnergyMeter meter_;
@@ -110,6 +113,32 @@ TEST_F(RrcTest, QueuedDuringPromotionRideAlong) {
   EXPECT_EQ(signaling_.total(), 8u);
 }
 
+TEST_F(RrcTest, QueuedBundlesLeaveInTransmitOrder) {
+  std::vector<std::uint64_t> sent;
+  modem_.set_uplink_handler([&](const net::UplinkBundle& b) {
+    sent.push_back(b.messages.front().id.value);
+  });
+  // Three distinct bundles queue behind one promotion.
+  modem_.transmit(small_bundle(11, 54));
+  modem_.transmit(small_bundle(12, 80));
+  modem_.transmit(small_bundle(13, 120));
+  sim_.run_until(sim_.now() + seconds(20));
+  EXPECT_EQ(sent, (std::vector<std::uint64_t>{11, 12, 13}));
+  EXPECT_EQ(modem_.rrc_promotions(), 1u);
+
+  // A queue dropped by force_idle() stays dropped: the next transmit
+  // promotes afresh and sends only itself.
+  modem_.transmit(small_bundle(14, 60));
+  modem_.transmit(small_bundle(15, 70));
+  modem_.force_idle();
+  modem_.transmit(small_bundle(16, 90));
+  sim_.run_until(sim_.now() + seconds(20));
+  EXPECT_EQ(sent, (std::vector<std::uint64_t>{11, 12, 13, 16}));
+  EXPECT_EQ(modem_.rrc_promotions(), 3u);
+  EXPECT_EQ(modem_.bundles_sent(), 4u);
+  EXPECT_EQ(modem_.state(), RrcState::idle);
+}
+
 TEST_F(RrcTest, LargePayloadTriggersRbReconfiguration) {
   modem_.transmit(small_bundle(1, 400));  // > 150 B threshold
   sim_.run_until(sim_.now() + seconds(20));
@@ -151,7 +180,9 @@ TEST(RrcLte, ShorterPromotionAndFewerCycleMessages) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   SignalingCounter signaling;
-  CellularModem modem{sim, NodeId{1}, lte_profile(), meter, signaling};
+  CellularModem modem{sim, NodeId{1},
+                      std::make_shared<const RrcProfile>(lte_profile()), meter,
+                      signaling};
   TimePoint done{};
   modem.set_uplink_handler(
       [&](const net::UplinkBundle&) { done = sim.now(); });
@@ -169,8 +200,11 @@ TEST(RrcProfiles, WcdmaVsLteEnergyShape) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   SignalingCounter signaling;
-  CellularModem wcdma{sim, NodeId{1}, wcdma_profile(), meter, signaling};
-  CellularModem lte{sim, NodeId{2}, lte_profile(), meter, signaling};
+  CellularModem wcdma{sim, NodeId{1}, shared_wcdma_profile(), meter,
+                      signaling};
+  CellularModem lte{sim, NodeId{2},
+                    std::make_shared<const RrcProfile>(lte_profile()), meter,
+                    signaling};
   wcdma.transmit(small_bundle(1));
   lte.transmit(small_bundle(2));
   sim.run_until(sim.now() + seconds(30));

@@ -214,7 +214,7 @@ class MediumAuditTest : public ::testing::Test {
         : meter(sim),
           mobility(mobility::Vec2{x, y}),
           radio(sim, NodeId{id}, medium, mobility, meter,
-                d2d::D2dEnergyProfile{}, Rng{id}) {}
+                d2d::shared_default_energy_profile(), Rng{id}) {}
 
     energy::EnergyMeter meter;
     mobility::StaticMobility mobility;
