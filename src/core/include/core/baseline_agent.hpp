@@ -65,7 +65,6 @@ class CellularBaselineAgent {
   Phone& phone() { return phone_; }
   /// Snapshot of this agent's metrics (assembled from the registry).
   Stats stats() const;
-  Stats snapshot() const { return stats(); }
   /// The effective (possibly extended) heartbeat period.
   Duration heartbeat_period() const {
     return effective_profile_.heartbeat_period;

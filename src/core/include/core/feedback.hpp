@@ -53,7 +53,6 @@ class FeedbackTracker {
   std::size_t pending() const { return pending_.size(); }
   /// Snapshot of this tracker's metrics (assembled from the registry).
   Stats stats() const;
-  Stats snapshot() const { return stats(); }
   Duration timeout() const { return timeout_; }
 
  private:

@@ -15,10 +15,6 @@
 #include "common/units.hpp"
 #include "mobility/mobility.hpp"
 
-namespace d2dhb::world {
-class NodeTable;
-}
-
 namespace d2dhb::core {
 
 /// One phone volunteering (or not) to relay.
@@ -64,13 +60,5 @@ SelectionResult select_relays(const std::vector<RelayCandidate>& candidates,
 double coverage_of(const std::vector<RelayCandidate>& candidates,
                    const std::vector<NodeId>& relays,
                    Meters coverage_radius);
-
-/// Builds the candidate list straight from the world's dense node
-/// table (positions sampled at `t`, battery levels from the battery
-/// column), in ascending NodeId order — the operator re-running
-/// selection mid-scenario reads the live world state instead of a
-/// layout-time snapshot.
-std::vector<RelayCandidate> candidates_from(const world::NodeTable& nodes,
-                                            TimePoint t);
 
 }  // namespace d2dhb::core

@@ -71,7 +71,6 @@ class RelayAgent {
   apps::HeartbeatApp& own_app() { return own_app_; }
   /// Snapshot of this relay's metrics (assembled from the registry).
   Stats stats() const;
-  Stats snapshot() const { return stats(); }
   bool running() const { return running_; }
   /// Battery level in [0, 1]; 1.0 when no battery is modeled.
   double battery_level();

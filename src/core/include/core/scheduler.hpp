@@ -120,7 +120,6 @@ class MessageScheduler {
   std::size_t remaining_capacity() const;
   /// Snapshot of this scheduler's metrics (assembled from the registry).
   Stats stats() const;
-  Stats snapshot() const { return stats(); }
   const Params& params() const { return params_; }
 
   /// Earliest deadline among everything buffered (for tests/monitoring).

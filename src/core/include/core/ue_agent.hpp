@@ -84,7 +84,6 @@ class UeAgent {
   NodeId current_relay() const { return relay_; }
   /// Snapshot of this UE's metrics (assembled from the registry).
   Stats stats() const;
-  Stats snapshot() const { return stats(); }
   const FeedbackTracker& feedback() const { return feedback_; }
 
  private:

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "mobility/spatial_grid.hpp"
-#include "world/node_table.hpp"
 
 namespace d2dhb::core {
 
@@ -147,17 +146,6 @@ SelectionResult select_relays(const std::vector<RelayCandidate>& candidates,
   result.covered_fraction =
       coverage_of(candidates, result.relays, config.coverage_radius);
   return result;
-}
-
-std::vector<RelayCandidate> candidates_from(const world::NodeTable& nodes,
-                                            TimePoint t) {
-  std::vector<RelayCandidate> candidates;
-  candidates.reserve(nodes.size());
-  for (const NodeId id : nodes.ids()) {
-    candidates.push_back(RelayCandidate{id, nodes.position_of(id, t),
-                                        nodes.battery_of(id), true});
-  }
-  return candidates;
 }
 
 }  // namespace d2dhb::core

@@ -80,10 +80,12 @@ struct D2dEnergyProfile {
   MicroAmpHours receive_charge(Bytes size) const;
 
   // --- Current shapes (scaled to the charges above when applied) ---
-  static PhaseShape discovery_shape();
-  static PhaseShape connection_shape();
-  static PhaseShape send_shape();     ///< Spike + fast decay (Fig. 6).
-  static PhaseShape receive_shape();
+  // Constants built once per process: charging a phase allocates
+  // nothing.
+  static const PhaseShape& discovery_shape();
+  static const PhaseShape& connection_shape();
+  static const PhaseShape& send_shape();  ///< Spike + fast decay (Fig. 6).
+  static const PhaseShape& receive_shape();
 };
 
 /// A profile is per-world configuration, never per-phone state: every

@@ -82,9 +82,9 @@ const D2dEnergyProfilePtr& shared_default_energy_profile() {
   return profile;
 }
 
-PhaseShape D2dEnergyProfile::discovery_shape() {
+const PhaseShape& D2dEnergyProfile::discovery_shape() {
   // Repeated scan bursts over the 8 s window.
-  return PhaseShape{{
+  static const PhaseShape shape{{
       {seconds(1.0), 2.0},
       {seconds(1.0), 0.5},
       {seconds(1.0), 2.0},
@@ -94,33 +94,37 @@ PhaseShape D2dEnergyProfile::discovery_shape() {
       {seconds(1.0), 2.0},
       {seconds(1.0), 0.5},
   }};
+  return shape;
 }
 
-PhaseShape D2dEnergyProfile::connection_shape() {
+const PhaseShape& D2dEnergyProfile::connection_shape() {
   // GO negotiation exchange, then WPS provisioning plateau.
-  return PhaseShape{{
+  static const PhaseShape shape{{
       {seconds(0.5), 3.0},
       {seconds(1.5), 1.5},
       {seconds(0.5), 2.0},
   }};
+  return shape;
 }
 
-PhaseShape D2dEnergyProfile::send_shape() {
+const PhaseShape& D2dEnergyProfile::send_shape() {
   // Fig. 6: current spurts at the moment of transmission, then descends
   // rapidly.
-  return PhaseShape{{
+  static const PhaseShape shape{{
       {milliseconds(100), 2.0},  // wake/contend
       {milliseconds(250), 8.0},  // burst
       {milliseconds(500), 1.5},  // decay
   }};
+  return shape;
 }
 
-PhaseShape D2dEnergyProfile::receive_shape() {
-  return PhaseShape{{
+const PhaseShape& D2dEnergyProfile::receive_shape() {
+  static const PhaseShape shape{{
       {milliseconds(500), 1.2},   // wake + listen
       {milliseconds(300), 4.5},   // receive burst
       {milliseconds(1500), 1.8},  // linger/ack
   }};
+  return shape;
 }
 
 }  // namespace d2dhb::d2d

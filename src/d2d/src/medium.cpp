@@ -49,7 +49,7 @@ GroupId WifiDirectMedium::allocate_group(NodeId owner) {
 
 void WifiDirectMedium::audit() const {
   for (const auto& grid : grids_) {
-    grid->audit(sim_.now(), sim_.time_epoch());
+    grid->audit(sim_.now());
   }
   // Slot consistency: every radio-array entry points back at its slot
   // through the table, and every table slot lands inside the array.
@@ -252,8 +252,8 @@ std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(NodeId scanner) {
   }
 
   std::vector<mobility::SpatialGrid::Neighbor>& scratch = scratch_[strip];
-  grids_[strip]->query_radius(origin, params_.range, sim_.now(),
-                              sim_.time_epoch(), scratch, scanner);
+  grids_[strip]->query_radius(origin, params_.range, sim_.now(), scratch,
+                              scanner);
   for (const auto& neighbor : scratch) {
     admit(neighbor.node, neighbor.distance);
   }

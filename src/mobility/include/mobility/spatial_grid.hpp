@@ -106,7 +106,8 @@ class PointGrid {
 ///
 /// Refresh policy: `position_at` is authoritative and is what queries
 /// compare against; the cached cell binning is refreshed lazily when a
-/// query's (time, epoch) key differs from the cache's. Nodes whose
+/// query's time differs from the cache's (simulated time never goes
+/// backwards, so time equality is what makes a cache hit valid). Nodes whose
 /// model reports `is_static()` are binned once on insert and never
 /// touched again; only moving nodes pay the per-timestamp re-bin.
 class SpatialGrid {
@@ -132,19 +133,17 @@ class SpatialGrid {
 
   /// All registered nodes (minus `exclude`) within `radius` of
   /// `center` at time `t`, sorted by NodeId ascending. `out` is
-  /// cleared first. `epoch` keys the lazy refresh — pass the
-  /// simulator's time epoch so repeated queries within one event
-  /// instant skip the re-bin (see sim::Simulator::time_epoch()).
+  /// cleared first. Repeated queries at one time share a single
+  /// re-bin.
   void query_radius(Vec2 center, Meters radius, TimePoint t,
-                    std::uint64_t epoch, std::vector<Neighbor>& out,
+                    std::vector<Neighbor>& out,
                     NodeId exclude = NodeId::invalid()) const;
 
   /// Number of nodes (minus `exclude`) within `radius` of `center`.
   std::size_t count_within(Vec2 center, Meters radius, TimePoint t,
-                           std::uint64_t epoch,
                            NodeId exclude = NodeId::invalid()) const;
 
-  /// Invariant audit (the D2DHB_AUDIT layer): refreshes to (t, epoch)
+  /// Invariant audit (the D2DHB_AUDIT layer): refreshes to `t`
   /// and verifies cache freshness and binning consistency — the slot
   /// table holds exactly size() slots (no tombstones), the NodeId
   /// lookup is strictly ascending and each entry points at the slot
@@ -152,7 +151,7 @@ class SpatialGrid {
   /// every slot's cell key matches its cached position, every slot sits
   /// in exactly one bucket (the right one), and `moving_` lists exactly
   /// the non-static slots. Throws std::logic_error naming the violation.
-  void audit(TimePoint t, std::uint64_t epoch) const;
+  void audit(TimePoint t) const;
 
   /// Test backdoor (corrupts internals for the audit tests).
   struct Internal;
@@ -182,7 +181,7 @@ class SpatialGrid {
   const Slot* slot_of(NodeId node) const;
   std::uint64_t key_of(Vec2 at) const;
   void unbin(std::uint32_t slot) const;
-  void refresh(TimePoint t, std::uint64_t epoch) const;
+  void refresh(TimePoint t) const;
   /// Walks the buckets of every cell overlapping the square of
   /// half-width `r` around `center` and hands each slot to `visit`.
   template <typename Visit>
@@ -204,7 +203,6 @@ class SpatialGrid {
   /// refreshed.
   std::vector<std::uint32_t> moving_;
   mutable TimePoint cached_time_{};
-  mutable std::uint64_t cached_epoch_{0};
   mutable bool cache_primed_{false};
 };
 

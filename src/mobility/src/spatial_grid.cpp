@@ -227,8 +227,8 @@ const MobilityModel* SpatialGrid::model(NodeId node) const {
   return slot == nullptr ? nullptr : slot->model;
 }
 
-void SpatialGrid::refresh(TimePoint t, std::uint64_t epoch) const {
-  if (cache_primed_ && epoch == cached_epoch_ && t == cached_time_) return;
+void SpatialGrid::refresh(TimePoint t) const {
+  if (cache_primed_ && t == cached_time_) return;
   for (const std::uint32_t i : moving_) {
     Slot& slot = slots_[i];
     const Vec2 at = slot.model->position_at(t);
@@ -240,7 +240,6 @@ void SpatialGrid::refresh(TimePoint t, std::uint64_t epoch) const {
     buckets_[cell].push_back(i);
   }
   cached_time_ = t;
-  cached_epoch_ = epoch;
   cache_primed_ = true;
 }
 
@@ -260,11 +259,10 @@ void SpatialGrid::visit_cells(Vec2 center, double r, Visit&& visit) const {
 }
 
 void SpatialGrid::query_radius(Vec2 center, Meters radius, TimePoint t,
-                               std::uint64_t epoch,
                                std::vector<Neighbor>& out,
                                NodeId exclude) const {
   out.clear();
-  refresh(t, epoch);
+  refresh(t);
   visit_cells(center, radius.value, [&](const Slot& slot) {
     if (slot.node == exclude) return;
     // The cached position IS the position at t (refresh above), so the
@@ -279,9 +277,8 @@ void SpatialGrid::query_radius(Vec2 center, Meters radius, TimePoint t,
 }
 
 std::size_t SpatialGrid::count_within(Vec2 center, Meters radius,
-                                      TimePoint t, std::uint64_t epoch,
-                                      NodeId exclude) const {
-  refresh(t, epoch);
+                                      TimePoint t, NodeId exclude) const {
+  refresh(t);
   std::size_t n = 0;
   visit_cells(center, radius.value, [&](const Slot& slot) {
     if (slot.node != exclude &&
@@ -298,10 +295,10 @@ namespace {
 }
 }  // namespace
 
-void SpatialGrid::audit(TimePoint t, std::uint64_t epoch) const {
-  refresh(t, epoch);
-  if (!cache_primed_ || cached_time_ != t || cached_epoch_ != epoch) {
-    grid_audit_fail("cache not fresh after refresh (epoch key ignored)");
+void SpatialGrid::audit(TimePoint t) const {
+  refresh(t);
+  if (!cache_primed_ || cached_time_ != t) {
+    grid_audit_fail("cache not fresh after refresh");
   }
   if (slots_.size() != size()) {
     grid_audit_fail("slot count " + std::to_string(slots_.size()) +

@@ -1,19 +1,19 @@
 // Parallel execution primitive for embarrassingly parallel experiment
 // matrices. Each job is an independent, self-contained deterministic
 // simulation (one sim::Simulator per job), so the only shared state is
-// the work counter and the result slots — results come back in index
+// the claim counter and the result slots — results come back in index
 // order regardless of which worker ran what, keeping aggregated output
 // byte-identical across thread counts.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "common/parallel.hpp"
 
 namespace d2dhb::runner {
 
@@ -32,11 +32,12 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& spec);
 /// parse_seed_list) when set, otherwise `fallback`.
 std::vector<std::uint64_t> seeds_from_env(std::vector<std::uint64_t> fallback);
 
-/// Runs job(0) ... job(count-1) on up to `threads` worker threads
-/// (0 = default_thread_count()) and returns the results in index order.
-/// If any job throws, the exception with the lowest index is rethrown
-/// after all workers have stopped; no further jobs are started once a
-/// failure is seen.
+/// Runs job(0) ... job(count-1) on up to `threads` workers, the
+/// caller's thread included (0 = default_thread_count()), and returns
+/// the results in index order. Jobs are claimed by the shared loop of
+/// common/parallel.hpp: once a job throws no further job starts, and
+/// the exception with the lowest index is rethrown after all workers
+/// have stopped.
 template <typename Fn>
 auto parallel_index_map(std::size_t count, Fn&& job, std::size_t threads = 0)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
@@ -44,38 +45,11 @@ auto parallel_index_map(std::size_t count, Fn&& job, std::size_t threads = 0)
   static_assert(!std::is_void_v<R>,
                 "parallel_index_map jobs must return a value");
   if (threads == 0) threads = default_thread_count();
-  if (count < threads) threads = count == 0 ? 1 : count;
 
   std::vector<std::optional<R>> slots(count);
-  std::vector<std::exception_ptr> errors(count);
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
+  auto fill = [&](std::size_t, std::size_t i) { slots[i].emplace(job(i)); };
+  for_each_claimed(count, std::min(threads, count), fill);
 
-  auto worker = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        slots[i].emplace(job(i));
-      } catch (...) {
-        errors[i] = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  for (std::size_t i = 0; i < count; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
-  }
   std::vector<R> out;
   out.reserve(count);
   for (std::optional<R>& s : slots) out.push_back(std::move(*s));

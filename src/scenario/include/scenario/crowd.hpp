@@ -59,8 +59,8 @@ struct CrowdConfig {
   /// Zero disables re-assessment. Periodic re-scans make discovery the
   /// dominant event class at scale — the scaling benches use this.
   double reassess_interval_s{0.0};
-  /// Worker threads driving the kernels (1 = inline on the caller's
-  /// thread; capped by the world's strip count). The partition itself
+  /// Worker threads driving the kernels (1 = the caller's thread
+  /// alone; capped by the world's strip count). The partition itself
   /// is geometric — one vertical strip per 120 m of area width, each
   /// phone homed to the strip owning its initial position — so this
   /// never changes results; the shard-equivalence gate holds the

@@ -80,16 +80,8 @@ class Scenario {
   const radio::BaseStation& serving_bs(const core::Phone& phone) const {
     return *cells_[cell_of(phone.id())];
   }
-  /// Dense NodeId → phone lookup (nullptr for unknown ids).
-  core::Phone* find_phone(NodeId node) const;
-  /// Dense NodeId → agent lookups via the NodeTable's agent-slot
-  /// column (nullptr for nodes without that role).
-  core::RelayAgent* find_relay(NodeId node) const;
-  core::UeAgent* find_ue(NodeId node) const;
-  core::OriginalAgent* find_original(NodeId node) const;
-
   /// The world's dense node-state layer (positions, serving cells,
-  /// roles, battery levels, D2D slots, home shards).
+  /// D2D slots, home shards).
   world::NodeTable& nodes() { return table_; }
   const world::NodeTable& nodes() const { return table_; }
 
@@ -133,9 +125,6 @@ class Scenario {
         std::forward<Args>(args)...);
   }
 
-  /// The arena owning strip `shard`'s agents (construction hook for
-  /// advanced builders; most callers go through add_phone/add_*).
-  Arena& strip_arena(std::uint32_t shard) { return *arenas_.at(shard); }
   /// Arena footprint summed over every strip.
   Arena::Stats arena_stats() const;
   Arena::Mode agent_memory() const { return agent_memory_; }
@@ -153,9 +142,8 @@ class Scenario {
   void register_session(const core::Phone& phone, Duration tolerance,
                         AppId app = AppId::invalid());
 
-  /// Dense agent stores: row = the NodeTable's agent-slot column value.
-  /// The objects themselves live in the strip arenas; these vectors are
-  /// the index.
+  /// Dense agent stores, in creation order. The objects themselves live
+  /// in the strip arenas; these vectors are the index.
   std::vector<core::Phone*>& phones() { return phones_; }
   std::vector<core::RelayAgent*>& relays() { return relays_; }
   std::vector<core::UeAgent*>& ues() { return ues_; }
@@ -177,10 +165,6 @@ class Scenario {
   std::vector<std::unique_ptr<radio::BaseStation>> cells_;
   /// Cell-site world index for nearest-cell attach.
   mobility::PointGrid site_grid_;
-  /// NodeId → phone, dense (nullptr marks ids that never went through
-  /// add_phone). Core-typed, so it stays here rather than in the
-  /// world-layer NodeTable.
-  std::vector<core::Phone*> phone_by_id_;
   std::uint64_t table_auditor_token_{0};
   core::IncentiveLedger ledger_;
   IdGenerator<NodeId> node_ids_;

@@ -70,37 +70,6 @@ std::size_t Scenario::cell_of(NodeId node) const {
   return table_.cell_of(node);
 }
 
-core::Phone* Scenario::find_phone(NodeId node) const {
-  if (node.value >= phone_by_id_.size()) return nullptr;
-  return phone_by_id_[node.value];
-}
-
-core::RelayAgent* Scenario::find_relay(NodeId node) const {
-  if (!table_.contains(node) ||
-      table_.role_of(node) != world::NodeRole::relay) {
-    return nullptr;
-  }
-  const std::uint32_t slot = table_.agent_slot(node);
-  return slot == world::kNoAgentSlot ? nullptr : relays_[slot];
-}
-
-core::UeAgent* Scenario::find_ue(NodeId node) const {
-  if (!table_.contains(node) || table_.role_of(node) != world::NodeRole::ue) {
-    return nullptr;
-  }
-  const std::uint32_t slot = table_.agent_slot(node);
-  return slot == world::kNoAgentSlot ? nullptr : ues_[slot];
-}
-
-core::OriginalAgent* Scenario::find_original(NodeId node) const {
-  if (!table_.contains(node) ||
-      table_.role_of(node) != world::NodeRole::original) {
-    return nullptr;
-  }
-  const std::uint32_t slot = table_.agent_slot(node);
-  return slot == world::kNoAgentSlot ? nullptr : originals_[slot];
-}
-
 Arena::Stats Scenario::arena_stats() const {
   Arena::Stats total;
   for (const auto& arena : arenas_) {
@@ -155,9 +124,6 @@ core::Phone& Scenario::add_phone(core::PhoneConfig config) {
   table_.add(id, model);
   table_.set_cell(id, static_cast<std::uint32_t>(best));
   table_.set_shard(id, shard);
-  if (id.value >= phone_by_id_.size()) {
-    phone_by_id_.resize(id.value + 1, nullptr);
-  }
   core::Phone* phone = nullptr;
   {
     // Home the phone's timers (RRC, link monitor, agent beats) on its
@@ -168,16 +134,12 @@ core::Phone& Scenario::add_phone(core::PhoneConfig config) {
                                        rng_.fork());
   }
   phones_.push_back(phone);
-  phone_by_id_[id.value] = phone;
   return *phone;
 }
 
 core::RelayAgent& Scenario::add_relay(core::Phone& phone,
                                       core::RelayAgent::Params params) {
   const std::uint32_t shard = table_.shard_of(phone.id());
-  table_.set_role(phone.id(), world::NodeRole::relay);
-  table_.set_agent_slot(phone.id(),
-                        static_cast<std::uint32_t>(relays_.size()));
   Arena& arena = *arenas_[shard];
   sim::ShardGuard guard(sim_, shard);
   relays_.push_back(&arena.create<core::RelayAgent>(
@@ -189,8 +151,6 @@ core::RelayAgent& Scenario::add_relay(core::Phone& phone,
 core::UeAgent& Scenario::add_ue(core::Phone& phone,
                                 core::UeAgent::Params params) {
   const std::uint32_t shard = table_.shard_of(phone.id());
-  table_.set_role(phone.id(), world::NodeRole::ue);
-  table_.set_agent_slot(phone.id(), static_cast<std::uint32_t>(ues_.size()));
   Arena& arena = *arenas_[shard];
   sim::ShardGuard guard(sim_, shard);
   ues_.push_back(&arena.create<core::UeAgent>(
@@ -202,9 +162,6 @@ core::UeAgent& Scenario::add_ue(core::Phone& phone,
 core::OriginalAgent& Scenario::add_original(core::Phone& phone,
                                             apps::AppProfile app) {
   const std::uint32_t shard = table_.shard_of(phone.id());
-  table_.set_role(phone.id(), world::NodeRole::original);
-  table_.set_agent_slot(phone.id(),
-                        static_cast<std::uint32_t>(originals_.size()));
   Arena& arena = *arenas_[shard];
   sim::ShardGuard guard(sim_, shard);
   originals_.push_back(&arena.create<core::OriginalAgent>(

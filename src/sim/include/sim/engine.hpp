@@ -6,13 +6,15 @@
 //
 // Kernels are independent (sim/simulator.hpp): no event ever schedules
 // onto another kernel, so each kernel runs straight through to `until`
-// on its own. With one worker the kernels run one after another inline
-// on the caller's thread; with `workers = min(threads, kernel count)`
-// plain threads each own the kernels `k % workers == w` and the caller
-// joins them. Either way each kernel executes its own events in
-// (when, seq) order — the order the global merge (Simulator::step)
-// would give them — so every result is byte-identical for any thread
-// count.
+// on its own, and which worker runs a kernel cannot change a result.
+// A round runs on `workers = min(threads, kernel count)` workers, the
+// caller's thread among them: each worker claims the next unrun kernel
+// from one shared counter (common/parallel.hpp) until none is left, and
+// the caller joins the rest. With one worker no thread starts and the
+// caller runs the kernels in order. Either way each kernel executes its
+// own events in (when, seq) order — the order the global merge
+// (Simulator::step) would give them — so every result is byte-identical
+// for any thread count.
 //
 // Rounds: a run is one round — every kernel advanced to the target,
 // then joined — unless audits are armed (RunOptions::audit or a
@@ -34,12 +36,12 @@ namespace d2dhb::sim {
 /// Simulated span of one audited round (see above).
 inline constexpr Duration kAuditRound = seconds(1);
 
-/// Execution knobs for sim::run(). Defaults run every kernel inline on
-/// the caller's thread.
+/// Execution knobs for sim::run(). Defaults run every kernel on the
+/// caller's thread.
 struct RunOptions {
-  /// Worker threads. 1 (the default) runs the kernels inline; the
-  /// effective pool size is min(threads, kernel count). Never changes
-  /// results (the byte-identical contract).
+  /// Worker threads, the caller's included. 1 (the default) starts no
+  /// thread; the effective pool size is min(threads, kernel count).
+  /// Never changes results (the byte-identical contract).
   std::size_t threads{1};
   /// Advance in audited rounds even when the simulator's periodic
   /// audit interval is off.
@@ -62,7 +64,7 @@ struct RunOptions {
 struct RunStats {
   /// Rounds run by this call (1 unless audits were armed).
   std::uint64_t windows{0};
-  /// Worker threads actually used (1 = inline on the caller's thread).
+  /// Worker threads actually used (1 = the caller's thread alone).
   std::size_t workers{1};
   /// Cross-kernel traffic: always 0, 0, INT64_MAX and all-zero per
   /// shard, because no event crosses kernels. Kept only for the repo
@@ -86,9 +88,10 @@ struct RunStats {
 
 /// Runs `sim` to `until` (events at exactly `until` included) under
 /// `options`, leaving the world clock and every kernel clock at
-/// `until`. Rethrows the first exception a kernel raised (by kernel
-/// order within a worker, lowest worker first) after every worker has
-/// stopped.
+/// `until`. When kernels throw, the workers stop claiming kernels, and
+/// the exception of the lowest-numbered kernel that threw is rethrown
+/// after every worker has stopped — the same kernel for any thread
+/// count.
 RunStats run(Simulator& sim, TimePoint until, const RunOptions& options = {});
 
 }  // namespace d2dhb::sim

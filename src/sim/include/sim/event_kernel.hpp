@@ -83,9 +83,6 @@ class EventKernel {
   /// clock between this kernel's events; it never runs ahead of it.
   TimePoint now() const { return now_; }
 
-  /// Monotone counter bumped whenever this kernel's time advances.
-  std::uint64_t time_epoch() const { return time_epoch_; }
-
   /// Schedules `fn` at absolute time `t` (must be >= now()).
   EventId schedule_at(TimePoint t, Callback fn);
 
@@ -177,7 +174,6 @@ class EventKernel {
 
   std::uint32_t shard_;
   TimePoint now_{};
-  std::uint64_t time_epoch_{0};
   std::uint64_t next_seq_{0};  ///< Next draw of this kernel's lane.
   std::uint64_t seq_stride_{1};  ///< Lane stride (1 = every number).
   std::uint64_t executed_{0};

@@ -85,8 +85,9 @@ class Profiler {
   /// thread. Re-arming discards the previous run's spans.
   void begin_run(std::size_t workers, std::size_t shards);
 
-  /// Buffer for pool worker `worker` (0..workers-1); index `workers`
-  /// is the main/driver thread. Null until begin_run.
+  /// Buffer for worker `worker` (0..workers-1; worker 0 is the
+  /// caller's thread running kernels); index `workers` holds the
+  /// caller's round spans. Null until begin_run.
   SpanBuffer* buffer(std::size_t worker);
   SpanBuffer* main_buffer() { return buffer(workers_); }
 

@@ -1,8 +1,8 @@
 // World context for the discrete-event core.
 //
 // The slot/generation/heap machinery lives in sim::EventKernel; the
-// Simulator is the world wrapped around it — the world clock and time
-// epoch, the unified metrics registry, the invariant-audit harness, and
+// Simulator is the world wrapped around it — the world clock, the
+// unified metrics registry, the invariant-audit harness, and
 // the set of event kernels, one per world strip.
 //
 // Kernels are independent: no event executing on one kernel ever
@@ -18,7 +18,7 @@
 // merge as the reference order the oracle tests compare against.
 //
 // Thread-awareness: while a thread executes a kernel (run_shard_until),
-// a thread-local execution context routes now(), time_epoch(),
+// a thread-local execution context routes now(),
 // current_shard() and schedule_* to that kernel, so substrate code is
 // oblivious to which thread runs it. Outside any execution context the
 // world-level members answer.
@@ -72,21 +72,6 @@ class Simulator {
       return kernels_[detail::exec_context.shard]->now();
     }
     return now_;
-  }
-
-  /// Monotone counter bumped whenever simulated time advances — the
-  /// refresh key for time-lazy caches (the mobility::SpatialGrid world
-  /// index re-bins moving nodes at most once per epoch, so every
-  /// proximity query within one event instant shares a single refresh).
-  /// While a kernel runs this is that kernel's epoch; epochs only key
-  /// caches together with the query time, so kernel-local and
-  /// world-level epochs are interchangeable (time equality is what
-  /// makes a cache hit valid).
-  std::uint64_t time_epoch() const {
-    if (in_exec_context()) {
-      return kernels_[detail::exec_context.shard]->time_epoch();
-    }
-    return time_epoch_;
   }
 
   /// The world's unified metrics registry. Every substrate constructed
@@ -227,7 +212,6 @@ class Simulator {
 
   std::unique_ptr<metrics::MetricsRegistry> metrics_;
   TimePoint now_{};
-  std::uint64_t time_epoch_{0};
   std::uint32_t current_shard_{0};
   std::vector<std::unique_ptr<EventKernel>> kernels_;
   std::uint64_t audit_interval_{0};

@@ -1,65 +1,45 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/memory.hpp"
+#include "common/parallel.hpp"
 #include "common/trace_span.hpp"
 
 namespace d2dhb::sim {
 
 namespace {
 
-/// Runs worker `worker`'s kernels (k % workers == worker) through
-/// `target`, one execute span per kernel.
-void run_owned(Simulator& sim, std::size_t worker, std::size_t workers,
-               TimePoint target, SpanBuffer* spans) {
-  for (std::size_t k = worker; k < sim.shard_count(); k += workers) {
-    const auto shard = static_cast<std::uint32_t>(k);
-    ScopedSpan span(spans, SpanKind::execute, shard);
-    const std::uint64_t before = sim.kernel(shard).executed_events();
-    sim.run_shard_until(shard, target);
-    span.set_payload(sim.kernel(shard).executed_events() - before);
-  }
-}
-
-/// One round: every kernel advanced through `target`. One worker runs
-/// them inline on the caller's thread; more get one plain thread each,
-/// joined before this returns. The join is the round's only barrier:
-/// each worker's idle stretch from finishing its kernels to the join
-/// is recorded as its barrier_wait span (written after the join, which
-/// publishes every worker's buffer to this thread).
+/// One round: every kernel advanced through `target`, each claimed by
+/// the next free worker (common/parallel.hpp) and run under its execute
+/// span. The join is the round's only barrier: each worker's idle
+/// stretch from finishing its last kernel to the join is recorded as
+/// its barrier_wait span (written after the join, which publishes
+/// every worker's buffer to this thread). A 1-worker round has no
+/// barrier and records none.
 void run_round(Simulator& sim, TimePoint target, std::size_t workers,
                Profiler* profiler, std::uint64_t round) {
   auto spans_of = [profiler](std::size_t worker) {
     return profiler == nullptr ? nullptr : profiler->buffer(worker);
   };
-  if (workers == 1) {
-    run_owned(sim, 0, 1, target, spans_of(0));
-    return;
-  }
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::uint64_t> finished_ns(workers, 0);
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        try {
-          run_owned(sim, w, workers, target, spans_of(w));
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-        if (profiler != nullptr) finished_ns[w] = trace_now_ns();
-      });
-    }
-  }  // std::jthread joins here.
-  if (profiler != nullptr) {
+  // A worker that claims no kernel waits from the round's start.
+  std::vector<std::uint64_t> finished_ns;
+  if (profiler != nullptr) finished_ns.assign(workers, trace_now_ns());
+  auto run_kernel = [&](std::size_t worker, std::size_t k) {
+    const auto shard = static_cast<std::uint32_t>(k);
+    ScopedSpan span(spans_of(worker), SpanKind::execute, shard);
+    const std::uint64_t before = sim.kernel(shard).executed_events();
+    sim.run_shard_until(shard, target);
+    span.set_payload(sim.kernel(shard).executed_events() - before);
+    span.close();
+    if (profiler != nullptr) finished_ns[worker] = trace_now_ns();
+  };
+  for_each_claimed(sim.shard_count(), workers, run_kernel);
+  if (profiler != nullptr && workers > 1) {
     const std::uint64_t joined_ns = trace_now_ns();
     for (std::size_t w = 0; w < workers; ++w) {
       SpanRecord wait;
@@ -69,9 +49,6 @@ void run_round(Simulator& sim, TimePoint target, std::size_t workers,
       wait.payload = round;
       spans_of(w)->push(wait);
     }
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
   }
 }
 

@@ -144,10 +144,7 @@ bool EventKernel::step() {
     s.armed = false;
     retire(top.slot);
     assert(top.when >= now_);
-    if (top.when != now_) {
-      now_ = top.when;
-      ++time_epoch_;
-    }
+    now_ = top.when;
     ++executed_;
     --live_;
     executing_seq_ = top.seq;
@@ -179,10 +176,7 @@ void EventKernel::advance_to(TimePoint t) {
   if (t < now_) {
     throw std::invalid_argument("EventKernel::advance_to: time in the past");
   }
-  if (t > now_) {
-    now_ = t;
-    ++time_epoch_;
-  }
+  now_ = t;
 }
 
 void EventKernel::debug_corrupt_slot_generation(std::uint32_t slot) {

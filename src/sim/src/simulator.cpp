@@ -68,10 +68,7 @@ void Simulator::advance_world_to(TimePoint t) {
     throw std::invalid_argument(
         "Simulator::advance_world_to: time in the past");
   }
-  if (t > now_) {
-    now_ = t;
-    ++time_epoch_;
-  }
+  now_ = t;
 }
 
 EventId Simulator::schedule_at(TimePoint t, Callback fn) {
@@ -113,10 +110,7 @@ bool Simulator::step(TimePoint limit) {
     }
   }
   if (best == kernels_.size() || best_head.when > limit) return false;
-  if (best_head.when != now_) {
-    now_ = best_head.when;
-    ++time_epoch_;
-  }
+  now_ = best_head.when;
   current_shard_ = static_cast<std::uint32_t>(best);
   kernels_[best]->step();
   maybe_audit();

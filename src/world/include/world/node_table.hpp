@@ -11,10 +11,8 @@
 // scattered maps, and cross-substrate consistency is auditable in one
 // place.
 //
-// Columns: mobility model (position source), serving cell, role,
-// battery level (the operator-selection eligibility input), the D2D
-// medium's compact radio slot, and the home shard of the partitioned
-// executor.
+// Columns: mobility model (position source), serving cell, the D2D
+// medium's compact radio slot, and the node's home shard.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +28,6 @@ namespace d2dhb::world {
 inline constexpr std::uint32_t kNoCell = UINT32_MAX;
 /// D2D-slot column value for "no radio on the medium".
 inline constexpr std::uint32_t kNoD2dSlot = UINT32_MAX;
-/// Agent-slot column value for "no agent attached to this node".
-inline constexpr std::uint32_t kNoAgentSlot = UINT32_MAX;
-
-enum class NodeRole : std::uint8_t {
-  none,      ///< Registered but no agent yet.
-  ue,        ///< Heartbeats via a relay (D2D system).
-  relay,     ///< Forwards others' heartbeats (D2D system).
-  original,  ///< Per-phone cellular heartbeats (the paper's baseline).
-};
 
 class NodeTable {
  public:
@@ -51,9 +40,6 @@ class NodeTable {
   /// the other columns. `mobility` must outlive the table (scenarios
   /// own the models; the table only reads positions).
   void add(NodeId id, const mobility::MobilityModel* mobility);
-
-  /// Forgets a node entirely (all columns back to defaults).
-  void remove(NodeId id);
 
   bool contains(NodeId id) const {
     return id.value < mobility_.size() && mobility_[id.value] != nullptr;
@@ -73,14 +59,6 @@ class NodeTable {
   std::uint32_t cell_of(NodeId id) const { return cell_[check_row(id)]; }
   void set_cell(NodeId id, std::uint32_t cell) { cell_[check_row(id)] = cell; }
 
-  NodeRole role_of(NodeId id) const { return role_[check_row(id)]; }
-  void set_role(NodeId id, NodeRole role) { role_[check_row(id)] = role; }
-
-  /// Remaining battery fraction in [0, 1] — the relay-eligibility input
-  /// of operator selection (low-battery phones are not drafted).
-  double battery_of(NodeId id) const { return battery_[check_row(id)]; }
-  void set_battery(NodeId id, double level);
-
   /// Index into the D2D medium's compact radio array (kNoD2dSlot when
   /// the node has no radio attached). Owned by WifiDirectMedium.
   std::uint32_t d2d_slot(NodeId id) const { return d2d_slot_[check_row(id)]; }
@@ -94,26 +72,14 @@ class NodeTable {
     shard_[check_row(id)] = shard;
   }
 
-  /// Index into the scenario's dense per-role agent store (the row of
-  /// this node's UeAgent/RelayAgent/OriginalAgent; kNoAgentSlot for
-  /// nodes without an agent). Owned by the Scenario, which assigns the
-  /// slot together with the role.
-  std::uint32_t agent_slot(NodeId id) const {
-    return agent_slot_[check_row(id)];
-  }
-  void set_agent_slot(NodeId id, std::uint32_t slot) {
-    agent_slot_[check_row(id)] = slot;
-  }
-
   /// Registered ids in ascending order (freshly built; for iteration-
   /// order-sensitive callers like relay selection).
   std::vector<NodeId> ids() const;
 
   /// Invariant audit (the D2DHB_AUDIT layer): row 0 unused, registered
   /// count matches the mobility column, unregistered rows hold default
-  /// column values, battery levels in [0, 1], no two nodes share a
-  /// D2D slot, and agent slots only attach to rows that hold a role.
-  /// Throws std::logic_error naming the offending row.
+  /// column values, and no two nodes share a D2D slot. Throws
+  /// std::logic_error naming the offending row.
   void audit() const;
 
  private:
@@ -124,11 +90,8 @@ class NodeTable {
   // grow together in add(); nullptr mobility marks an unregistered row.
   std::vector<const mobility::MobilityModel*> mobility_;
   std::vector<std::uint32_t> cell_;
-  std::vector<NodeRole> role_;
-  std::vector<double> battery_;
   std::vector<std::uint32_t> d2d_slot_;
   std::vector<std::uint32_t> shard_;
-  std::vector<std::uint32_t> agent_slot_;
   std::size_t registered_{0};
 };
 

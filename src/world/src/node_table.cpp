@@ -17,33 +17,11 @@ void NodeTable::add(NodeId id, const mobility::MobilityModel* mobility) {
     const std::size_t rows = id.value + 1;
     mobility_.resize(rows, nullptr);
     cell_.resize(rows, kNoCell);
-    role_.resize(rows, NodeRole::none);
-    battery_.resize(rows, 1.0);
     d2d_slot_.resize(rows, kNoD2dSlot);
     shard_.resize(rows, 0);
-    agent_slot_.resize(rows, kNoAgentSlot);
   }
   if (mobility_[id.value] == nullptr) ++registered_;
   mobility_[id.value] = mobility;
-}
-
-void NodeTable::remove(NodeId id) {
-  if (!contains(id)) return;
-  mobility_[id.value] = nullptr;
-  cell_[id.value] = kNoCell;
-  role_[id.value] = NodeRole::none;
-  battery_[id.value] = 1.0;
-  d2d_slot_[id.value] = kNoD2dSlot;
-  shard_[id.value] = 0;
-  agent_slot_[id.value] = kNoAgentSlot;
-  --registered_;
-}
-
-void NodeTable::set_battery(NodeId id, double level) {
-  if (level < 0.0 || level > 1.0) {
-    throw std::invalid_argument("NodeTable::set_battery: level outside [0, 1]");
-  }
-  battery_[check_row(id)] = level;
 }
 
 const mobility::MobilityModel* NodeTable::checked(NodeId id) const {
@@ -78,9 +56,8 @@ namespace {
 
 void NodeTable::audit() const {
   const std::size_t rows = mobility_.size();
-  if (cell_.size() != rows || role_.size() != rows ||
-      battery_.size() != rows || d2d_slot_.size() != rows ||
-      shard_.size() != rows || agent_slot_.size() != rows) {
+  if (cell_.size() != rows || d2d_slot_.size() != rows ||
+      shard_.size() != rows) {
     audit_fail("column lengths diverged");
   }
   if (rows > 0 && mobility_[0] != nullptr) {
@@ -91,20 +68,10 @@ void NodeTable::audit() const {
   for (std::size_t row = 0; row < rows; ++row) {
     if (mobility_[row] != nullptr) {
       ++registered;
-      if (battery_[row] < 0.0 || battery_[row] > 1.0) {
-        audit_fail("row " + std::to_string(row) +
-                   " battery level outside [0, 1]");
-      }
       if (d2d_slot_[row] != kNoD2dSlot) slots.push_back(d2d_slot_[row]);
-      if (agent_slot_[row] != kNoAgentSlot &&
-          role_[row] == NodeRole::none) {
-        audit_fail("row " + std::to_string(row) +
-                   " holds an agent slot but no role");
-      }
     } else {
-      if (cell_[row] != kNoCell || role_[row] != NodeRole::none ||
-          battery_[row] != 1.0 || d2d_slot_[row] != kNoD2dSlot ||
-          shard_[row] != 0 || agent_slot_[row] != kNoAgentSlot) {
+      if (cell_[row] != kNoCell || d2d_slot_[row] != kNoD2dSlot ||
+          shard_[row] != 0) {
         audit_fail("unregistered row " + std::to_string(row) +
                    " holds non-default column values");
       }

@@ -240,17 +240,15 @@ TEST(SpatialGrid, MatchesBruteForceOnStaticAndWaypointLayouts) {
             std::make_unique<RandomWaypoint>(params, start, rng.fork()));
       }
     }
-    std::uint64_t epoch = 0;
     std::vector<SpatialGrid::Neighbor> got;
     // Non-monotonic query times exercise the lazy refresh both ways.
     for (const double t_s : {0.0, 30.0, 30.0, 400.0, 120.0, 3600.0}) {
       const TimePoint t = TimePoint{} + seconds(t_s);
-      ++epoch;
       for (int q = 0; q < 6; ++q) {
         const Vec2 center{rng.uniform(0.0, area), rng.uniform(0.0, area)};
         const Meters radius{rng.uniform(0.0, area / 2)};
         const NodeId exclude{q % 2 == 0 ? 0u : 1u + (q % 18)};
-        world.grid.query_radius(center, radius, t, epoch, got, exclude);
+        world.grid.query_radius(center, radius, t, got, exclude);
         const auto expected = world.brute(center, radius, t, exclude);
         ASSERT_EQ(got.size(), expected.size())
             << "trial " << trial << " t=" << t_s << " q=" << q;
@@ -258,9 +256,8 @@ TEST(SpatialGrid, MatchesBruteForceOnStaticAndWaypointLayouts) {
           EXPECT_EQ(got[i].node, expected[i].node);
           EXPECT_DOUBLE_EQ(got[i].distance.value, expected[i].distance.value);
         }
-        EXPECT_EQ(
-            world.grid.count_within(center, radius, t, epoch, exclude),
-            expected.size());
+        EXPECT_EQ(world.grid.count_within(center, radius, t, exclude),
+                  expected.size());
       }
     }
   }
@@ -274,7 +271,7 @@ TEST(SpatialGrid, ResultsAreSortedByNodeId) {
   world.grid.insert(NodeId{2}, a);
   world.grid.insert(NodeId{5}, b);
   std::vector<SpatialGrid::Neighbor> got;
-  world.grid.query_radius({0.0, 0.0}, Meters{10.0}, TimePoint{}, 0, got);
+  world.grid.query_radius({0.0, 0.0}, Meters{10.0}, TimePoint{}, got);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].node, NodeId{2});
   EXPECT_EQ(got[1].node, NodeId{5});
@@ -292,11 +289,11 @@ TEST(SpatialGrid, RemoveAndReinsert) {
   EXPECT_FALSE(grid.contains(NodeId{1}));
   EXPECT_EQ(grid.size(), 1u);
   std::vector<SpatialGrid::Neighbor> got;
-  grid.query_radius({0.0, 0.0}, Meters{20.0}, TimePoint{}, 0, got);
+  grid.query_radius({0.0, 0.0}, Meters{20.0}, TimePoint{}, got);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].node, NodeId{2});
   grid.insert(NodeId{1}, a);
-  grid.query_radius({0.0, 0.0}, Meters{20.0}, TimePoint{}, 0, got);
+  grid.query_radius({0.0, 0.0}, Meters{20.0}, TimePoint{}, got);
   EXPECT_EQ(got.size(), 2u);
   // Removing an unknown node is a no-op.
   grid.remove(NodeId{42});
@@ -313,15 +310,13 @@ TEST(SpatialGrid, SparseIdsSurviveMiddleAndLastRemoval) {
   LinearMobility last{{20.0, -5.0}, {-0.5, 0.25}};
   const NodeId a{1}, b{70000}, c{5000000};
   std::map<std::uint64_t, const MobilityModel*> live;
-  std::uint64_t epoch = 0;
 
   auto check = [&](const char* step) {
     SCOPED_TRACE(step);
     EXPECT_EQ(grid.size(), live.size());
     for (const double t_s : {0.0, 15.0, 40.0}) {
       const TimePoint t = TimePoint{} + seconds(t_s);
-      ++epoch;
-      EXPECT_NO_THROW(grid.audit(t, epoch));
+      EXPECT_NO_THROW(grid.audit(t));
       for (const NodeId exclude : {NodeId::invalid(), a, b, c}) {
         for (const double r : {5.0, 25.0, 60.0}) {
           const Vec2 center{5.0, 2.0};
@@ -332,13 +327,13 @@ TEST(SpatialGrid, SparseIdsSurviveMiddleAndLastRemoval) {
             if (d.value <= r) expected.push_back({NodeId{id}, d});
           }
           std::vector<SpatialGrid::Neighbor> got;
-          grid.query_radius(center, Meters{r}, t, epoch, got, exclude);
+          grid.query_radius(center, Meters{r}, t, got, exclude);
           ASSERT_EQ(got.size(), expected.size()) << "t=" << t_s << " r=" << r;
           for (std::size_t i = 0; i < got.size(); ++i) {
             EXPECT_EQ(got[i].node, expected[i].node);
             EXPECT_EQ(got[i].distance.value, expected[i].distance.value);
           }
-          EXPECT_EQ(grid.count_within(center, Meters{r}, t, epoch, exclude),
+          EXPECT_EQ(grid.count_within(center, Meters{r}, t, exclude),
                     expected.size());
         }
       }
@@ -378,15 +373,13 @@ TEST(SpatialGrid, MovingNodeCrossesCells) {
   grid.insert(NodeId{1}, walker);
   grid.insert(NodeId{2}, anchor);
   std::vector<SpatialGrid::Neighbor> got;
-  grid.query_radius({0.0, 0.0}, Meters{30.0}, TimePoint{}, 1, got);
+  grid.query_radius({0.0, 0.0}, Meters{30.0}, TimePoint{}, got);
   EXPECT_EQ(got.size(), 2u);
-  grid.query_radius({0.0, 0.0}, Meters{30.0}, TimePoint{} + seconds(60), 2,
-                    got);
+  grid.query_radius({0.0, 0.0}, Meters{30.0}, TimePoint{} + seconds(60), got);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].node, NodeId{2});
   // And it is findable at its new location.
-  grid.query_radius({120.0, 0.0}, Meters{5.0}, TimePoint{} + seconds(60), 2,
-                    got);
+  grid.query_radius({120.0, 0.0}, Meters{5.0}, TimePoint{} + seconds(60), got);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].node, NodeId{1});
 }

@@ -181,10 +181,10 @@ TEST(SpatialGridAudit, HealthyGridPassesAcrossMovementAndRemoval) {
   grid.insert(NodeId{2}, walker);
   for (int tick = 0; tick <= 60; tick += 10) {
     const TimePoint t = TimePoint{} + seconds(tick);
-    EXPECT_NO_THROW(grid.audit(t, static_cast<std::uint64_t>(tick)));
+    EXPECT_NO_THROW(grid.audit(t));
   }
   grid.remove(NodeId{2});
-  EXPECT_NO_THROW(grid.audit(TimePoint{} + seconds(70), 70));
+  EXPECT_NO_THROW(grid.audit(TimePoint{} + seconds(70)));
 }
 
 TEST(SpatialGridAudit, TombstoneSlotTripsTheSlotCount) {
@@ -194,10 +194,10 @@ TEST(SpatialGridAudit, TombstoneSlotTripsTheSlotCount) {
                                   mobility::Vec2{1.5, 0.0});
   grid.insert(NodeId{3}, fixed);
   grid.insert(NodeId{900000}, walker);
-  ASSERT_NO_THROW(grid.audit(TimePoint{}, 1));
+  ASSERT_NO_THROW(grid.audit(TimePoint{}));
   mobility::SpatialGrid::Internal::append_tombstone(grid);
   try {
-    grid.audit(TimePoint{} + seconds(1), 2);
+    grid.audit(TimePoint{} + seconds(1));
     FAIL() << "audit accepted a tombstone slot";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("slot count 3 != size() 2"),

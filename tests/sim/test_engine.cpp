@@ -1,4 +1,4 @@
-// The unified run engine (sim/engine.hpp): inline and threaded runs of
+// The unified run engine (sim/engine.hpp): 1-worker and threaded runs of
 // independent kernels, audited rounds, error propagation, and the
 // byte-identical contract against the global (when, seq) merge order of
 // Simulator::step — on a raw Simulator (no scenario layer — the
@@ -180,6 +180,30 @@ TEST(Engine, WorkerExceptionPropagatesToTheCaller) {
   options.threads = 4;
   EXPECT_THROW(run(sim, TimePoint{} + seconds(1), options),
                std::runtime_error);
+}
+
+// Kernels are claimed in index order, so when kernels 1 and 2 both
+// throw, kernel 1 has always been claimed and run: every thread count
+// rethrows its exception, whichever worker ran it.
+TEST(Engine, LowestThrowingKernelWinsAtEveryThreadCount) {
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    Simulator sim{4};
+    RingWorkload load{sim, 10};
+    for (const std::uint32_t shard : {1u, 2u}) {
+      ShardGuard guard(sim, shard);
+      sim.schedule_at(TimePoint{} + milliseconds(30), [shard] {
+        throw std::runtime_error("kernel " + std::to_string(shard));
+      });
+    }
+    RunOptions options;
+    options.threads = threads;
+    try {
+      run(sim, TimePoint{} + seconds(1), options);
+      ADD_FAILURE() << "expected runtime_error at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "kernel 1") << threads << " threads";
+    }
+  }
 }
 
 TEST(Engine, RejectsBadArguments) {

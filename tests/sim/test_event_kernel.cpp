@@ -121,10 +121,8 @@ TEST(EventKernel, RunUntilAdvancesIdleClock) {
   kernel.run_until(TimePoint{} + seconds(10));
   EXPECT_TRUE(ran);
   EXPECT_EQ(kernel.now(), TimePoint{} + seconds(10));
-  const std::uint64_t epoch = kernel.time_epoch();
   kernel.advance_to(TimePoint{} + seconds(20));
   EXPECT_EQ(kernel.now(), TimePoint{} + seconds(20));
-  EXPECT_GT(kernel.time_epoch(), epoch);
   EXPECT_THROW(kernel.advance_to(TimePoint{} + seconds(5)),
                std::invalid_argument);
 }

@@ -27,11 +27,8 @@ TEST(NodeTable, RegistersWithDefaultColumns) {
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.position_of(NodeId{5}, TimePoint{}).x, 3.0);
   EXPECT_EQ(table.cell_of(NodeId{5}), kNoCell);
-  EXPECT_EQ(table.role_of(NodeId{5}), NodeRole::none);
-  EXPECT_EQ(table.battery_of(NodeId{5}), 1.0);
   EXPECT_EQ(table.d2d_slot(NodeId{5}), kNoD2dSlot);
   EXPECT_EQ(table.shard_of(NodeId{5}), 0u);
-  EXPECT_EQ(table.agent_slot(NodeId{5}), kNoAgentSlot);
   table.audit();
 }
 
@@ -40,37 +37,25 @@ TEST(NodeTable, ColumnsRoundTrip) {
   mobility::StaticMobility still{{0.0, 0.0}};
   table.add(NodeId{1}, &still);
   table.set_cell(NodeId{1}, 3);
-  table.set_role(NodeId{1}, NodeRole::relay);
-  table.set_battery(NodeId{1}, 0.25);
   table.set_d2d_slot(NodeId{1}, 0);
   table.set_shard(NodeId{1}, 2);
-  table.set_agent_slot(NodeId{1}, 0);
   EXPECT_EQ(table.cell_of(NodeId{1}), 3u);
-  EXPECT_EQ(table.role_of(NodeId{1}), NodeRole::relay);
-  EXPECT_EQ(table.battery_of(NodeId{1}), 0.25);
   EXPECT_EQ(table.d2d_slot(NodeId{1}), 0u);
   EXPECT_EQ(table.shard_of(NodeId{1}), 2u);
-  EXPECT_EQ(table.agent_slot(NodeId{1}), 0u);
   table.audit();
 }
 
-TEST(NodeTable, ReAddKeepsColumnsRemoveResetsThem) {
+TEST(NodeTable, ReAddKeepsColumns) {
   NodeTable table;
   mobility::StaticMobility a{{0.0, 0.0}};
   mobility::StaticMobility b{{9.0, 9.0}};
   table.add(NodeId{2}, &a);
-  table.set_role(NodeId{2}, NodeRole::ue);
+  table.set_cell(NodeId{2}, 4);
   // Re-registering swaps the position source but keeps accrued state.
   table.add(NodeId{2}, &b);
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.position_of(NodeId{2}, TimePoint{}).x, 9.0);
-  EXPECT_EQ(table.role_of(NodeId{2}), NodeRole::ue);
-  // Removing forgets everything.
-  table.remove(NodeId{2});
-  EXPECT_FALSE(table.contains(NodeId{2}));
-  EXPECT_EQ(table.size(), 0u);
-  table.add(NodeId{2}, &a);
-  EXPECT_EQ(table.role_of(NodeId{2}), NodeRole::none);
+  EXPECT_EQ(table.cell_of(NodeId{2}), 4u);
   table.audit();
 }
 
@@ -95,30 +80,6 @@ TEST(NodeTable, RejectsInvalidAccess) {
   table.add(NodeId{1}, &still);
   EXPECT_THROW(table.cell_of(NodeId{9}), std::out_of_range);
   EXPECT_THROW((void)table.mobility_of(NodeId{9}), std::out_of_range);
-  EXPECT_THROW(table.set_battery(NodeId{1}, 1.5), std::invalid_argument);
-  EXPECT_THROW(table.set_battery(NodeId{1}, -0.1), std::invalid_argument);
-}
-
-TEST(NodeTable, AuditRejectsAgentSlotWithoutRole) {
-  NodeTable table;
-  mobility::StaticMobility still{{0.0, 0.0}};
-  table.add(NodeId{1}, &still);
-  table.set_agent_slot(NodeId{1}, 0);
-  EXPECT_THROW(table.audit(), std::logic_error);
-  table.set_role(NodeId{1}, NodeRole::ue);
-  table.audit();
-}
-
-TEST(NodeTable, RemoveResetsAgentSlot) {
-  NodeTable table;
-  mobility::StaticMobility still{{0.0, 0.0}};
-  table.add(NodeId{3}, &still);
-  table.set_role(NodeId{3}, NodeRole::relay);
-  table.set_agent_slot(NodeId{3}, 7);
-  table.remove(NodeId{3});
-  table.add(NodeId{3}, &still);
-  EXPECT_EQ(table.agent_slot(NodeId{3}), kNoAgentSlot);
-  table.audit();
 }
 
 TEST(NodeTable, AuditRejectsDuplicateD2dSlots) {
