@@ -22,7 +22,6 @@
 // trace_report / Perfetto.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -87,8 +86,14 @@ CityArm run_arm(const CityConfig& config) {
 ///    one world and not the other, and the two worlds take turns, so
 ///    a faster world speeds up both arms alike; which world runs first
 ///    alternates every two slices, so host drift does too;
-///  * a pair's ratio is the geometric mean of its slices' on/off time
-///    ratios, in which a world's layout factor cancels exactly;
+///  * a pair's ratio is its summed on time over its summed off time,
+///    so each slice counts by its wall time. A 300 s city does most of
+///    its work in the first slice (the association burst); an
+///    unweighted mean of slice ratios let the short, noisy later
+///    slices count as much as that one. The two worlds' layout factor
+///    does not cancel within a pair, so the world profiled in the
+///    first slice alternates from pair to pair: the factor favours
+///    each arm in half the pairs, and the median absorbs it;
 ///  * the duration doubles until one whole run takes at least
 ///    kMinOverheadRunS, so each world of a pair runs that long;
 ///  * the gate reads the median of the pairs' ratios, so one disturbed
@@ -142,12 +147,11 @@ OverheadPairs run_overhead_pairs(const CityConfig& base, std::size_t phones,
                                                 build_city(config)};
     double off_s = 0.0;
     double on_s = 0.0;
-    double log_ratio = 0.0;
     for (int k = 0; k < kSlices; ++k) {
       const TimePoint until =
           TimePoint{} + seconds(config.duration_s * (k + 1) / kSlices);
-      Scenario& profiled = *worlds[k % 2];
-      Scenario& plain = *worlds[1 - k % 2];
+      Scenario& profiled = *worlds[(i + k) % 2];
+      Scenario& plain = *worlds[1 - (i + k) % 2];
       double on_k = 0.0;
       double off_k = 0.0;
       if ((k / 2) % 2 == 0) {
@@ -159,11 +163,10 @@ OverheadPairs run_overhead_pairs(const CityConfig& base, std::size_t phones,
       }
       on_s += on_k;
       off_s += off_k;
-      log_ratio += std::log(on_k / off_k);
     }
     offs.push_back(off_s);
     ons.push_back(on_s);
-    ratios.push_back(std::exp(log_ratio / kSlices));
+    ratios.push_back(on_s / off_s);
   }
   result.run_s_off = median(offs);
   result.run_s_on = median(ons);

@@ -47,7 +47,7 @@ int main() {
 
   std::cout << "\nOriginal system — one heartbeat, one full RRC cycle ("
             << world.bs().signaling().total() << " L3 messages):\n";
-  radio::print_capture(std::cout, world.bs().signaling());
+  radio::print_capture(std::cout, world.bs().signaling().records());
 
   // The relay's aggregate: 3 heartbeats, one cycle, one extra
   // radio-bearer reconfiguration for the larger payload.
@@ -63,7 +63,7 @@ int main() {
   std::cout << "\nD2D framework — relay aggregate of 3 heartbeats, still "
                "one cycle ("
             << world.bs().signaling().total() << " L3 messages):\n";
-  radio::print_capture(std::cout, world.bs().signaling());
+  radio::print_capture(std::cout, world.bs().signaling().records());
 
   std::cout << "\nThree heartbeats now cost "
             << world.bs().signaling().total()

@@ -3,8 +3,7 @@
 // "medium" arm in the crowd_scale shape. Results are byte-identical by
 // construction (the shard-equivalence gate holds the executor to
 // that); what varies is the wall clock, and how the work spreads over
-// the kernels. Writes BENCH_shard_scaling.json like perf_kernel writes
-// its kernel report.
+// the kernels. Writes BENCH_shard_scaling.json.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>

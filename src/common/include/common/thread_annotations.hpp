@@ -1,11 +1,11 @@
 // Clang thread-safety annotations + the annotated mutex primitives.
 //
-// PR 6 made the million-phone runs multi-threaded, and their
-// correctness rests on locking conventions: every field a worker
-// thread may touch concurrently is either laned per strip, a relaxed
-// atomic, or guarded by a named mutex. Conventions rot; annotations
-// don't. This header turns the conventions into declarations the
-// compiler checks: every guarded field says which lock protects it
+// Worker threads run strip kernels concurrently, and that rests on one
+// convention: every field a worker may touch is laned per strip, a
+// relaxed atomic, or guarded by a named mutex. The only mutexes left
+// are the metrics registry's and for_each_claimed's first-failure slot.
+// These macros turn their locking into declarations the compiler
+// checks: every guarded field says which lock protects it
 // (D2DHB_GUARDED_BY), every method that assumes a lock says so
 // (D2DHB_REQUIRES), and the dedicated CI leg compiles the whole tree
 // with `-Wthread-safety -Wthread-safety-beta` promoted to errors.
@@ -18,24 +18,19 @@
 // lockables whose operations carry capability attributes, and
 // libstdc++'s std::mutex has none. d2dhb::Mutex is a zero-overhead
 // annotated shell around std::mutex; d2dhb::MutexLock is the
-// lock_guard/unique_lock replacement (scoped acquire, optional manual
-// unlock/relock so it works with std::condition_variable_any).
+// lock_guard replacement.
 //
 // Annotation cheat sheet:
 //   D2DHB_CAPABILITY("mutex")      class is a lockable capability
 //   D2DHB_SCOPED_CAPABILITY        RAII object acquiring in ctor
 //   D2DHB_GUARDED_BY(mu)           field needs mu held to touch
-//   D2DHB_PT_GUARDED_BY(mu)        pointee needs mu held to touch
 //   D2DHB_REQUIRES(mu)             caller must already hold mu
 //   D2DHB_ACQUIRE(mu) / D2DHB_RELEASE(mu)  function takes / drops mu
-//   D2DHB_TRY_ACQUIRE(ok, mu)      conditional acquire (returns `ok`)
 //   D2DHB_EXCLUDES(mu)             caller must NOT hold mu (deadlock
 //                                  guard for self-locking methods)
-//   D2DHB_RETURN_CAPABILITY(mu)    accessor returning the lock itself
 //
-// D2DHB_NO_THREAD_SAFETY_ANALYSIS exists for completeness but is
-// banned in annotated substrates — the CI leg's contract is zero
-// suppressions; restructure the code instead (see DESIGN.md §14).
+// The CI leg's contract is zero suppressions: restructure the code
+// instead of silencing the analysis (see DESIGN.md §14).
 #pragma once
 
 #include <mutex>
@@ -49,19 +44,13 @@
 #define D2DHB_CAPABILITY(x) D2DHB_THREAD_ANNOTATION(capability(x))
 #define D2DHB_SCOPED_CAPABILITY D2DHB_THREAD_ANNOTATION(scoped_lockable)
 #define D2DHB_GUARDED_BY(x) D2DHB_THREAD_ANNOTATION(guarded_by(x))
-#define D2DHB_PT_GUARDED_BY(x) D2DHB_THREAD_ANNOTATION(pt_guarded_by(x))
 #define D2DHB_ACQUIRE(...) \
   D2DHB_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define D2DHB_RELEASE(...) \
   D2DHB_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define D2DHB_TRY_ACQUIRE(...) \
-  D2DHB_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define D2DHB_REQUIRES(...) \
   D2DHB_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 #define D2DHB_EXCLUDES(...) D2DHB_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-#define D2DHB_RETURN_CAPABILITY(x) D2DHB_THREAD_ANNOTATION(lock_returned(x))
-#define D2DHB_NO_THREAD_SAFETY_ANALYSIS \
-  D2DHB_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace d2dhb {
 
@@ -70,52 +59,25 @@ namespace d2dhb {
 /// layout and cost; never use std::mutex directly in annotated types.
 class D2DHB_CAPABILITY("mutex") Mutex {
  public:
-  Mutex() = default;
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
-
   void lock() D2DHB_ACQUIRE() { mutex_.lock(); }
   void unlock() D2DHB_RELEASE() { mutex_.unlock(); }
-  bool try_lock() D2DHB_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
   std::mutex mutex_;
 };
 
-/// Scoped lock for d2dhb::Mutex — the lock_guard replacement. Also a
-/// BasicLockable (manual unlock()/lock()), which is what
-/// std::condition_variable_any::wait needs: the wait call drops and
-/// reacquires the mutex internally, so from the analysis's point of
-/// view the capability is held across it — exactly the semantics the
-/// annotated waiter code relies on.
+/// Scoped lock for d2dhb::Mutex — the lock_guard replacement.
 class D2DHB_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) D2DHB_ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
-    held_ = true;
   }
-  ~MutexLock() D2DHB_RELEASE() {
-    if (held_) mutex_.unlock();
-  }
+  ~MutexLock() D2DHB_RELEASE() { mutex_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Manual drop before scope exit (error paths that must not hold the
-  /// lock while rethrowing / joining threads).
-  void unlock() D2DHB_RELEASE() {
-    held_ = false;
-    mutex_.unlock();
-  }
-  /// Reacquire after a manual unlock (condition_variable_any does this
-  /// internally; user code rarely needs it).
-  void lock() D2DHB_ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
-  }
-
  private:
   Mutex& mutex_;
-  bool held_{false};
 };
 
 }  // namespace d2dhb

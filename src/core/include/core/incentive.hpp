@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/id.hpp"
-#include "common/thread_annotations.hpp"
 #include "metrics/registry.hpp"
 #include "sim/simulator.hpp"
 
@@ -28,27 +27,25 @@ class IncentiveLedger {
   IncentiveLedger();
   explicit IncentiveLedger(Tariff tariff);
 
-  /// Binds the ledger to the world's executor so concurrent credits land
-  /// in per-kernel subtotals. Without it the ledger runs with a single
-  /// lane — correct for any single-kernel world.
-  void attach(const sim::Simulator& sim) D2DHB_EXCLUDES(mutex_);
+  /// Binds the ledger to the world's executor: one lane per strip.
+  /// Without it the ledger runs with a single lane — correct for any
+  /// single-kernel world.
+  void attach(const sim::Simulator& sim);
 
-  /// Credits `relay` for delivering `heartbeats` forwarded messages.
-  /// Thread-safe; the issued total accumulates per executing kernel and
-  /// is summed in kernel order, so the floating-point result is the same
-  /// for every executor thread count (and matches the classic serial
-  /// accumulation when the world has one kernel).
-  void credit(NodeId relay, std::uint64_t heartbeats)
-      D2DHB_EXCLUDES(mutex_);
+  /// Credits `relay` for delivering `heartbeats` forwarded messages,
+  /// in the executing strip's lane. The issued total is summed in lane
+  /// order, so the floating-point result is the same for every executor
+  /// thread count (and the classic serial sum with one kernel).
+  void credit(NodeId relay, std::uint64_t heartbeats);
 
-  double balance(NodeId relay) const D2DHB_EXCLUDES(mutex_);
-  double redeemable_usd(NodeId relay) const D2DHB_EXCLUDES(mutex_);
-  double redeemable_mb(NodeId relay) const D2DHB_EXCLUDES(mutex_);
+  double balance(NodeId relay) const;
+  double redeemable_usd(NodeId relay) const;
+  double redeemable_mb(NodeId relay) const;
 
   /// Deducts up to `credits`; returns the amount actually redeemed.
-  double redeem(NodeId relay, double credits) D2DHB_EXCLUDES(mutex_);
+  double redeem(NodeId relay, double credits);
 
-  double total_issued() const D2DHB_EXCLUDES(mutex_);
+  double total_issued() const;
   const Tariff& tariff() const { return tariff_; }
 
   /// Exposes the ledger through a registry (the owning Scenario binds it
@@ -56,13 +53,17 @@ class IncentiveLedger {
   void bind_metrics(metrics::MetricsRegistry& registry);
 
  private:
+  /// One strip's share: the balances of the relays homed there and
+  /// the credits issued while its kernel executes, in that kernel's
+  /// event order. Only that strip's kernel writes it.
+  struct Lane {
+    std::map<NodeId, double> balances;
+    double issued{0.0};
+  };
+
   Tariff tariff_;
   const sim::Simulator* sim_{nullptr};
-  mutable Mutex mutex_;
-  std::map<NodeId, double> balances_ D2DHB_GUARDED_BY(mutex_);
-  /// One subtotal per kernel; lane k only ever accumulates credits
-  /// issued while kernel k executes, in that kernel's event order.
-  std::vector<double> issued_lanes_ D2DHB_GUARDED_BY(mutex_){0.0};
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);
 };
 
 }  // namespace d2dhb::core

@@ -9,25 +9,24 @@ IncentiveLedger::IncentiveLedger(Tariff tariff) : tariff_(tariff) {}
 
 void IncentiveLedger::attach(const sim::Simulator& sim) {
   sim_ = &sim;
-  // Setup-time call, but issued_lanes_ is lock-guarded state: take the
-  // mutex anyway so every write path is uniform under the analysis.
-  const MutexLock lock(mutex_);
-  issued_lanes_.assign(sim.shard_count(), 0.0);
+  lanes_.assign(sim.shard_count(), Lane{});
 }
 
 void IncentiveLedger::credit(NodeId relay, std::uint64_t heartbeats) {
   const double credits =
       tariff_.credits_per_heartbeat * static_cast<double>(heartbeats);
-  const std::size_t lane = sim_ == nullptr ? 0 : sim_->current_shard();
-  const MutexLock lock(mutex_);
-  balances_[relay] += credits;
-  issued_lanes_[lane] += credits;
+  Lane& lane = lanes_[sim_ == nullptr ? 0 : sim_->current_shard()];
+  lane.balances[relay] += credits;
+  lane.issued += credits;
 }
 
 double IncentiveLedger::balance(NodeId relay) const {
-  const MutexLock lock(mutex_);
-  const auto it = balances_.find(relay);
-  return it == balances_.end() ? 0.0 : it->second;
+  double balance = 0.0;
+  for (const Lane& lane : lanes_) {
+    const auto it = lane.balances.find(relay);
+    if (it != lane.balances.end()) balance += it->second;
+  }
+  return balance;
 }
 
 double IncentiveLedger::redeemable_usd(NodeId relay) const {
@@ -39,11 +38,10 @@ double IncentiveLedger::redeemable_mb(NodeId relay) const {
 }
 
 double IncentiveLedger::total_issued() const {
-  const MutexLock lock(mutex_);
   // Lane order, not arrival order: the sum is reproducible no matter how
   // the executor interleaved the lanes' credits in real time.
   double total = 0.0;
-  for (const double lane : issued_lanes_) total += lane;
+  for (const Lane& lane : lanes_) total += lane.issued;
   return total;
 }
 
@@ -53,11 +51,14 @@ void IncentiveLedger::bind_metrics(metrics::MetricsRegistry& registry) {
 }
 
 double IncentiveLedger::redeem(NodeId relay, double credits) {
-  const MutexLock lock(mutex_);
-  auto it = balances_.find(relay);
-  if (it == balances_.end()) return 0.0;
-  const double redeemed = std::min(credits, it->second);
-  it->second -= redeemed;
+  double redeemed = 0.0;
+  for (Lane& lane : lanes_) {
+    const auto it = lane.balances.find(relay);
+    if (it == lane.balances.end()) continue;
+    const double taken = std::min(credits - redeemed, it->second);
+    it->second -= taken;
+    redeemed += taken;
+  }
   return redeemed;
 }
 

@@ -1,9 +1,9 @@
 // Point-to-point delivery with latency and loss, driven by the simulator.
 // Used for the BS -> IM-server backhaul and anywhere an unreliable hop
-// needs modeling. A delivery runs on the sender's kernel: the receiving
-// end (the IM server) is thread-safe, and each of its sessions is only
-// ever fed from one strip, so per-session order is the kernel's
-// (when, seq) order.
+// needs modeling. A delivery runs on the sender's kernel into the
+// receiving end's lane for that strip (the IM server keeps one session
+// table per strip), so no lock is taken and per-session order is the
+// kernel's (when, seq) order.
 #pragma once
 
 #include <cstdint>

@@ -6,12 +6,12 @@
 // the correctness criterion of the scheduling algorithm.
 //
 // Thread-safety: uplinks are delivered on their sender's kernel, so
-// kernels running on different threads deliver concurrently. One mutex
-// guards the session map. Each session is only ever written from its
-// origin phone's strip (a relay and its UEs share a strip, because D2D
-// links never leave one), so every session still sees its heartbeats
-// in that kernel's (when, seq) order, and the totals are order-free
-// sums — results stay byte-identical across thread counts.
+// kernels on different threads deliver concurrently — each into its
+// own strip's session table, so nothing is locked. A session is only
+// fed from its origin phone's strip (a relay and its UEs share one), so
+// it lives in one lane (a Simulator auditor checks that) and sees its
+// heartbeats in that kernel's (when, seq) order. Totals are summed in
+// lane order: results are byte-identical across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/id.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 #include "metrics/registry.hpp"
 #include "net/message.hpp"
@@ -30,19 +29,23 @@ namespace d2dhb::net {
 class ImServer {
  public:
   explicit ImServer(sim::Simulator& sim);
+  ~ImServer();
+  ImServer(const ImServer&) = delete;
+  ImServer& operator=(const ImServer&) = delete;
 
-  /// Registers a client session. `expiry` is the server-side tolerance:
-  /// the client is considered offline if no heartbeat lands within
-  /// `expiry` of the previous deadline reset.
-  void register_client(NodeId node, AppId app, Duration expiry)
-      D2DHB_EXCLUDES(mutex_);
+  /// Registers a client session in the current strip's lane (setup code
+  /// selects the phone's home strip with a sim::ShardGuard). `expiry`
+  /// is the server-side tolerance: the client is considered offline if
+  /// no heartbeat lands within `expiry` of the previous deadline reset.
+  void register_client(NodeId node, AppId app, Duration expiry);
 
-  /// Delivers one heartbeat (called by the BS/backhaul). Updates the
-  /// session's deadline and records whether the heartbeat landed on time.
-  void deliver(const HeartbeatMessage& message) D2DHB_EXCLUDES(mutex_);
+  /// Delivers one heartbeat (called by the BS/backhaul) into the
+  /// executing strip's lane. Updates the session's deadline and records
+  /// whether the heartbeat landed on time.
+  void deliver(const HeartbeatMessage& message);
 
   /// Delivers every heartbeat in a bundle.
-  void deliver(const UplinkBundle& bundle) D2DHB_EXCLUDES(mutex_);
+  void deliver(const UplinkBundle& bundle);
 
   struct SessionStats {
     std::uint64_t delivered{0};
@@ -55,9 +58,9 @@ class ImServer {
   };
 
   /// True if the session's deadline has not lapsed as of now.
-  bool online(NodeId node, AppId app) const D2DHB_EXCLUDES(mutex_);
-  /// A copy of the session's stats, taken under the lock.
-  SessionStats stats(NodeId node, AppId app) const D2DHB_EXCLUDES(mutex_);
+  bool online(NodeId node, AppId app) const;
+  /// The session's stats; throws std::out_of_range for an unknown one.
+  const SessionStats& stats(NodeId node, AppId app) const;
 
   /// Aggregates across all sessions.
   struct Totals {
@@ -74,9 +77,9 @@ class ImServer {
                  : to_seconds(total_latency) / static_cast<double>(delivered);
     }
   };
-  Totals totals() const D2DHB_EXCLUDES(mutex_);
+  Totals totals() const;
 
-  std::size_t session_count() const D2DHB_EXCLUDES(mutex_);
+  std::size_t session_count() const;
 
  private:
   using Key = std::pair<NodeId, AppId>;
@@ -88,13 +91,18 @@ class ImServer {
 
   /// A fresh session whose deadline is `expiry` from now.
   Session open_session(Duration expiry) const;
+  /// The session in whichever lane holds it, or null.
+  const Session* find(NodeId node, AppId app) const;
+  /// Throws sim::AuditError if a session lives in more than one lane.
+  void audit() const;
 
   sim::Simulator& sim_;
-  mutable Mutex mutex_;
-  std::map<Key, Session> sessions_ D2DHB_GUARDED_BY(mutex_);
+  /// One session table per strip.
+  std::vector<std::map<Key, Session>> lanes_;
+  std::uint64_t auditor_token_;
 
   // Registry-backed aggregate counters (per-session detail stays in
-  // sessions_; these feed the exported metrics tree).
+  // the lanes; these feed the exported metrics tree).
   metrics::Counter* delivered_ctr_;
   metrics::Counter* on_time_ctr_;
   metrics::Counter* late_ctr_;

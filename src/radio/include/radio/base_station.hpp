@@ -1,6 +1,6 @@
 // Base station: terminates modem uplinks and forwards heartbeats over a
-// backhaul channel to the IM server. Owns the cell-wide signaling counter
-// so control-channel load can be inspected per cell.
+// backhaul channel to the IM server. Owns the cell's signaling counters
+// (one per strip) so control-channel load can be inspected per cell.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,7 @@ class BaseStation {
   /// Uplink entry point — wire this as every modem's UplinkHandler.
   void receive(const net::UplinkBundle& bundle);
 
-  SignalingCounter& signaling() { return signaling_; }
-  const SignalingCounter& signaling() const { return signaling_; }
+  CellSignaling& signaling() { return signaling_; }
 
   std::size_t cell() const { return cell_; }
   std::uint64_t bundles_received() const { return bundles_ctr_->value(); }
@@ -36,7 +35,7 @@ class BaseStation {
 
  private:
   net::Channel backhaul_;
-  SignalingCounter signaling_;
+  CellSignaling signaling_;
   std::size_t cell_;
 
   // Registry-backed counters (owned by the simulator's registry).

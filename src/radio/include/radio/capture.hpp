@@ -4,6 +4,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <vector>
 
 #include "radio/signaling.hpp"
 
@@ -19,7 +20,8 @@ const char* channel_of(L3MessageType type);
 
 /// Prints a NetOptiMaster-style listing of the first `limit` records
 /// (0 = all): time, UL/DL, channel, message name, node.
-void print_capture(std::ostream& os, const SignalingCounter& counter,
+void print_capture(std::ostream& os,
+                   const std::vector<SignalingCounter::Record>& records,
                    std::size_t limit = 0);
 
 }  // namespace d2dhb::radio

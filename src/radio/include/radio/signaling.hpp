@@ -4,14 +4,10 @@
 // timestamp, giving both per-node totals and control-channel load.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/id.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/units.hpp"
 
 namespace d2dhb::radio {
@@ -37,6 +33,9 @@ enum class L3MessageType : std::uint8_t {
 
 const char* to_string(L3MessageType type);
 
+/// One writer's log of L3 messages: a cell keeps one per strip
+/// (CellSignaling), and only that strip's kernel records into it, so it
+/// needs no lock.
 class SignalingCounter {
  public:
   struct Record {
@@ -45,40 +44,56 @@ class SignalingCounter {
     L3MessageType type;
   };
 
-  /// Thread-safe: one cell's counter is fed by phones homed on several
-  /// kernels, so recording locks internally. Aggregates (total, counts,
-  /// peak_rate) are insertion-order independent, which keeps them
-  /// byte-identical across executor thread counts.
-  void record(TimePoint when, NodeId node, L3MessageType type)
-      D2DHB_EXCLUDES(mutex_);
+  void record(TimePoint when, NodeId node, L3MessageType type) {
+    records_.push_back(Record{when, node, type});
+  }
   void record_sequence(TimePoint when, NodeId node,
-                       const std::vector<L3MessageType>& sequence)
-      D2DHB_EXCLUDES(mutex_);
+                       const std::vector<L3MessageType>& sequence) {
+    for (const auto type : sequence) record(when, node, type);
+  }
 
-  std::uint64_t total() const D2DHB_EXCLUDES(mutex_);
-  std::uint64_t count_for(NodeId node) const D2DHB_EXCLUDES(mutex_);
-  std::uint64_t count_of(L3MessageType type) const D2DHB_EXCLUDES(mutex_);
+  std::uint64_t total() const { return records_.size(); }
+  /// Raw records in recording order.
+  const std::vector<Record>& records() const { return records_; }
+  void clear() { records_.clear(); }
+
+ private:
+  std::vector<Record> records_;
+};
+
+/// A cell's control-channel load: one single-writer SignalingCounter
+/// per strip. A phone records into its home strip's counter (handed to
+/// it by Scenario::add_phone), so no two threads share one. Reads merge
+/// the strips after a run; none depends on the thread count.
+class CellSignaling {
+ public:
+  using Record = SignalingCounter::Record;
+
+  explicit CellSignaling(std::size_t strips = 1) : strips_(strips) {}
+
+  /// The counter phones homed on `strip` record into.
+  SignalingCounter& strip(std::size_t strip) { return strips_.at(strip); }
+
+  std::uint64_t total() const {
+    std::uint64_t total = 0;
+    for (const auto& strip : strips_) total += strip.total();
+    return total;
+  }
+  std::uint64_t count_for(NodeId node) const;
+  std::uint64_t count_of(L3MessageType type) const;
 
   /// Peak number of L3 messages inside any sliding window of `window`
   /// length — a proxy for instantaneous control-channel load (the
-  /// quantity that overloads during a signaling storm). Sorts a copy by
-  /// timestamp, so the answer does not depend on insertion order.
-  std::uint64_t peak_rate(Duration window) const D2DHB_EXCLUDES(mutex_);
-
-  /// Raw records in insertion order, copied under the lock — safe even
-  /// while phones on other kernels are still recording.
-  std::vector<Record> records() const D2DHB_EXCLUDES(mutex_);
-  void clear() D2DHB_EXCLUDES(mutex_);
+  /// quantity that overloads during a signaling storm). Exact: a
+  /// two-pointer sweep over the time-ordered merge of every strip.
+  std::uint64_t peak_rate(Duration window) const;
+  /// Every strip's records, ordered by time; ties keep strip order,
+  /// then recording order.
+  std::vector<Record> records() const;
+  void clear();
 
  private:
-  void append(TimePoint when, NodeId node, L3MessageType type)
-      D2DHB_REQUIRES(mutex_);
-
-  mutable Mutex mutex_;
-  std::vector<Record> records_ D2DHB_GUARDED_BY(mutex_);
-  std::map<NodeId, std::uint64_t> per_node_ D2DHB_GUARDED_BY(mutex_);
-  std::array<std::uint64_t, static_cast<std::size_t>(L3MessageType::kCount)>
-      per_type_ D2DHB_GUARDED_BY(mutex_){};
+  std::vector<SignalingCounter> strips_;
 };
 
 }  // namespace d2dhb::radio

@@ -5,7 +5,9 @@ namespace d2dhb::radio {
 BaseStation::BaseStation(sim::Simulator& sim, net::ImServer& server,
                          net::Channel::Params backhaul, Rng rng,
                          std::size_t cell)
-    : backhaul_(sim, backhaul, rng), cell_(cell) {
+    : backhaul_(sim, backhaul, rng),
+      signaling_(sim.shard_count()),
+      cell_(cell) {
   backhaul_.set_receiver(
       [&server](const net::UplinkBundle& bundle) { server.deliver(bundle); });
   auto& reg = sim.metrics();

@@ -38,16 +38,14 @@ const char* channel_of(L3MessageType type) {
   }
 }
 
-void print_capture(std::ostream& os, const SignalingCounter& counter,
+void print_capture(std::ostream& os,
+                   const std::vector<SignalingCounter::Record>& records,
                    std::size_t limit) {
   os << "  Time(s)    Dir  Chan  Message                              "
         "Node\n";
   os << "  ---------  ---  ----  -----------------------------------  "
         "----\n";
   std::size_t printed = 0;
-  // One snapshot for both the rows and the "more" tally — records() now
-  // copies under the counter's lock.
-  const auto records = counter.records();
   for (const auto& record : records) {
     if (limit != 0 && printed >= limit) {
       os << "  ... (" << records.size() - printed

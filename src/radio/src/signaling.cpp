@@ -36,52 +36,24 @@ const char* to_string(L3MessageType type) {
   return "UNKNOWN";
 }
 
-void SignalingCounter::append(TimePoint when, NodeId node,
-                              L3MessageType type) {
-  records_.push_back(Record{when, node, type});
-  ++per_node_[node];
-  ++per_type_[static_cast<std::size_t>(type)];
-}
-
-void SignalingCounter::record(TimePoint when, NodeId node,
-                              L3MessageType type) {
-  const MutexLock lock(mutex_);
-  append(when, node, type);
-}
-
-void SignalingCounter::record_sequence(
-    TimePoint when, NodeId node, const std::vector<L3MessageType>& sequence) {
-  const MutexLock lock(mutex_);
-  for (const auto type : sequence) append(when, node, type);
-}
-
-std::uint64_t SignalingCounter::total() const {
-  const MutexLock lock(mutex_);
-  return records_.size();
-}
-
-std::uint64_t SignalingCounter::count_for(NodeId node) const {
-  const MutexLock lock(mutex_);
-  const auto it = per_node_.find(node);
-  return it == per_node_.end() ? 0 : it->second;
-}
-
-std::uint64_t SignalingCounter::count_of(L3MessageType type) const {
-  const MutexLock lock(mutex_);
-  return per_type_[static_cast<std::size_t>(type)];
-}
-
-std::uint64_t SignalingCounter::peak_rate(Duration window) const {
-  // Parallel execution interleaves cross-kernel records arbitrarily, so
-  // sort a copy by timestamp before the two-pointer sweep; the peak is
-  // then a pure function of the record multiset.
-  std::vector<Record> sorted;
-  {
-    const MutexLock lock(mutex_);
-    sorted = records_;
+std::uint64_t CellSignaling::count_for(NodeId node) const {
+  std::uint64_t count = 0;
+  for (const auto& strip : strips_) {
+    for (const Record& r : strip.records()) count += r.node == node;
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Record& a, const Record& b) { return a.when < b.when; });
+  return count;
+}
+
+std::uint64_t CellSignaling::count_of(L3MessageType type) const {
+  std::uint64_t count = 0;
+  for (const auto& strip : strips_) {
+    for (const Record& r : strip.records()) count += r.type == type;
+  }
+  return count;
+}
+
+std::uint64_t CellSignaling::peak_rate(Duration window) const {
+  const std::vector<Record> sorted = records();
   std::uint64_t peak = 0;
   std::size_t lo = 0;
   for (std::size_t hi = 0; hi < sorted.size(); ++hi) {
@@ -91,16 +63,21 @@ std::uint64_t SignalingCounter::peak_rate(Duration window) const {
   return peak;
 }
 
-std::vector<SignalingCounter::Record> SignalingCounter::records() const {
-  const MutexLock lock(mutex_);
-  return records_;
+std::vector<CellSignaling::Record> CellSignaling::records() const {
+  std::vector<Record> merged;
+  merged.reserve(total());
+  for (const auto& strip : strips_) {
+    merged.insert(merged.end(), strip.records().begin(),
+                  strip.records().end());
+  }
+  std::stable_sort(
+      merged.begin(), merged.end(),
+      [](const Record& a, const Record& b) { return a.when < b.when; });
+  return merged;
 }
 
-void SignalingCounter::clear() {
-  const MutexLock lock(mutex_);
-  records_.clear();
-  per_node_.clear();
-  per_type_.fill(0);
+void CellSignaling::clear() {
+  for (auto& strip : strips_) strip.clear();
 }
 
 }  // namespace d2dhb::radio

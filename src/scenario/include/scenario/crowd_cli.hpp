@@ -39,8 +39,8 @@ class CliFlags {
 };
 
 /// Applies every recognized crowd knob onto `config`:
-///   --phones N --relay-fraction F --area M --duration S --mobile
-///   --policy greedy|random|density|first-n --cell-grid N
+///   --phones N --relay-fraction F --area M --clusters N --duration S
+///   --mobile --policy greedy|random|density|first-n --cell-grid N
 ///   --grid-cell M --legacy-scan --reassess S --threads N
 ///   --heap-agents --profile --seed S
 /// Returns an error message ("unknown --policy: x", "--threads must be

@@ -46,6 +46,8 @@ std::string apply_crowd_flags(CliFlags& flags, CrowdConfig& config) {
   config.relay_fraction =
       flags.number("--relay-fraction", config.relay_fraction);
   config.area_m = flags.number("--area", config.area_m);
+  config.clusters = static_cast<std::size_t>(
+      flags.number("--clusters", static_cast<double>(config.clusters)));
   config.duration_s = flags.number("--duration", config.duration_s);
   if (flags.has("--mobile")) config.mobile = true;
   config.cell_grid = static_cast<std::size_t>(
@@ -83,6 +85,7 @@ std::string apply_crowd_flags(CliFlags& flags, CrowdConfig& config) {
 const char* crowd_flags_help() {
   return
       "    --phones N --relay-fraction F --area M --duration S\n"
+      "    --clusters N (hotspots the phones gather around; default 4)\n"
       "    --mobile --policy greedy|random|density|first-n --seed S\n"
       "    --cell-grid N (n-cell grid over the area; 1 = single BS)\n"
       "    --grid-cell M (world-index cell size in meters; default =\n"

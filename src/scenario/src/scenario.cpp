@@ -130,7 +130,7 @@ core::Phone& Scenario::add_phone(core::PhoneConfig config) {
     // shard's kernel — and its state in that shard's arena.
     sim::ShardGuard guard(sim_, shard);
     phone = &arena.create<core::Phone>(sim_, id, std::move(config), medium_,
-                                       cells_[best]->signaling(),
+                                       cells_[best]->signaling().strip(shard),
                                        rng_.fork());
   }
   phones_.push_back(phone);
@@ -173,6 +173,8 @@ core::OriginalAgent& Scenario::add_original(core::Phone& phone,
 void Scenario::register_session(const core::Phone& phone, Duration tolerance,
                                 AppId app) {
   if (!app.valid()) app = AppId{phone.id().value};
+  // Only the phone's home strip delivers its heartbeats.
+  sim::ShardGuard guard(sim_, table_.shard_of(phone.id()));
   server_.register_client(phone.id(), app, tolerance);
 }
 

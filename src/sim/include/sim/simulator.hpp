@@ -107,9 +107,9 @@ class Simulator {
   /// included), then advances its clock to `t`, with this thread's
   /// execution context installed so callbacks see the kernel-local
   /// now()/current_shard(). Safe to call concurrently for distinct
-  /// shards: kernels share no mutable state except through
-  /// thread-safe substrates (the IM server, cell counters, registry
-  /// counters).
+  /// shards: shared substrates (the IM server, cell signaling, the
+  /// ledger, the channel) keep one lane per strip, and registry
+  /// counters are relaxed atomics.
   void run_shard_until(std::uint32_t shard, TimePoint t);
 
   /// Advances the world clock (not the kernels) to `t` (>= now()); the

@@ -3,10 +3,14 @@
 // relieves every cell's storm peak independently.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "scenario/crowd.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/engine.hpp"
 
 namespace d2dhb::scenario {
 namespace {
@@ -79,12 +83,83 @@ TEST(MultiCell, WorstCellPeakTracksTheBusiestCell) {
   Scenario world{params};
   // Burst 5 records into cell 1, 1 into cell 0, same instant.
   for (int i = 0; i < 5; ++i) {
-    world.bs(1).signaling().record(world.sim().now(), NodeId{2},
-                                   radio::L3MessageType::measurement_report);
+    world.bs(1).signaling().strip(0).record(
+        world.sim().now(), NodeId{2}, radio::L3MessageType::measurement_report);
   }
-  world.bs(0).signaling().record(world.sim().now(), NodeId{1},
-                                 radio::L3MessageType::measurement_report);
+  world.bs(0).signaling().strip(0).record(
+      world.sim().now(), NodeId{1}, radio::L3MessageType::measurement_report);
   EXPECT_EQ(world.worst_cell_peak(seconds(10)), 5u);
+}
+
+/// One cell fed by 24 original-scheme phones spread along 240 m and
+/// homed on `strips` strips, run for five minutes on `threads` workers.
+/// Phone i's beats are offset by (i % 4) quarter seconds, so phones on
+/// different strips record L3 messages at the same instants.
+std::unique_ptr<Scenario> cell_over_strips(std::size_t strips,
+                                           std::size_t threads) {
+  Scenario::Params params;
+  params.shard_plan = world::ShardPlan{strips, 0.0, 240.0};
+  auto world = std::make_unique<Scenario>(params);
+  apps::AppProfile app = apps::standard_app();
+  app.heartbeat_period = seconds(20);
+  app.expiry = seconds(20);
+  for (int i = 0; i < 24; ++i) {
+    core::PhoneConfig pc;
+    pc.mobility = std::make_unique<mobility::StaticMobility>(
+        mobility::Vec2{5.0 + 10.0 * i, 0.0});
+    core::Phone& phone = world->add_phone(std::move(pc));
+    world->add_original(phone, app).start(milliseconds(250 * (i % 4)));
+  }
+  sim::RunOptions options;
+  options.threads = threads;
+  sim::run(world->sim(), TimePoint{} + seconds(300), options);
+  return world;
+}
+
+using RecordKey = std::tuple<TimePoint, std::uint64_t, radio::L3MessageType>;
+
+std::vector<RecordKey> keys_of(
+    const std::vector<radio::SignalingCounter::Record>& records) {
+  std::vector<RecordKey> keys;
+  for (const auto& r : records) keys.emplace_back(r.when, r.node.value, r.type);
+  return keys;
+}
+
+// A cell keeps one counter per strip. Whatever the strip count, its
+// merged reads equal one reference counter fed the same records, and
+// its merged record order does not depend on the thread count.
+TEST(MultiCell, StripCountersMergeToTheOneCounterAnswer) {
+  const auto one = cell_over_strips(1, 1);
+  const radio::CellSignaling& reference = one->bs(0).signaling();
+  ASSERT_GT(reference.total(), 0u);
+  std::vector<RecordKey> reference_keys = keys_of(reference.records());
+  std::sort(reference_keys.begin(), reference_keys.end());
+  for (const std::size_t strips : {2u, 4u}) {
+    SCOPED_TRACE(strips);
+    const auto serial = cell_over_strips(strips, 1);
+    const auto threaded = cell_over_strips(strips, 2);
+    radio::CellSignaling& cell = serial->bs(0).signaling();
+    EXPECT_GT(cell.strip(strips - 1).total(), 0u);
+    EXPECT_EQ(cell.total(), reference.total());
+    for (std::size_t t = 0;
+         t < static_cast<std::size_t>(radio::L3MessageType::kCount); ++t) {
+      const auto type = static_cast<radio::L3MessageType>(t);
+      EXPECT_EQ(cell.count_of(type), reference.count_of(type));
+    }
+    for (const Duration window : {seconds(1), seconds(10), seconds(60)}) {
+      EXPECT_EQ(cell.peak_rate(window), reference.peak_rate(window));
+    }
+    const std::vector<RecordKey> merged = keys_of(cell.records());
+    EXPECT_TRUE(std::is_sorted(
+        merged.begin(), merged.end(),
+        [](const RecordKey& a, const RecordKey& b) {
+          return std::get<0>(a) < std::get<0>(b);
+        }));
+    std::vector<RecordKey> sorted = merged;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, reference_keys);
+    EXPECT_EQ(keys_of(threaded->bs(0).signaling().records()), merged);
+  }
 }
 
 TEST(MultiCell, CrowdAcrossFourCellsStillSavesEverywhere) {

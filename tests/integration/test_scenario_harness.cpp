@@ -87,12 +87,12 @@ TEST(ScenarioHarness, TotalL3SumsAllCells) {
   Scenario::Params params;
   params.cell_sites = {{0.0, 0.0}, {50.0, 0.0}, {100.0, 0.0}};
   Scenario world{params};
-  world.bs(0).signaling().record(world.sim().now(), NodeId{1},
-                                 radio::L3MessageType::measurement_report);
-  world.bs(2).signaling().record(world.sim().now(), NodeId{2},
-                                 radio::L3MessageType::measurement_report);
-  world.bs(2).signaling().record(world.sim().now(), NodeId{2},
-                                 radio::L3MessageType::measurement_report);
+  world.bs(0).signaling().strip(0).record(
+      world.sim().now(), NodeId{1}, radio::L3MessageType::measurement_report);
+  world.bs(2).signaling().strip(0).record(
+      world.sim().now(), NodeId{2}, radio::L3MessageType::measurement_report);
+  world.bs(2).signaling().strip(0).record(
+      world.sim().now(), NodeId{2}, radio::L3MessageType::measurement_report);
   EXPECT_EQ(world.total_l3(), 3u);
   EXPECT_EQ(world.cell_site(1).x, 50.0);
 }

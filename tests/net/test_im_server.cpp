@@ -112,7 +112,7 @@ TEST_F(ImServerTest, DistinctAppsOnSameNodeAreIndependent) {
 // threads deliver at the same time. Each kernel feeds its own disjoint
 // sessions — half registered up front, half auto-registered on first
 // contact — and the result must equal the one-thread run exactly.
-// (Under ThreadSanitizer this is the race check for the session maps.)
+// (Under ThreadSanitizer this is the race check for the strip lanes.)
 ImServer::Totals deliver_from_two_kernels(std::size_t threads) {
   constexpr std::uint64_t kSessionsPerKernel = 40;
   constexpr int kBeats = 30;
@@ -153,6 +153,7 @@ ImServer::Totals deliver_from_two_kernels(std::size_t threads) {
   const sim::RunStats stats =
       sim::run(sim, TimePoint{} + seconds(3600), options);
   EXPECT_EQ(stats.workers, threads);
+  EXPECT_NO_THROW(sim.audit());
   EXPECT_EQ(server.session_count(), 2 * kSessionsPerKernel);
   for (std::uint64_t n = 1; n <= 2 * kSessionsPerKernel; ++n) {
     EXPECT_EQ(server.stats(NodeId{n}, AppId{n}).delivered,
@@ -171,6 +172,29 @@ TEST(ImServerConcurrency, TwoKernelsDeliverToDisjointSessionsAtOnce) {
   EXPECT_EQ(threaded.late, serial.late);
   EXPECT_EQ(threaded.offline_events, serial.offline_events);
   EXPECT_EQ(threaded.total_latency, serial.total_latency);
+
+  // The invariant that replaces a lock: every session lives in one
+  // strip lane. One session fed from both kernels lands in two lanes,
+  // and the auditor says so.
+  sim::Simulator sim{2};
+  sim.set_audit_interval(0);  // audit by hand, not inside the run
+  ImServer server{sim};
+  for (std::uint32_t kernel = 0; kernel < 2; ++kernel) {
+    sim::ShardGuard guard(sim, kernel);
+    sim.schedule_at(TimePoint{} + seconds(1), [&sim, &server] {
+      HeartbeatMessage m;
+      m.origin = NodeId{7};
+      m.app = AppId{7};
+      m.expiry = seconds(100);
+      m.created_at = sim.now();
+      server.deliver(m);
+    });
+  }
+  sim::RunOptions options;
+  options.threads = 2;
+  sim::run(sim, TimePoint{} + seconds(2), options);
+  EXPECT_EQ(server.totals().delivered, 2u);
+  EXPECT_THROW(sim.audit(), sim::AuditError);
 }
 
 }  // namespace

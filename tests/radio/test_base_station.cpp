@@ -57,8 +57,8 @@ TEST(BaseStation, SignalingCounterIsShared) {
   sim::Simulator sim;
   net::ImServer server{sim};
   BaseStation bs{sim, server, net::Channel::Params{}, Rng{1}};
-  bs.signaling().record(sim.now(), NodeId{1},
-                        L3MessageType::rrc_connection_request);
+  bs.signaling().strip(0).record(sim.now(), NodeId{1},
+                                 L3MessageType::rrc_connection_request);
   EXPECT_EQ(bs.signaling().total(), 1u);
 }
 

@@ -42,7 +42,7 @@ TEST(Capture, PrintsOneLinePerRecord) {
   counter.record(TimePoint{} + seconds(2), NodeId{1},
                  L3MessageType::rrc_connection_setup);
   std::ostringstream os;
-  print_capture(os, counter);
+  print_capture(os, counter.records());
   const std::string out = os.str();
   EXPECT_NE(out.find("RRC CONNECTION REQUEST"), std::string::npos);
   EXPECT_NE(out.find("RRC CONNECTION SETUP"), std::string::npos);
@@ -58,14 +58,14 @@ TEST(Capture, LimitTruncatesWithEllipsis) {
                    L3MessageType::measurement_report);
   }
   std::ostringstream os;
-  print_capture(os, counter, 2);
+  print_capture(os, counter.records(), 2);
   EXPECT_NE(os.str().find("(3 more)"), std::string::npos);
 }
 
 TEST(Capture, EmptyCounterPrintsHeaderOnly) {
   SignalingCounter counter;
   std::ostringstream os;
-  print_capture(os, counter);
+  print_capture(os, counter.records());
   EXPECT_NE(os.str().find("Message"), std::string::npos);
 }
 

@@ -30,7 +30,8 @@ class RrcTest : public ::testing::Test {
 
   sim::Simulator sim_;
   energy::EnergyMeter meter_;
-  SignalingCounter signaling_;
+  CellSignaling cell_;
+  SignalingCounter& signaling_{cell_.strip(0)};
   CellularModem modem_;
 };
 
@@ -143,8 +144,7 @@ TEST_F(RrcTest, LargePayloadTriggersRbReconfiguration) {
   modem_.transmit(small_bundle(1, 400));  // > 150 B threshold
   sim_.run_until(sim_.now() + seconds(20));
   EXPECT_EQ(signaling_.total(), 9u);
-  EXPECT_EQ(signaling_.count_of(L3MessageType::radio_bearer_reconfiguration),
-            1u);
+  EXPECT_EQ(cell_.count_of(L3MessageType::radio_bearer_reconfiguration), 1u);
 }
 
 TEST_F(RrcTest, BigPayloadStretchesBurst) {

@@ -6,16 +6,17 @@ namespace d2dhb::radio {
 namespace {
 
 TEST(SignalingCounter, RecordsAndCounts) {
-  SignalingCounter counter;
-  counter.record(TimePoint{}, NodeId{1}, L3MessageType::rrc_connection_request);
-  counter.record(TimePoint{}, NodeId{1}, L3MessageType::rrc_connection_setup);
-  counter.record(TimePoint{}, NodeId{2}, L3MessageType::rrc_connection_request);
-  EXPECT_EQ(counter.total(), 3u);
-  EXPECT_EQ(counter.count_for(NodeId{1}), 2u);
-  EXPECT_EQ(counter.count_for(NodeId{2}), 1u);
-  EXPECT_EQ(counter.count_for(NodeId{3}), 0u);
-  EXPECT_EQ(counter.count_of(L3MessageType::rrc_connection_request), 2u);
-  EXPECT_EQ(counter.count_of(L3MessageType::rrc_connection_release), 0u);
+  CellSignaling cell;
+  SignalingCounter& strip = cell.strip(0);
+  strip.record(TimePoint{}, NodeId{1}, L3MessageType::rrc_connection_request);
+  strip.record(TimePoint{}, NodeId{1}, L3MessageType::rrc_connection_setup);
+  strip.record(TimePoint{}, NodeId{2}, L3MessageType::rrc_connection_request);
+  EXPECT_EQ(cell.total(), 3u);
+  EXPECT_EQ(cell.count_for(NodeId{1}), 2u);
+  EXPECT_EQ(cell.count_for(NodeId{2}), 1u);
+  EXPECT_EQ(cell.count_for(NodeId{3}), 0u);
+  EXPECT_EQ(cell.count_of(L3MessageType::rrc_connection_request), 2u);
+  EXPECT_EQ(cell.count_of(L3MessageType::rrc_connection_release), 0u);
 }
 
 TEST(SignalingCounter, RecordSequence) {
@@ -31,7 +32,8 @@ TEST(SignalingCounter, RecordSequence) {
 }
 
 TEST(SignalingCounter, PeakRateSlidingWindow) {
-  SignalingCounter counter;
+  CellSignaling cell;
+  SignalingCounter& counter = cell.strip(0);
   // 5 messages at t=0..4 s, then 2 at t=100.
   for (int i = 0; i < 5; ++i) {
     counter.record(TimePoint{} + seconds(i), NodeId{1},
@@ -41,23 +43,24 @@ TEST(SignalingCounter, PeakRateSlidingWindow) {
                  L3MessageType::measurement_report);
   counter.record(TimePoint{} + seconds(100), NodeId{1},
                  L3MessageType::measurement_report);
-  EXPECT_EQ(counter.peak_rate(seconds(10)), 5u);
-  EXPECT_EQ(counter.peak_rate(seconds(2)), 3u);
-  EXPECT_EQ(counter.peak_rate(seconds(200)), 7u);
+  EXPECT_EQ(cell.peak_rate(seconds(10)), 5u);
+  EXPECT_EQ(cell.peak_rate(seconds(2)), 3u);
+  EXPECT_EQ(cell.peak_rate(seconds(200)), 7u);
 }
 
 TEST(SignalingCounter, PeakRateEmpty) {
-  SignalingCounter counter;
-  EXPECT_EQ(counter.peak_rate(seconds(10)), 0u);
+  const CellSignaling cell{3};
+  EXPECT_EQ(cell.peak_rate(seconds(10)), 0u);
 }
 
 TEST(SignalingCounter, ClearResets) {
-  SignalingCounter counter;
-  counter.record(TimePoint{}, NodeId{1}, L3MessageType::rrc_connection_setup);
-  counter.clear();
-  EXPECT_EQ(counter.total(), 0u);
-  EXPECT_EQ(counter.count_for(NodeId{1}), 0u);
-  EXPECT_EQ(counter.count_of(L3MessageType::rrc_connection_setup), 0u);
+  CellSignaling cell{2};
+  cell.strip(1).record(TimePoint{}, NodeId{1},
+                       L3MessageType::rrc_connection_setup);
+  cell.clear();
+  EXPECT_EQ(cell.total(), 0u);
+  EXPECT_EQ(cell.count_for(NodeId{1}), 0u);
+  EXPECT_EQ(cell.count_of(L3MessageType::rrc_connection_setup), 0u);
 }
 
 TEST(L3MessageType, NamesAreStable) {

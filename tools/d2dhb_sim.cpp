@@ -12,7 +12,7 @@
 //   d2dhb_sim pair   [--ues N] [--tx K] [--distance M] [--bytes B]
 //                    [--period S] [--capacity M] [--lte] [--seed S]
 //   d2dhb_sim crowd  [--phones N] [--relay-fraction F] [--area M]
-//                    [--duration S] [--mobile] [--policy greedy|random|
+//                    [--clusters N] [--duration S] [--mobile] [--policy greedy|random|
 //                    density|first-n] [--seed S] [--seeds N] [--threads T]
 //                    [--city (the city preset, below)]
 //   d2dhb_sim city   [--phones N] [--relay-fraction F] [--duration S]
