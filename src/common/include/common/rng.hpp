@@ -86,4 +86,36 @@ class Rng {
   double cached_normal_{0.0};
 };
 
+/// Stateless keyed draw, counter-based in the style of Random123
+/// (Salmon et al., SC'11): a pure function of a 64-bit key and three
+/// counter words (say, who measured whom and when), with no stream to
+/// share, split into lanes or consume in order. Changing any one input
+/// changes the value: each mixing step is a bijection of the running
+/// hash for fixed other inputs.
+class KeyedDraw {
+ public:
+  constexpr KeyedDraw(std::uint64_t key, std::uint64_t a, std::uint64_t b,
+                      std::uint64_t c)
+      : hash_(mix(mix(mix(key, a), b), c)) {}
+
+  /// Uniform double in [0, 1).
+  constexpr double uniform() const { return unit(mix(hash_, 0)); }
+  /// Standard normal (Box–Muller over two further words).
+  double normal() const;
+
+ private:
+  /// SplitMix64's finalizer applied to (h ^ x) + golden ratio.
+  static constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
+    std::uint64_t z = (h ^ x) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+  static constexpr double unit(std::uint64_t w) {
+    return static_cast<double>(w >> 11) * 0x1.0p-53;
+  }
+
+  std::uint64_t hash_;
+};
+
 }  // namespace d2dhb

@@ -26,4 +26,10 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
+double KeyedDraw::normal() const {
+  const double u1 = 1.0 - unit(mix(hash_, 1));  // (0, 1]: finite log
+  return std::sqrt(-2.0 * std::log(u1)) *
+         std::cos(2.0 * 3.14159265358979323846 * unit(mix(hash_, 2)));
+}
+
 }  // namespace d2dhb

@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/id.hpp"
 #include "common/units.hpp"
 #include "d2d/energy_profile.hpp"
 #include "d2d/medium.hpp"
@@ -39,20 +39,13 @@ Meters break_even_distance(const d2d::D2dEnergyProfile& d2d,
                            MicroAmpHours cellular_per_heartbeat,
                            Bytes heartbeat_size);
 
-class D2dDetector {
- public:
-  explicit D2dDetector(MatchPolicy policy, Rng rng)
-      : policy_(policy), rng_(rng) {}
-
-  /// Picks the relay to pair with, or nullopt => send via cellular.
-  std::optional<d2d::DiscoveredPeer> match(
-      const std::vector<d2d::DiscoveredPeer>& discovered);
-
-  const MatchPolicy& policy() const { return policy_; }
-
- private:
-  MatchPolicy policy_;
-  Rng rng_;
-};
+/// Picks the relay to pair with among one discovery's answers, or
+/// nullopt => send via cellular. The random strategy's pick is keyed by
+/// (key, ue, now): the medium's world key, the matching UE and the
+/// match time, so it is the same however the world is cut or driven.
+std::optional<d2d::DiscoveredPeer> match_relay(
+    const MatchPolicy& policy,
+    const std::vector<d2d::DiscoveredPeer>& discovered, std::uint64_t key,
+    NodeId ue, TimePoint now);
 
 }  // namespace d2dhb::core

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/id.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "d2d/energy_profile.hpp"
 #include "d2d/medium.hpp"
@@ -44,8 +43,7 @@ struct PhoneConfig {
 class Phone {
  public:
   Phone(sim::Simulator& sim, NodeId id, PhoneConfig config,
-        d2d::WifiDirectMedium& medium, radio::SignalingCounter& signaling,
-        Rng rng);
+        d2d::WifiDirectMedium& medium, radio::SignalingCounter& signaling);
   Phone(const Phone&) = delete;
   Phone& operator=(const Phone&) = delete;
 

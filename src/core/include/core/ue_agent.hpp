@@ -63,7 +63,7 @@ class UeAgent {
   /// phone's strip arena); nullptr = private per-agent heap fallback.
   UeAgent(sim::Simulator& sim, Phone& phone, Params params,
           radio::BaseStation& bs, IdGenerator<MessageId>& message_ids,
-          Rng rng, Arena* arena = nullptr);
+          Arena* arena = nullptr);
 
   /// Installs another IM app on this phone (phones typically run
   /// several — Table I). All apps share the same relay link; the
@@ -92,6 +92,8 @@ class UeAgent {
   void on_link_lost(NodeId peer);
   void begin_discovery();
   void on_discovery(const std::vector<d2d::DiscoveredPeer>& peers);
+  /// Pairs with `relay`; on success drains the queue over D2D.
+  void connect_to(NodeId relay, bool handover);
   void send_via_d2d(net::HeartbeatMessage message);
   void send_via_cellular(const net::HeartbeatMessage& message,
                          bool is_fallback);
@@ -104,7 +106,6 @@ class UeAgent {
   Params params_;
   radio::BaseStation& bs_;
   IdGenerator<MessageId>& message_ids_;
-  D2dDetector detector_;
   FeedbackTracker feedback_;
   MessageMonitor monitor_;
 

@@ -7,7 +7,7 @@ namespace d2dhb::core {
 
 Phone::Phone(sim::Simulator& sim, NodeId id, PhoneConfig config,
              d2d::WifiDirectMedium& medium,
-             radio::SignalingCounter& signaling, Rng rng)
+             radio::SignalingCounter& signaling)
     : id_(id),
       // A still-owning config (mobility set, no ref) cannot be accepted
       // here: the unique_ptr dies with the by-value parameter. Scenario
@@ -21,8 +21,8 @@ Phone::Phone(sim::Simulator& sim, NodeId id, PhoneConfig config,
       baseline_(meter_.register_component("baseline",
                                           config.baseline_current)),
       modem_(sim, id, std::move(config.rrc), meter_, signaling),
-      wifi_(sim, id, medium, *mobility_, meter_, std::move(config.d2d_energy),
-            rng) {
+      wifi_(sim, id, medium, *mobility_, meter_,
+            std::move(config.d2d_energy)) {
   // Per-node energy roll-ups, evaluated at snapshot time. The component
   // radios register their own energy.*_uah gauges; these add the
   // radio-attributable sum and the everything-included total.

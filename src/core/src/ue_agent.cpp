@@ -8,13 +8,12 @@ namespace d2dhb::core {
 
 UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
                  radio::BaseStation& bs, IdGenerator<MessageId>& message_ids,
-                 Rng rng, Arena* arena)
+                 Arena* arena)
     : sim_(sim),
       phone_(phone),
       params_(params),
       bs_(bs),
       message_ids_(message_ids),
-      detector_(params.match, rng),
       feedback_(
           sim, params.feedback_timeout,
           [this](const net::HeartbeatMessage& m) {
@@ -111,15 +110,21 @@ void UeAgent::begin_discovery() {
 
 void UeAgent::on_discovery(const std::vector<d2d::DiscoveredPeer>& peers) {
   if (!running_) return;
-  const auto choice = detector_.match(peers);
+  const auto choice =
+      match_relay(params_.match, peers, phone_.wifi().medium().key(),
+                  phone_.id(), sim_.now());
   if (!choice) {
     fail_d2d_attempt();
     return;
   }
   matches_ctr_->inc();
+  connect_to(choice->node, /*handover=*/false);
+}
+
+void UeAgent::connect_to(NodeId relay, bool handover) {
   state_ = LinkState::connecting;
-  phone_.wifi().connect(choice->node, [this, relay = choice->node](
-                                          Result<GroupId> result) {
+  phone_.wifi().connect(relay, [this, relay, handover](
+                                   Result<GroupId> result) {
     if (!running_) return;
     if (!result.ok()) {
       connect_failures_ctr_->inc();
@@ -127,6 +132,7 @@ void UeAgent::on_discovery(const std::vector<d2d::DiscoveredPeer>& peers) {
       return;
     }
     connects_ctr_->inc();
+    if (handover) handovers_ctr_->inc();
     state_ = LinkState::connected;
     relay_ = relay;
     current_backoff_ = Duration::zero();  // success resets the backoff
@@ -195,23 +201,7 @@ void UeAgent::on_link_lost(NodeId peer) {
     // Planned switch: immediately pair with the chosen better relay.
     const NodeId target = handover_target_;
     handover_target_ = NodeId{};
-    state_ = LinkState::connecting;
-    phone_.wifi().connect(target, [this, target](Result<GroupId> result) {
-      if (!running_) return;
-      if (!result.ok()) {
-        connect_failures_ctr_->inc();
-        fail_d2d_attempt();
-        return;
-      }
-      connects_ctr_->inc();
-      handovers_ctr_->inc();
-      state_ = LinkState::connected;
-      relay_ = target;
-      current_backoff_ = Duration::zero();
-      std::vector<net::HeartbeatMessage> queued;
-      queued.swap(awaiting_link_);
-      for (auto& m : queued) send_via_d2d(std::move(m));
-    });
+    connect_to(target, /*handover=*/true);
     return;
   }
   link_losses_ctr_->inc();
@@ -233,7 +223,9 @@ void UeAgent::reassess() {
           }
         }
         if (!current) return;  // range loss is the link monitor's job
-        const auto candidate = detector_.match(others);
+        const auto candidate =
+            match_relay(params_.match, others, phone_.wifi().medium().key(),
+                        phone_.id(), sim_.now());
         if (!candidate) return;
         if (candidate->estimated_distance.value >=
             params_.reassess_improvement *

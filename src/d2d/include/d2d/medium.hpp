@@ -16,24 +16,27 @@
 // adverts), so the filter lives in the data structure instead of being
 // applied per candidate. WifiDirectRadio::set_listening reports every
 // flag change here, and attach/detach follow the flag. Range-exit
-// sweeps (lost_peers) do not use the index: they check each link's
-// peer directly. A legacy linear-scan path over the whole table is
-// kept behind Params::legacy_scan as the full-table reference; both
-// paths visit peers in ascending NodeId order and draw the RNG
-// identically (a non-listening peer is dropped before any draw), so a
-// seeded run is bit-identical whichever path answers it.
+// polls do not use the index: a radio asks in_range for each link. A
+// legacy linear-scan path over the whole table is kept behind
+// Params::legacy_scan as the full-table reference.
+//
+// Keyed draws: a scan's miss and noise draws for a peer are a pure
+// function (common/rng.hpp KeyedDraw) of the world key, the scanner,
+// the peer and the scan time. The medium holds no random stream, so
+// what a scanner measures depends neither on the scans before it nor
+// on how the world was cut into strips, and both scan paths answer a
+// seeded run bit-identically.
 //
 // Strip confinement: every node is homed to a world strip (its
 // NodeTable shard column, fixed when the node is added) and D2D only
 // connects nodes homed to the same strip — cross-strip pairs are
 // simply out of range. Strips are at least four D2D ranges wide, so
-// this only trims pairs straddling a strip boundary, and it makes the
-// medium safe for the parallel executor: a scan, range sweep, or
-// group-id allocation on strip k touches only strip-k radios, strip-k
-// mobility models, strip k's world index, and strip k's rng/id lanes.
-// A one-strip world has one lane holding the medium's original rng and
-// a group counter starting at 1 with stride 1 — exactly the classic
-// serial behaviour.
+// this only trims pairs straddling a strip boundary
+// (scenario::strip_wall_pairs counts them), and it makes the medium
+// safe for the parallel executor: a scan or range sweep on strip k
+// touches only strip-k radios, strip-k mobility models and strip k's
+// world index. A group's id is its owner's NodeId, so forming a group
+// touches no shared counter either.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +45,6 @@
 #include <vector>
 
 #include "common/id.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "mobility/mobility.hpp"
 #include "mobility/spatial_grid.hpp"
@@ -87,9 +89,9 @@ class WifiDirectMedium {
   /// `nodes` is the world's shared dense-state table; radios attaching
   /// to the medium register there (attach auto-adds rows for nodes the
   /// scenario has not registered, so standalone radio tests need no
-  /// setup beyond passing a table).
+  /// setup beyond passing a table). `key` keys every discovery draw.
   WifiDirectMedium(sim::Simulator& sim, world::NodeTable& nodes,
-                   Params params, Rng rng);
+                   Params params, std::uint64_t key);
   ~WifiDirectMedium();
   WifiDirectMedium(const WifiDirectMedium&) = delete;
   WifiDirectMedium& operator=(const WifiDirectMedium&) = delete;
@@ -97,13 +99,6 @@ class WifiDirectMedium {
   /// Radios register on construction and unregister on destruction.
   void attach(WifiDirectRadio& radio, const mobility::MobilityModel& mobility);
   void detach(NodeId node);
-
-  /// Next group id for a freshly negotiated group, minted from the
-  /// owner's strip lane (lane k of V issues ids 1+k, 1+k+V, ...), so
-  /// concurrent strips never share a counter and ids are deterministic
-  /// regardless of executor thread count. One strip degenerates to the
-  /// classic 1, 2, 3, ... sequence.
-  GroupId allocate_group(NodeId owner);
 
   /// Invariant audit (the D2DHB_AUDIT layer): checks the discovery
   /// index (SpatialGrid::audit at the current sim time, and in both
@@ -120,26 +115,23 @@ class WifiDirectMedium {
   /// meaningful for same-strip pairs (callers reach it through links,
   /// which never cross strips).
   Meters distance(NodeId a, NodeId b) const;
-  /// Range check with strip confinement: nodes homed to different
-  /// strips are never in range (decided before touching either node's
-  /// mobility, so it is safe to ask about a peer another thread owns).
+  /// Range check with strip confinement: nodes not on the medium, and
+  /// nodes homed to different strips, are never in range (decided
+  /// before touching either node's mobility, so it is safe to ask about
+  /// a peer another thread owns).
   bool in_range(NodeId a, NodeId b) const;
   mobility::Vec2 position_of(NodeId node) const;
 
   /// Peers currently discoverable and in range of `scanner`, with noisy
   /// distance estimates, in ascending NodeId order. Peers may be missed
-  /// per the miss probability.
-  std::vector<DiscoveredPeer> scan_from(NodeId scanner);
-
-  /// Range-exit sweep: which of `peers` are now gone (detached or out
-  /// of range of `node`), in `peers`' order. O(links) exact distance
-  /// checks via the node table — links are capped at max_group_clients,
-  /// so this beats a radius query per poll.
-  std::vector<NodeId> lost_peers(NodeId node,
-                                 const std::vector<NodeId>& peers) const;
+  /// per the miss probability. A peer's miss and noise draws are keyed
+  /// by (key, scanner, peer, now), so a repeated scan repeats them.
+  std::vector<DiscoveredPeer> scan_from(NodeId scanner) const;
 
   WifiDirectRadio* radio(NodeId node) const;
   const Params& params() const { return params_; }
+  /// The world key every draw keyed on this medium starts from.
+  std::uint64_t key() const { return key_; }
   /// The shared dense node-state layer (home shards, positions, slots).
   world::NodeTable& nodes() { return nodes_; }
   const world::NodeTable& nodes() const { return nodes_; }
@@ -165,22 +157,12 @@ class WifiDirectMedium {
   /// match its listening flag.
   void sync_index(const WifiDirectRadio& radio,
                   const mobility::MobilityModel& mobility);
-  void require_attached(NodeId node) const;
-  mobility::Vec2 checked_position(NodeId node) const;
   std::uint32_t strip_of(NodeId node) const { return nodes_.shard_of(node); }
-
-  /// Per-strip mutable state: the rng feeding that strip's scan noise
-  /// and miss draws, and the strip's group-id counter. Only touched by
-  /// the kernel executing that strip, so no locking is needed and each
-  /// strip's draws are a deterministic stream.
-  struct Lane {
-    Rng rng;
-    std::uint64_t next_group;
-  };
 
   sim::Simulator& sim_;
   world::NodeTable& nodes_;
   Params params_;
+  std::uint64_t key_;
   /// Compact array of attached radios; the NodeTable's d2d_slot column
   /// maps NodeId → index here. Detach swap-removes, so the array stays
   /// dense no matter the attach/detach order.
@@ -194,7 +176,6 @@ class WifiDirectMedium {
   /// Per-strip scratch buffers for grid queries (avoid per-scan
   /// allocation without sharing a buffer across threads).
   mutable std::vector<std::vector<mobility::SpatialGrid::Neighbor>> scratch_;
-  std::vector<Lane> lanes_;
   std::uint64_t auditor_token_{0};
 };
 

@@ -13,7 +13,6 @@
 
 #include "common/id.hpp"
 #include "common/result.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "d2d/energy_profile.hpp"
 #include "d2d/medium.hpp"
@@ -39,8 +38,7 @@ class WifiDirectRadio {
 
   WifiDirectRadio(sim::Simulator& sim, NodeId owner, WifiDirectMedium& medium,
                   const mobility::MobilityModel& mobility,
-                  energy::EnergyMeter& meter, D2dEnergyProfilePtr profile,
-                  Rng rng);
+                  energy::EnergyMeter& meter, D2dEnergyProfilePtr profile);
   ~WifiDirectRadio();
   WifiDirectRadio(const WifiDirectRadio&) = delete;
   WifiDirectRadio& operator=(const WifiDirectRadio&) = delete;
@@ -56,8 +54,10 @@ class WifiDirectRadio {
   void set_group_owner_intent(int intent);
   int group_owner_intent() const { return intent_; }
 
-  /// Active scan: charges discovery energy on this radio and returns the
-  /// discoverable in-range peers after the scan window.
+  /// Active scan: one medium scan as the window opens, paid for by this
+  /// radio and by every listening peer that answered (once per response
+  /// window). As it closes, the callback gets those answers minus peers
+  /// that detached, stopped listening or left range, adverts re-read.
   void start_discovery(DiscoveryCallback callback);
 
   /// Whether this radio answers scans: only listening radios appear in
@@ -103,6 +103,7 @@ class WifiDirectRadio {
   bool link_monitor_armed() const { return link_monitor_.running(); }
 
   const mobility::MobilityModel& mobility() const { return mobility_; }
+  const WifiDirectMedium& medium() const { return medium_; }
   const D2dEnergyProfile& profile() const { return *profile_; }
   MicroAmpHours radio_charge() { return meter_.component_charge(component_); }
 
@@ -142,7 +143,6 @@ class WifiDirectRadio {
   energy::EnergyMeter& meter_;
   energy::ComponentHandle component_;
   D2dEnergyProfilePtr profile_;  ///< Shared, never null.
-  Rng rng_;
 
   RelayAdvert advert_{};
   int intent_{0};

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/rng.hpp"
 #include "d2d/wifi_direct.hpp"
 
 namespace d2dhb::d2d {
@@ -17,8 +18,8 @@ Meters grid_cell(const WifiDirectMedium::Params& params) {
 
 WifiDirectMedium::WifiDirectMedium(sim::Simulator& sim,
                                    world::NodeTable& nodes, Params params,
-                                   Rng rng)
-    : sim_(sim), nodes_(nodes), params_(params) {
+                                   std::uint64_t key)
+    : sim_(sim), nodes_(nodes), params_(params), key_(key) {
   const std::size_t strips = sim_.shard_count();
   grids_.reserve(strips);
   scratch_.resize(strips);
@@ -26,26 +27,10 @@ WifiDirectMedium::WifiDirectMedium(sim::Simulator& sim,
     grids_.push_back(
         std::make_unique<mobility::SpatialGrid>(grid_cell(params_)));
   }
-  // One rng lane per strip; the last lane keeps the medium's original
-  // rng untouched, so a one-strip world draws exactly the classic
-  // stream. Group-id lanes follow strip index: lane s starts at 1 + s
-  // and strides by the strip count.
-  lanes_.reserve(strips);
-  for (std::size_t s = 0; s + 1 < strips; ++s) {
-    lanes_.push_back(Lane{rng.fork(), 1 + s});
-  }
-  lanes_.push_back(Lane{std::move(rng), strips});
   auditor_token_ = sim_.add_auditor([this] { audit(); });
 }
 
 WifiDirectMedium::~WifiDirectMedium() { sim_.remove_auditor(auditor_token_); }
-
-GroupId WifiDirectMedium::allocate_group(NodeId owner) {
-  Lane& lane = lanes_[strip_of(owner)];
-  const std::uint64_t id = lane.next_group;
-  lane.next_group += lanes_.size();
-  return GroupId{id};
-}
 
 void WifiDirectMedium::audit() const {
   for (const auto& grid : grids_) {
@@ -177,62 +162,57 @@ void WifiDirectMedium::detach(NodeId node) {
   grids_[strip_of(node)]->remove(node);
 }
 
-void WifiDirectMedium::require_attached(NodeId node) const {
+mobility::Vec2 WifiDirectMedium::position_of(NodeId node) const {
   if (radio(node) == nullptr) {
     throw std::out_of_range("WifiDirectMedium: unknown node #" +
                             std::to_string(node.value));
   }
-}
-
-mobility::Vec2 WifiDirectMedium::checked_position(NodeId node) const {
-  require_attached(node);
   return nodes_.position_of(node, sim_.now());
 }
 
-mobility::Vec2 WifiDirectMedium::position_of(NodeId node) const {
-  return checked_position(node);
-}
-
 Meters WifiDirectMedium::distance(NodeId a, NodeId b) const {
-  return mobility::distance(checked_position(a), checked_position(b));
+  return mobility::distance(position_of(a), position_of(b));
 }
 
 bool WifiDirectMedium::in_range(NodeId a, NodeId b) const {
-  // Attachment checks read no positions, so they are safe for any pair;
-  // the strip test must come before the distance read — a cross-strip
-  // peer's mobility belongs to another kernel's thread.
-  require_attached(a);
-  require_attached(b);
-  if (strip_of(a) != strip_of(b)) return false;
+  // Attachment and strip checks read no positions, so they are safe for
+  // any pair; the strip test must come before the distance read — a
+  // cross-strip peer's mobility belongs to another kernel's thread.
+  if (radio(a) == nullptr || radio(b) == nullptr ||
+      strip_of(a) != strip_of(b)) {
+    return false;
+  }
   return distance(a, b).value <= params_.range.value;
 }
 
-std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(NodeId scanner) {
+std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(
+    NodeId scanner) const {
   std::vector<DiscoveredPeer> found;
   if (radio(scanner) == nullptr) return found;
   const std::uint32_t strip = strip_of(scanner);
-  Lane& lane = lanes_[strip];
-  const mobility::Vec2 origin = nodes_.position_of(scanner, sim_.now());
+  const TimePoint now = sim_.now();
+  const mobility::Vec2 origin = nodes_.position_of(scanner, now);
 
   // Both paths visit peers in ascending NodeId order with identical
-  // distance arithmetic and RNG draws, so a seeded run's behaviour is
-  // bit-identical whichever one answers the scan (asserted by the
-  // grid-equivalence integration test). The grid path only sees
-  // listening peers; the legacy path sees every radio, and admit()
-  // drops the others before any draw. Both are confined to the
-  // scanner's strip: the grid path by construction (a strip's grid only
-  // holds its own nodes), the legacy path by an explicit home-strip
+  // distance arithmetic and keyed draws, so a seeded run is
+  // bit-identical whichever one answers (test_grid_equivalence). The
+  // grid path only sees listening peers; the legacy path sees every
+  // radio, and admit() drops the others. Both stay on the scanner's
+  // strip: the grid by construction, the legacy path by a home-strip
   // filter applied before any position is read.
   auto admit = [&](NodeId node, Meters d) {
     const WifiDirectRadio* peer_radio = radios_[nodes_.d2d_slot(node)];
     if (!peer_radio->listening()) return;
-    if (lane.rng.chance(params_.discovery_miss_probability)) return;
-    const double noise = lane.rng.normal(0.0, params_.rssi_noise_stddev_m);
-    DiscoveredPeer peer;
-    peer.node = node;
-    peer.estimated_distance = Meters{std::max(0.0, d.value + noise)};
-    peer.advert = peer_radio->advert();
-    found.push_back(peer);
+    const KeyedDraw draw{key_, scanner.value, node.value,
+                         static_cast<std::uint64_t>(
+                             now.time_since_epoch().count())};
+    if (params_.discovery_miss_probability > 0.0 &&
+        draw.uniform() < params_.discovery_miss_probability) {
+      return;
+    }
+    const double noise = params_.rssi_noise_stddev_m * draw.normal();
+    found.push_back(DiscoveredPeer{
+        node, Meters{std::max(0.0, d.value + noise)}, peer_radio->advert()});
   };
 
   if (params_.legacy_scan) {
@@ -243,8 +223,8 @@ std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(NodeId scanner) {
           strip_of(node) != strip) {
         continue;
       }
-      const Meters d = mobility::distance(
-          origin, nodes_.position_of(node, sim_.now()));
+      const Meters d =
+          mobility::distance(origin, nodes_.position_of(node, now));
       if (d.value > params_.range.value) continue;
       admit(node, d);
     }
@@ -252,36 +232,11 @@ std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(NodeId scanner) {
   }
 
   std::vector<mobility::SpatialGrid::Neighbor>& scratch = scratch_[strip];
-  grids_[strip]->query_radius(origin, params_.range, sim_.now(), scratch,
-                              scanner);
+  grids_[strip]->query_radius(origin, params_.range, now, scratch, scanner);
   for (const auto& neighbor : scratch) {
     admit(neighbor.node, neighbor.distance);
   }
   return found;
-}
-
-std::vector<NodeId> WifiDirectMedium::lost_peers(
-    NodeId node, const std::vector<NodeId>& peers) const {
-  std::vector<NodeId> lost;
-  if (peers.empty()) return lost;
-  if (radio(node) == nullptr) return peers;  // we vanished: all links gone
-  // Per-peer exact checks, same in both medium modes: a node's links
-  // are bounded by max_group_clients (8), so O(links) distance checks
-  // beat a radius query (O(neighbourhood), which in a dense cluster is
-  // far larger) — and this sweep runs on every monitor tick of a radio
-  // with a link that can break (one moving endpoint or a vanished peer).
-  const std::uint32_t strip = strip_of(node);
-  const mobility::Vec2 origin = nodes_.position_of(node, sim_.now());
-  for (const NodeId peer : peers) {
-    // Strip check before the position read: a cross-strip peer counts
-    // as lost without touching its (other thread's) mobility model.
-    if (radio(peer) == nullptr || strip_of(peer) != strip ||
-        mobility::distance(origin, nodes_.position_of(peer, sim_.now()))
-                .value > params_.range.value) {
-      lost.push_back(peer);
-    }
-  }
-  return lost;
 }
 
 WifiDirectRadio* WifiDirectMedium::radio(NodeId node) const {

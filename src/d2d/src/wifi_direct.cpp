@@ -11,7 +11,7 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
                                  WifiDirectMedium& medium,
                                  const mobility::MobilityModel& mobility,
                                  energy::EnergyMeter& meter,
-                                 D2dEnergyProfilePtr profile, Rng rng)
+                                 D2dEnergyProfilePtr profile)
     : sim_(sim),
       owner_(owner),
       medium_(medium),
@@ -22,7 +22,6 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
                    ? std::move(profile)
                    : throw std::invalid_argument(
                          "WifiDirectRadio: energy profile is required")),
-      rng_(rng),
       link_monitor_(sim, seconds(1), [this] { poll_links(); }) {
   medium_.attach(*this, mobility_);
   auto& reg = sim_.metrics();
@@ -100,23 +99,33 @@ void WifiDirectRadio::update_link_monitor() {
 void WifiDirectRadio::start_discovery(DiscoveryCallback callback) {
   discovery_scans_ctr_->inc();
   charge_phase(D2dEnergyProfile::discovery_shape(), profile_->ue_discovery);
-  // Listening peers spend passive-discovery energy responding to probes
-  // — once per response window, no matter how many peers scan at once.
-  for (const auto& peer : medium_.scan_from(owner_)) {
-    if (WifiDirectRadio* r = medium_.radio(peer.node)) {
-      if (sim_.now() >= r->passive_window_end_) {
-        r->passive_window_end_ = sim_.now() + r->profile_->discovery_scan;
-        r->charge_phase(D2dEnergyProfile::discovery_shape(),
-                        r->profile_->relay_discovery);
-      }
+  std::vector<DiscoveredPeer> peers = medium_.scan_from(owner_);
+  // The listening peers that answered spend passive-discovery energy
+  // responding to probes — once per response window, no matter how
+  // many peers scan at once.
+  for (const DiscoveredPeer& peer : peers) {
+    WifiDirectRadio* r = medium_.radio(peer.node);
+    if (sim_.now() >= r->passive_window_end_) {
+      r->passive_window_end_ = sim_.now() + r->profile_->discovery_scan;
+      r->charge_phase(D2dEnergyProfile::discovery_shape(),
+                      r->profile_->relay_discovery);
     }
   }
-  sim_.schedule_after(profile_->discovery_scan,
-                      [this, callback = std::move(callback)] {
-                        // Re-scan at completion: peers may have moved
-                        // during the window.
-                        callback(medium_.scan_from(owner_));
-                      });
+  sim_.schedule_after(
+      profile_->discovery_scan,
+      [this, peers = std::move(peers), callback = std::move(callback)]() mutable {
+        // The UE chooses among the answers it paid for. Drop peers that
+        // detached, moved out of range or stopped listening during the
+        // window, and read the others' adverts as they stand now.
+        std::erase_if(peers, [this](const DiscoveredPeer& peer) {
+          return !medium_.in_range(owner_, peer.node) ||
+                 !medium_.radio(peer.node)->listening();
+        });
+        for (DiscoveredPeer& peer : peers) {
+          peer.advert = medium_.radio(peer.node)->advert();
+        }
+        callback(peers);
+      });
 }
 
 void WifiDirectRadio::connect(NodeId peer, ConnectCallback callback) {
@@ -145,12 +154,12 @@ void WifiDirectRadio::connect(NodeId peer, ConnectCallback callback) {
   sim_.schedule_after(
       profile_->connection_setup,
       [this, peer, callback = std::move(callback)] {
-        WifiDirectRadio* other = medium_.radio(peer);
-        if (other == nullptr || !medium_.in_range(owner_, peer)) {
+        if (!medium_.in_range(owner_, peer)) {
           callback(Result<GroupId>{Errc::out_of_range,
                                    "peer moved away during setup"});
           return;
         }
+        WifiDirectRadio* other = medium_.radio(peer);
         // GO negotiation: higher groupOwnerIntent wins; tie broken by
         // node id (Android breaks ties with a random bit).
         const bool peer_is_owner =
@@ -164,16 +173,9 @@ void WifiDirectRadio::connect(NodeId peer, ConnectCallback callback) {
                                    "group owner is full"});
           return;
         }
-        GroupId group;
-        if (peer_is_owner && other->group_.valid() && other->group_owner_) {
-          group = other->group_;  // join the owner's existing group
-        } else if (!peer_is_owner && group_.valid() && group_owner_) {
-          group = group_;
-        } else {
-          // Both ends share a strip (in_range enforces confinement), so
-          // either id names the same lane.
-          group = medium_.allocate_group(owner_);
-        }
+        // A group is named by its owner: joining an owner's existing
+        // group and forming a fresh one give the same id.
+        const GroupId group{owner_side->owner_.value};
         establish_link(peer, group, !peer_is_owner);
         other->establish_link(owner_, group, peer_is_owner);
         callback(Result<GroupId>{group});
@@ -229,23 +231,20 @@ void WifiDirectRadio::break_link(NodeId peer, bool notify_peer) {
 void WifiDirectRadio::disconnect(NodeId peer) { break_link(peer, true); }
 
 void WifiDirectRadio::disconnect_all() {
-  // links_ is NodeId-sorted, so teardown notifications fire in
-  // deterministic peer order (snapshot first: break_link mutates links_).
-  std::vector<NodeId> peers;
-  peers.reserve(links_.size());
-  for (const Link& link : links_) peers.push_back(link.peer);
-  for (const NodeId peer : peers) break_link(peer, true);
+  // links_ is NodeId-sorted and break_link erases the link it breaks,
+  // so teardown notifications fire in deterministic peer order.
+  while (!links_.empty()) break_link(links_.front().peer, true);
 }
 
 void WifiDirectRadio::poll_links() {
-  // One O(links) sweep; links_ is already NodeId-sorted, so breaks
-  // happen in deterministic peer order.
-  std::vector<NodeId> peers;
-  peers.reserve(links_.size());
-  for (const Link& link : links_) peers.push_back(link.peer);
-  for (const NodeId peer : medium_.lost_peers(owner_, peers)) {
-    break_link(peer, true);
+  // One O(links) sweep of exact range checks (links are capped at
+  // max_group_clients, so this beats a radius query); links_ is
+  // NodeId-sorted, so breaks happen in deterministic peer order.
+  std::vector<NodeId> lost;
+  for (const Link& link : links_) {
+    if (!medium_.in_range(owner_, link.peer)) lost.push_back(link.peer);
   }
+  for (const NodeId peer : lost) break_link(peer, true);
 }
 
 void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
@@ -292,15 +291,13 @@ void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
       profile_->transfer_latency,
       [this, peer, payload = std::move(payload),
        callback = std::move(callback)] {
-        WifiDirectRadio* other = medium_.radio(peer);
-        if (other == nullptr || !connected_to(peer) ||
-            !medium_.in_range(owner_, peer)) {
+        if (!connected_to(peer) || !medium_.in_range(owner_, peer)) {
           // Link died mid-transfer.
           break_link(peer, true);
           callback(Status{Errc::disconnected, "link lost during transfer"});
           return;
         }
-        other->deliver(payload, owner_);
+        medium_.radio(peer)->deliver(payload, owner_);
         callback(Status::success());
       });
 }

@@ -91,7 +91,4 @@ std::unique_ptr<Scenario> build_city(const CityConfig& config);
 /// Runs a built city for config.duration_s and collects aggregates.
 CityMetrics run_city(Scenario& world, const CityConfig& config);
 
-/// build_city + run_city.
-CityMetrics run_city_crowd(const CityConfig& config);
-
 }  // namespace d2dhb::scenario

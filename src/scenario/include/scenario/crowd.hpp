@@ -152,6 +152,8 @@ struct CrowdWorld {
   double relay_coverage{0.0};
 };
 CrowdWorld build_d2d_crowd(const CrowdConfig& config);
+/// Drives a built world to the end of the run (run_d2d_crowd's middle).
+sim::RunStats run_crowd_world(Scenario& world, const CrowdConfig& config);
 /// The metrics run_d2d_crowd reports, for a built world driven to the
 /// end of the run; `stats` is the last sim::run's RunStats.
 CrowdMetrics collect_d2d_crowd(CrowdWorld& built, const sim::RunStats& stats);

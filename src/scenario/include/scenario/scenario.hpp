@@ -146,7 +146,9 @@ class Scenario {
   /// in the strip arenas; these vectors are the index.
   std::vector<core::Phone*>& phones() { return phones_; }
   std::vector<core::RelayAgent*>& relays() { return relays_; }
+  const std::vector<core::RelayAgent*>& relays() const { return relays_; }
   std::vector<core::UeAgent*>& ues() { return ues_; }
+  const std::vector<core::UeAgent*>& ues() const { return ues_; }
   std::vector<core::OriginalAgent*>& originals() { return originals_; }
 
   void run_for(Duration d) { sim_.run_until(sim_.now() + d); }
@@ -184,5 +186,10 @@ class Scenario {
   /// same ordering the per-object unique_ptr stores had.
   std::vector<std::unique_ptr<Arena>> arenas_;
 };
+
+/// The strip wall: listening-relay/UE pairs within D2D range at their
+/// build (time-zero) positions but homed on different strips, which the
+/// medium never lets meet. 0 in a one-strip world; builders skip it.
+std::uint64_t strip_wall_pairs(const Scenario& world);
 
 }  // namespace d2dhb::scenario

@@ -166,9 +166,4 @@ CityMetrics run_city(Scenario& world, const CityConfig& config) {
   return m;
 }
 
-CityMetrics run_city_crowd(const CityConfig& config) {
-  auto world = build_city(config);
-  return run_city(*world, config);
-}
-
 }  // namespace d2dhb::scenario

@@ -52,15 +52,6 @@ Scenario::Params world_params(const CrowdConfig& config,
   return params;
 }
 
-sim::RunStats run_world(Scenario& world, const CrowdConfig& config) {
-  const TimePoint end = TimePoint{} + seconds(config.duration_s);
-  sim::RunOptions options;
-  options.threads = config.threads;
-  options.profile = config.profile;
-  options.profiler = config.profiler;
-  return sim::run(world.sim(), end, options);
-}
-
 std::vector<mobility::Vec2> cell_grid_sites(const CrowdConfig& config) {
   std::vector<mobility::Vec2> sites;
   if (config.cell_grid <= 1) return sites;  // default single cell
@@ -110,6 +101,15 @@ void collect_common(Scenario& world, const sim::RunStats& run_stats,
 }
 
 }  // namespace
+
+sim::RunStats run_crowd_world(Scenario& world, const CrowdConfig& config) {
+  const TimePoint end = TimePoint{} + seconds(config.duration_s);
+  sim::RunOptions options;
+  options.threads = config.threads;
+  options.profile = config.profile;
+  options.profiler = config.profiler;
+  return sim::run(world.sim(), end, options);
+}
 
 CrowdWorld build_d2d_crowd(const CrowdConfig& config) {
   CrowdWorld built;
@@ -223,7 +223,7 @@ CrowdMetrics collect_d2d_crowd(CrowdWorld& built,
 
 CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
   CrowdWorld built = build_d2d_crowd(config);
-  const sim::RunStats stats = run_world(*built.world, config);
+  const sim::RunStats stats = run_crowd_world(*built.world, config);
   return collect_d2d_crowd(built, stats);
 }
 
@@ -248,7 +248,7 @@ CrowdMetrics run_original_crowd(const CrowdConfig& config) {
                                    static_cast<double>(config.phones))));
   }
 
-  const sim::RunStats run_stats = run_world(world, config);
+  const sim::RunStats run_stats = run_crowd_world(world, config);
 
   CrowdMetrics metrics;
   metrics.relays = 0;

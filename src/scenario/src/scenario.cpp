@@ -35,7 +35,7 @@ Scenario::Scenario(Params params)
     : rng_(params.seed),
       shard_plan_(params.shard_plan),
       sim_(shard_plan_.shards),
-      medium_(sim_, table_, params.medium, rng_.fork()),
+      medium_(sim_, table_, params.medium, rng_.next_u64()),
       server_(sim_),
       sites_(params.cell_sites.empty()
                  ? std::vector<mobility::Vec2>{{0.0, 0.0}}
@@ -130,8 +130,7 @@ core::Phone& Scenario::add_phone(core::PhoneConfig config) {
     // shard's kernel — and its state in that shard's arena.
     sim::ShardGuard guard(sim_, shard);
     phone = &arena.create<core::Phone>(sim_, id, std::move(config), medium_,
-                                       cells_[best]->signaling().strip(shard),
-                                       rng_.fork());
+                                       cells_[best]->signaling().strip(shard));
   }
   phones_.push_back(phone);
   return *phone;
@@ -155,7 +154,7 @@ core::UeAgent& Scenario::add_ue(core::Phone& phone,
   sim::ShardGuard guard(sim_, shard);
   ues_.push_back(&arena.create<core::UeAgent>(
       sim_, phone, std::move(params), serving_bs(phone),
-      message_lanes_[shard], rng_.fork(), &arena));
+      message_lanes_[shard], &arena));
   return *ues_.back();
 }
 
@@ -176,6 +175,29 @@ void Scenario::register_session(const core::Phone& phone, Duration tolerance,
   // Only the phone's home strip delivers its heartbeats.
   sim::ShardGuard guard(sim_, table_.shard_of(phone.id()));
   server_.register_client(phone.id(), app, tolerance);
+}
+
+std::uint64_t strip_wall_pairs(const Scenario& world) {
+  const world::NodeTable& nodes = world.nodes();
+  const Meters range = world.medium().params().range;
+  std::vector<NodeId> relays;  // the listening relays, as `grid` indexes
+  mobility::PointGrid grid{range};
+  for (core::RelayAgent* relay : world.relays()) {
+    const NodeId id = relay->phone().id();
+    if (!relay->phone().wifi().listening()) continue;
+    grid.insert(relays.size(), nodes.position_of(id, TimePoint{}));
+    relays.push_back(id);
+  }
+  std::uint64_t pairs = 0;
+  std::vector<std::size_t> near;
+  for (core::UeAgent* ue : world.ues()) {
+    const NodeId id = ue->phone().id();
+    grid.query_radius(nodes.position_of(id, TimePoint{}), range, near);
+    for (const std::size_t r : near) {
+      pairs += nodes.shard_of(relays[r]) != nodes.shard_of(id) ? 1 : 0;
+    }
+  }
+  return pairs;
 }
 
 }  // namespace d2dhb::scenario

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -125,6 +127,66 @@ TEST(Rng, ReseedResetsSequence) {
   for (int i = 0; i < 10; ++i) first.push_back(rng.next_u64());
   rng.reseed(37);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.next_u64(), first[i]);
+}
+
+// --- KeyedDraw: the stateless counter-based draw ----------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(KeyedDraw, EqualInputsGiveEqualValues) {
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    const KeyedDraw a{i * 7919, i, i + 1, i * 1000};
+    const KeyedDraw b{i * 7919, i, i + 1, i * 1000};
+    EXPECT_TRUE(same_bits(a.uniform(), b.uniform())) << i;
+    EXPECT_TRUE(same_bits(a.normal(), b.normal())) << i;
+  }
+}
+
+TEST(KeyedDraw, ChangingAnyOneInputChangesTheValue) {
+  const std::uint64_t base[4] = {0x5eed, 17, 42, 3'000'000};
+  const KeyedDraw reference{base[0], base[1], base[2], base[3]};
+  // Small steps (neighbouring node ids, the next microsecond), a high
+  // bit, and zero, in each of the four positions.
+  for (std::size_t input = 0; input < 4; ++input) {
+    for (const std::uint64_t delta :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{1} << 63}) {
+      std::uint64_t in[4] = {base[0], base[1], base[2], base[3]};
+      in[input] ^= delta;
+      const KeyedDraw moved{in[0], in[1], in[2], in[3]};
+      EXPECT_FALSE(same_bits(moved.uniform(), reference.uniform()))
+          << "input " << input << " ^ " << delta;
+      EXPECT_FALSE(same_bits(moved.normal(), reference.normal()))
+          << "input " << input << " ^ " << delta;
+    }
+  }
+  // Swapping the scanner and the peer is a different measurement.
+  const KeyedDraw swapped{base[0], base[2], base[1], base[3]};
+  EXPECT_FALSE(same_bits(swapped.uniform(), reference.uniform()));
+}
+
+TEST(KeyedDraw, MomentsOverAMillionKeys) {
+  constexpr std::uint64_t n = 1'000'000;
+  double u_sum = 0.0, u_sq = 0.0, z_sum = 0.0, z_sq = 0.0;
+  for (std::uint64_t key = 0; key < n; ++key) {
+    const KeyedDraw draw{key, 3, 5, 60'000'000};
+    const double u = draw.uniform();
+    ASSERT_GE(u, 0.0);
+    ASSERT_LT(u, 1.0);
+    const double z = draw.normal();
+    u_sum += u;
+    u_sq += u * u;
+    z_sum += z;
+    z_sq += z * z;
+  }
+  const double u_mean = u_sum / n;
+  const double z_mean = z_sum / n;
+  // Each tolerance is about six standard errors at n = 10^6.
+  EXPECT_NEAR(u_mean, 0.5, 0.002);
+  EXPECT_NEAR(u_sq / n - u_mean * u_mean, 1.0 / 12.0, 0.0006);
+  EXPECT_NEAR(z_mean, 0.0, 0.006);
+  EXPECT_NEAR(std::sqrt(z_sq / n - z_mean * z_mean), 1.0, 0.005);
 }
 
 }  // namespace

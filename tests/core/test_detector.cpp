@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <vector>
+
 namespace d2dhb::core {
 namespace {
 
@@ -15,51 +19,51 @@ d2d::DiscoveredPeer peer(std::uint64_t id, double distance_m,
   return p;
 }
 
+/// One match by UE #1 at time zero under world key 1.
+std::optional<d2d::DiscoveredPeer> match(
+    const MatchPolicy& policy, const std::vector<d2d::DiscoveredPeer>& peers) {
+  return match_relay(policy, peers, 1, NodeId{1}, TimePoint{});
+}
+
 TEST(Detector, PicksNearestRelay) {
-  D2dDetector det{MatchPolicy{}, Rng{1}};
-  const auto choice = det.match({peer(1, 5.0), peer(2, 2.0), peer(3, 9.0)});
+  const auto choice =
+      match(MatchPolicy{}, {peer(1, 5.0), peer(2, 2.0), peer(3, 9.0)});
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->node, NodeId{2});
 }
 
 TEST(Detector, IgnoresNonRelays) {
-  D2dDetector det{MatchPolicy{}, Rng{1}};
-  const auto choice =
-      det.match({peer(1, 1.0, /*offers_relay=*/false), peer(2, 8.0)});
+  const auto choice = match(
+      MatchPolicy{}, {peer(1, 1.0, /*offers_relay=*/false), peer(2, 8.0)});
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->node, NodeId{2});
 }
 
 TEST(Detector, RejectsZeroCapacityWhenRequired) {
-  D2dDetector det{MatchPolicy{}, Rng{1}};
-  EXPECT_FALSE(det.match({peer(1, 1.0, true, 0)}).has_value());
+  EXPECT_FALSE(match(MatchPolicy{}, {peer(1, 1.0, true, 0)}).has_value());
 }
 
 TEST(Detector, AcceptsZeroCapacityWhenNotRequired) {
   MatchPolicy policy;
   policy.require_capacity = false;
-  D2dDetector det{policy, Rng{1}};
-  EXPECT_TRUE(det.match({peer(1, 1.0, true, 0)}).has_value());
+  EXPECT_TRUE(match(policy, {peer(1, 1.0, true, 0)}).has_value());
 }
 
 TEST(Detector, EnforcesMaxDistancePrejudgment) {
   MatchPolicy policy;
   policy.max_distance = Meters{10.0};
-  D2dDetector det{policy, Rng{1}};
-  EXPECT_FALSE(det.match({peer(1, 15.0)}).has_value());
-  EXPECT_TRUE(det.match({peer(1, 9.0)}).has_value());
+  EXPECT_FALSE(match(policy, {peer(1, 15.0)}).has_value());
+  EXPECT_TRUE(match(policy, {peer(1, 9.0)}).has_value());
 }
 
 TEST(Detector, EmptyDiscoveryMeansCellular) {
-  D2dDetector det{MatchPolicy{}, Rng{1}};
-  EXPECT_FALSE(det.match({}).has_value());
+  EXPECT_FALSE(match(MatchPolicy{}, {}).has_value());
 }
 
 TEST(Detector, FirstStrategyKeepsDiscoveryOrder) {
   MatchPolicy policy;
   policy.strategy = MatchStrategy::first;
-  D2dDetector det{policy, Rng{1}};
-  const auto choice = det.match({peer(3, 9.0), peer(1, 1.0)});
+  const auto choice = match(policy, {peer(3, 9.0), peer(1, 1.0)});
   ASSERT_TRUE(choice.has_value());
   EXPECT_EQ(choice->node, NodeId{3});
 }
@@ -67,12 +71,16 @@ TEST(Detector, FirstStrategyKeepsDiscoveryOrder) {
 TEST(Detector, RandomStrategyPicksQualifyingRelays) {
   MatchPolicy policy;
   policy.strategy = MatchStrategy::random;
-  D2dDetector det{policy, Rng{42}};
+  const std::vector<d2d::DiscoveredPeer> peers{peer(1, 2.0), peer(2, 4.0),
+                                               peer(3, 6.0)};
   std::set<std::uint64_t> chosen;
   for (int i = 0; i < 200; ++i) {
-    const auto c = det.match({peer(1, 2.0), peer(2, 4.0), peer(3, 6.0)});
+    const TimePoint now = TimePoint{} + seconds(i);
+    const auto c = match_relay(policy, peers, 7, NodeId{5}, now);
     ASSERT_TRUE(c.has_value());
     chosen.insert(c->node.value);
+    // The pick is keyed by (key, UE, time): asking again repeats it.
+    EXPECT_EQ(match_relay(policy, peers, 7, NodeId{5}, now)->node, c->node);
   }
   EXPECT_EQ(chosen.size(), 3u);  // all three get picked eventually
 }

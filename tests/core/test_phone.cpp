@@ -11,7 +11,7 @@ namespace {
 
 class PhoneTest : public ::testing::Test {
  protected:
-  PhoneTest() : medium_(sim_, nodes_, d2d::WifiDirectMedium::Params{}, Rng{1}) {}
+  PhoneTest() : medium_(sim_, nodes_, d2d::WifiDirectMedium::Params{}, 1) {}
 
   /// Direct Phone construction wants a non-owning model reference (in a
   /// Scenario the model lives in the strip arena); the fixture plays
@@ -31,7 +31,7 @@ class PhoneTest : public ::testing::Test {
 };
 
 TEST_F(PhoneTest, AssemblesAllComponents) {
-  Phone phone{sim_, NodeId{1}, config(), medium_, signaling_, Rng{2}};
+  Phone phone{sim_, NodeId{1}, config(), medium_, signaling_};
   EXPECT_EQ(phone.id(), NodeId{1});
   EXPECT_EQ(phone.modem().owner(), NodeId{1});
   EXPECT_EQ(phone.wifi().owner(), NodeId{1});
@@ -42,8 +42,8 @@ TEST_F(PhoneTest, AssemblesAllComponents) {
 }
 
 TEST_F(PhoneTest, DefaultConfigSharesTheProcessWideProfiles) {
-  Phone a{sim_, NodeId{1}, config(), medium_, signaling_, Rng{2}};
-  Phone b{sim_, NodeId{2}, config({1.0, 0.0}), medium_, signaling_, Rng{3}};
+  Phone a{sim_, NodeId{1}, config(), medium_, signaling_};
+  Phone b{sim_, NodeId{2}, config({1.0, 0.0}), medium_, signaling_};
   EXPECT_EQ(&a.modem().profile(), radio::shared_wcdma_profile().get());
   EXPECT_EQ(&b.modem().profile(), &a.modem().profile());
   EXPECT_EQ(&a.wifi().profile(), d2d::shared_default_energy_profile().get());
@@ -53,12 +53,12 @@ TEST_F(PhoneTest, DefaultConfigSharesTheProcessWideProfiles) {
 TEST_F(PhoneTest, RequiresMobility) {
   PhoneConfig pc;  // mobility left null
   EXPECT_THROW(
-      (Phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_, Rng{2}}),
+      (Phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_}),
       std::invalid_argument);
 }
 
 TEST_F(PhoneTest, BaselineDrawsButRadioChargeExcludesIt) {
-  Phone phone{sim_, NodeId{1}, config(), medium_, signaling_, Rng{2}};
+  Phone phone{sim_, NodeId{1}, config(), medium_, signaling_};
   sim_.run_until(TimePoint{} + seconds(36));
   // Baseline 40 mA for 36 s = 400 µAh total, but radios drew nothing.
   EXPECT_NEAR(phone.total_charge().value, 400.0, 1e-6);
@@ -68,15 +68,14 @@ TEST_F(PhoneTest, BaselineDrawsButRadioChargeExcludesIt) {
 }
 
 TEST_F(PhoneTest, RegisteredOnMedium) {
-  Phone phone{sim_, NodeId{1}, config({3.0, 4.0}), medium_, signaling_,
-              Rng{2}};
+  Phone phone{sim_, NodeId{1}, config({3.0, 4.0}), medium_, signaling_};
   const auto pos = medium_.position_of(NodeId{1});
   EXPECT_DOUBLE_EQ(pos.x, 3.0);
   EXPECT_DOUBLE_EQ(pos.y, 4.0);
 }
 
 TEST_F(PhoneTest, CellularTransmitChargesCellularComponent) {
-  Phone phone{sim_, NodeId{1}, config(), medium_, signaling_, Rng{2}};
+  Phone phone{sim_, NodeId{1}, config(), medium_, signaling_};
   net::UplinkBundle bundle;
   bundle.sender = phone.id();
   net::HeartbeatMessage m;
@@ -97,7 +96,7 @@ TEST_F(PhoneTest, CustomRrcProfileIsUsed) {
       radio::lte_profile());
   PhoneConfig pc = config();
   pc.rrc = lte;
-  Phone phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_, Rng{2}};
+  Phone phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_};
   EXPECT_EQ(&phone.modem().profile(), lte.get());
   EXPECT_EQ(phone.modem().profile().name, "LTE");
   EXPECT_EQ(phone.meter().component_name(energy::ComponentHandle{1}),
@@ -108,7 +107,7 @@ TEST_F(PhoneTest, RequiresAnRrcProfile) {
   PhoneConfig pc = config();
   pc.rrc = nullptr;
   EXPECT_THROW(
-      (Phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_, Rng{2}}),
+      (Phone{sim_, NodeId{1}, std::move(pc), medium_, signaling_}),
       std::invalid_argument);
 }
 

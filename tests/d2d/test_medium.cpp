@@ -23,7 +23,7 @@ struct TestPhone {
       : meter(sim),
         mobility(pos),
         radio(sim, NodeId{id}, medium, mobility, meter,
-              shared_default_energy_profile(), Rng{id}) {}
+              shared_default_energy_profile()) {}
 
   energy::EnergyMeter meter;
   mobility::StaticMobility mobility;
@@ -32,7 +32,7 @@ struct TestPhone {
 
 class MediumTest : public ::testing::Test {
  protected:
-  MediumTest() : medium_(sim_, nodes_, WifiDirectMedium::Params{}, Rng{99}) {}
+  MediumTest() : medium_(sim_, nodes_, WifiDirectMedium::Params{}, 99) {}
 
   sim::Simulator sim_;
   world::NodeTable nodes_;
@@ -100,7 +100,7 @@ TEST_F(MediumTest, DiscoveryMissProbabilityDropsPeers) {
   world::NodeTable flaky_nodes;
   WifiDirectMedium flaky{sim_, flaky_nodes,
                          WifiDirectMedium::Params{Meters{30.0}, 0.0, 1.0},
-                         Rng{5}};
+                         5};
   TestPhone scanner{sim_, flaky, 1, {0.0, 0.0}};
   TestPhone relay{sim_, flaky, 2, {1.0, 0.0}};
   relay.radio.set_listening(true);
@@ -133,7 +133,7 @@ TEST_F(MediumTest, LegacyScanAndGridScanAreIdenticalUnderOneSeed) {
     params.legacy_scan = legacy;
     params.grid_cell_m = cell_m;
     world::NodeTable nodes;
-    WifiDirectMedium medium{sim_, nodes, params, Rng{77}};
+    WifiDirectMedium medium{sim_, nodes, params, 77};
     std::vector<std::unique_ptr<TestPhone>> phones;
     phones.push_back(std::make_unique<TestPhone>(
         sim_, medium, 1, mobility::Vec2{0.0, 0.0}));
@@ -172,7 +172,7 @@ struct ScriptPhone {
     nodes.set_shard(NodeId{id}, strip);
     radio = std::make_unique<WifiDirectRadio>(
         sim, NodeId{id}, medium, *mobility, meter,
-        shared_default_energy_profile(), Rng{id});
+        shared_default_energy_profile());
   }
 
   energy::EnergyMeter meter;
@@ -183,7 +183,7 @@ struct ScriptPhone {
 /// One medium of the property test with the phones attached to it.
 struct ScriptArm {
   ScriptArm(sim::Simulator& sim, bool legacy)
-      : medium(sim, nodes, params(legacy), Rng{2024}) {}
+      : medium(sim, nodes, params(legacy), 2024) {}
 
   static WifiDirectMedium::Params params(bool legacy) {
     WifiDirectMedium::Params p;
@@ -316,29 +316,21 @@ TEST(MediumIndexProperty, ListeningIndexMatchesTheFullTableReference) {
   }
 }
 
-TEST_F(MediumTest, LostPeersFlagsDetachedAndOutOfRange) {
+TEST_F(MediumTest, InRangeIsFalseForDetachedAndFarPeers) {
   TestPhone owner{sim_, medium_, 1, {0.0, 0.0}};
   TestPhone near{sim_, medium_, 2, {5.0, 0.0}};
   TestPhone far{sim_, medium_, 3, {100.0, 0.0}};
   auto doomed = std::make_unique<TestPhone>(sim_, medium_, 4,
                                             mobility::Vec2{6.0, 0.0});
-  const std::vector<NodeId> peers{NodeId{2}, NodeId{3}, NodeId{4}};
-  EXPECT_EQ(medium_.lost_peers(NodeId{1}, peers),
-            (std::vector<NodeId>{NodeId{3}}));
+  EXPECT_TRUE(medium_.in_range(NodeId{1}, NodeId{2}));
+  EXPECT_FALSE(medium_.in_range(NodeId{1}, NodeId{3}));
+  EXPECT_TRUE(medium_.in_range(NodeId{1}, NodeId{4}));
   doomed.reset();  // detaches
-  EXPECT_EQ(medium_.lost_peers(NodeId{1}, peers),
-            (std::vector<NodeId>{NodeId{3}, NodeId{4}}));
-
-  // The legacy path answers the same sweep the same way.
-  WifiDirectMedium::Params legacy_params;
-  legacy_params.legacy_scan = true;
-  world::NodeTable legacy_nodes;
-  WifiDirectMedium legacy{sim_, legacy_nodes, legacy_params, Rng{99}};
-  TestPhone l_owner{sim_, legacy, 1, {0.0, 0.0}};
-  TestPhone l_near{sim_, legacy, 2, {5.0, 0.0}};
-  TestPhone l_far{sim_, legacy, 3, {100.0, 0.0}};
-  EXPECT_EQ(legacy.lost_peers(NodeId{1}, {NodeId{2}, NodeId{3}}),
-            (std::vector<NodeId>{NodeId{3}}));
+  // A node that left the medium is out of range, not an error, both as
+  // the peer and as the asker.
+  EXPECT_FALSE(medium_.in_range(NodeId{1}, NodeId{4}));
+  EXPECT_FALSE(medium_.in_range(NodeId{4}, NodeId{1}));
+  EXPECT_FALSE(medium_.in_range(NodeId{1}, NodeId{41}));
 }
 
 TEST_F(MediumTest, UnknownNodeErrorsNameTheNode) {

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "energy/energy_meter.hpp"
 #include "sim/simulator.hpp"
@@ -17,7 +18,7 @@ struct TestPhone {
       : meter(sim),
         mobility(std::move(mob)),
         radio(sim, NodeId{id}, medium, *mobility, meter,
-              shared_default_energy_profile(), Rng{id}) {}
+              shared_default_energy_profile()) {}
 
   static std::unique_ptr<TestPhone> at(sim::Simulator& sim,
                                        WifiDirectMedium& medium,
@@ -45,7 +46,7 @@ net::HeartbeatMessage heartbeat(std::uint64_t id, std::uint64_t origin) {
 
 class WifiDirectTest : public ::testing::Test {
  protected:
-  WifiDirectTest() : medium_(sim_, nodes_, WifiDirectMedium::Params{}, Rng{77}) {}
+  WifiDirectTest() : medium_(sim_, nodes_, WifiDirectMedium::Params{}, 77) {}
 
   sim::Simulator sim_;
   world::NodeTable nodes_;
@@ -67,6 +68,82 @@ TEST_F(WifiDirectTest, DiscoveryChargesBothSidesPerTableIII) {
   EXPECT_TRUE(done);
   EXPECT_NEAR(ue->radio.radio_charge().value, 132.24, 0.01);
   EXPECT_NEAR(relay->radio.radio_charge().value, 122.50, 0.01);
+}
+
+// --- One scan per discovery ------------------------------------------
+// The responders charged at the start of the window are the answers the
+// callback gets at its end, minus what changed during the window.
+
+std::vector<NodeId> discover(sim::Simulator& sim, WifiDirectRadio& radio) {
+  std::vector<NodeId> delivered;
+  bool done = false;
+  radio.start_discovery([&](const std::vector<DiscoveredPeer>& peers) {
+    done = true;
+    for (const DiscoveredPeer& peer : peers) delivered.push_back(peer.node);
+  });
+  sim.run_until(sim.now() + seconds(10));
+  EXPECT_TRUE(done);
+  return delivered;
+}
+
+TEST_F(WifiDirectTest, RelayThatStopsListeningMidWindowIsNotDelivered) {
+  auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
+  auto quits = TestPhone::at(sim_, medium_, 2, 3, 0);
+  auto stays = TestPhone::at(sim_, medium_, 3, 0, 3);
+  quits->radio.set_listening(true);
+  stays->radio.set_listening(true);
+  sim_.schedule_after(seconds(4),
+                      [&] { quits->radio.set_listening(false); });
+  EXPECT_EQ(discover(sim_, ue->radio), (std::vector<NodeId>{NodeId{3}}));
+  // It answered the probe, so it still paid for the response.
+  EXPECT_NEAR(quits->radio.radio_charge().value, 122.50, 0.01);
+}
+
+TEST_F(WifiDirectTest, PeerThatWalksOutOfRangeMidWindowIsDropped) {
+  auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
+  // 20 m away at the probe, 36 m away when the 8 s window closes.
+  auto walker = std::make_unique<TestPhone>(
+      sim_, medium_, 2,
+      std::make_unique<mobility::LinearMobility>(mobility::Vec2{20.0, 0.0},
+                                                 mobility::Vec2{2.0, 0.0}));
+  auto still = TestPhone::at(sim_, medium_, 3, 5, 0);
+  walker->radio.set_listening(true);
+  still->radio.set_listening(true);
+  EXPECT_EQ(discover(sim_, ue->radio), (std::vector<NodeId>{NodeId{3}}));
+  EXPECT_NEAR(walker->radio.radio_charge().value, 122.50, 0.01);
+}
+
+TEST(WifiDirectDiscovery, ChargedRespondersAreTheDeliveredList) {
+  sim::Simulator sim;
+  world::NodeTable nodes;
+  WifiDirectMedium::Params params;
+  params.discovery_miss_probability = 0.4;
+  WifiDirectMedium medium(sim, nodes, params, 2024);
+  auto ue = TestPhone::at(sim, medium, 1, 0, 0);
+  std::vector<std::unique_ptr<TestPhone>> relays;
+  for (std::uint64_t id = 2; id <= 13; ++id) {
+    relays.push_back(
+        TestPhone::at(sim, medium, id, 2.0 * static_cast<double>(id), 1.0));
+    relays.back()->radio.set_listening(true);
+  }
+  auto silent = TestPhone::at(sim, medium, 20, 1, 1);  // in range, mute
+  auto far = TestPhone::at(sim, medium, 21, 90, 0);    // listening, far
+  far->radio.set_listening(true);
+
+  const std::vector<NodeId> delivered = discover(sim, ue->radio);
+  std::vector<NodeId> charged;
+  for (const auto& relay : relays) {
+    if (relay->radio.radio_charge().value > 0.0) {
+      EXPECT_NEAR(relay->radio.radio_charge().value, 122.50, 0.01);
+      charged.push_back(relay->radio.owner());
+    }
+  }
+  EXPECT_EQ(charged, delivered);
+  // The keyed misses dropped some in-range relays and kept others.
+  EXPECT_GT(delivered.size(), 0u);
+  EXPECT_LT(delivered.size(), relays.size());
+  EXPECT_DOUBLE_EQ(silent->radio.radio_charge().value, 0.0);
+  EXPECT_DOUBLE_EQ(far->radio.radio_charge().value, 0.0);
 }
 
 TEST_F(WifiDirectTest, ConnectFormsGroupWithIntentArbitration) {
@@ -104,7 +181,7 @@ TEST_F(WifiDirectTest, RequiresAnEnergyProfile) {
   energy::EnergyMeter meter{sim_};
   const mobility::StaticMobility place{mobility::Vec2{0.0, 0.0}};
   EXPECT_THROW((WifiDirectRadio{sim_, NodeId{1}, medium_, place, meter,
-                                nullptr, Rng{1}}),
+                                nullptr}),
                std::invalid_argument);
   EXPECT_EQ(medium_.radio(NodeId{1}), nullptr);
 }
@@ -195,7 +272,7 @@ TEST_F(WifiDirectTest, SendWithoutLinkFails) {
 TEST(WifiDirectKernels, CrossKernelTransferThrows) {
   sim::Simulator sim{2};
   world::NodeTable nodes;
-  WifiDirectMedium medium(sim, nodes, WifiDirectMedium::Params{}, Rng{77});
+  WifiDirectMedium medium(sim, nodes, WifiDirectMedium::Params{}, 77);
   // Both phones are homed on strip 0 (the table's default home).
   auto ue = TestPhone::at(sim, medium, 1, 0, 0);
   auto relay = TestPhone::at(sim, medium, 2, 1, 0);

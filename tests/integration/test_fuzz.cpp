@@ -80,7 +80,7 @@ struct FuzzPhone {
       : meter(sim),
         mobility(pos),
         radio(sim, NodeId{id}, medium, mobility, meter,
-              d2d::shared_default_energy_profile(), Rng{id * 31}) {
+              d2d::shared_default_energy_profile()) {
     radio.set_listening(true);
   }
   energy::EnergyMeter meter;
@@ -95,7 +95,7 @@ TEST_P(WifiFuzzTest, RandomLinkOpsKeepSymmetry) {
   sim::Simulator sim;
   world::NodeTable nodes;
   d2d::WifiDirectMedium medium{sim, nodes, d2d::WifiDirectMedium::Params{},
-                               Rng{42}};
+                               42};
   constexpr std::size_t kPhones = 6;
   std::vector<std::unique_ptr<FuzzPhone>> phones;
   for (std::size_t i = 0; i < kPhones; ++i) {
@@ -153,7 +153,7 @@ TEST(WifiGroupLimit, OwnerRefusesBeyondMaxClients) {
   d2d::WifiDirectMedium::Params params;
   params.max_group_clients = 2;
   world::NodeTable nodes;
-  d2d::WifiDirectMedium medium{sim, nodes, params, Rng{1}};
+  d2d::WifiDirectMedium medium{sim, nodes, params, 1};
   FuzzPhone owner{sim, medium, 1, {0, 0}};
   owner.radio.set_group_owner_intent(d2d::kMaxGroupOwnerIntent);
   std::vector<std::unique_ptr<FuzzPhone>> clients;

@@ -214,7 +214,7 @@ class MediumAuditTest : public ::testing::Test {
         : meter(sim),
           mobility(mobility::Vec2{x, y}),
           radio(sim, NodeId{id}, medium, mobility, meter,
-                d2d::shared_default_energy_profile(), Rng{id}) {}
+                d2d::shared_default_energy_profile()) {}
 
     energy::EnergyMeter meter;
     mobility::StaticMobility mobility;
@@ -222,7 +222,7 @@ class MediumAuditTest : public ::testing::Test {
   };
 
   MediumAuditTest()
-      : medium_(sim_, nodes_, d2d::WifiDirectMedium::Params{}, Rng{7}) {}
+      : medium_(sim_, nodes_, d2d::WifiDirectMedium::Params{}, 7) {}
 
   /// Connects a at->b and runs the sim until the link is up.
   void connect(Phone& a, Phone& b) {

@@ -205,12 +205,15 @@ int run_city_mode(CliFlags& flags, const char* argv0) {
   const bool profiled = config.profile || trace_out.has_value();
   if (profiled) config.profiler = &profiler;
 
-  const CityMetrics m = run_city_crowd(config);
+  const auto world = build_city(config);
+  const std::uint64_t wall = strip_wall_pairs(*world);
+  const CityMetrics m = run_city(*world, config);
   Table table{{"Metric", "Value"}};
   table.add_row({"Phones / relays", std::to_string(m.phones) + " / " +
                                         std::to_string(m.relays)});
   table.add_row({"Cells / strips", std::to_string(m.cells) + " / " +
                                        std::to_string(m.strips)});
+  table.add_row({"Strip-wall pairs", std::to_string(wall)});
   table.add_row({"Layer-3 messages", std::to_string(m.total_l3)});
   table.add_row({"Peak L3 / 10 s", std::to_string(m.peak_l3_per_10s)});
   table.add_row(
@@ -325,6 +328,13 @@ int run_crowd(CliFlags& flags, const char* argv0) {
   sim::Profiler profiler;
   CrowdMetrics orig;
   CrowdMetrics d2d;
+  std::uint64_t wall = 0;
+  const auto run_d2d_arm = [&config, &wall] {
+    CrowdWorld built = build_d2d_crowd(config);
+    wall = strip_wall_pairs(*built.world);
+    const sim::RunStats stats = run_crowd_world(*built.world, config);
+    return collect_d2d_crowd(built, stats);
+  };
   if (config.profile) {
     // Profiled: arms run sequentially — concurrent arm jobs would
     // pollute the profiled arm's wall-clock spans — and only the d2d
@@ -333,11 +343,11 @@ int run_crowd(CliFlags& flags, const char* argv0) {
     orig_config.profile = false;
     orig = run_original_crowd(orig_config);
     config.profiler = &profiler;
-    d2d = run_d2d_crowd(config);
+    d2d = run_d2d_arm();
   } else {
     const runner::ExperimentRunner arms;
     auto cells = arms.run_jobs(2, [&](std::size_t i) {
-      return i == 0 ? run_original_crowd(config) : run_d2d_crowd(config);
+      return i == 0 ? run_original_crowd(config) : run_d2d_arm();
     });
     orig = std::move(cells[0]);
     d2d = std::move(cells[1]);
@@ -367,6 +377,7 @@ int run_crowd(CliFlags& flags, const char* argv0) {
                  std::to_string(d2d.server.offline_events)});
   table.add_row({"Relay credits issued", "0",
                  Table::num(d2d.credits_issued, 0)});
+  table.add_row({"Strip-wall pairs", "-", std::to_string(wall)});
   table.print(std::cout);
   if (config.operator_policy.has_value()) {
     std::cout << "\nOperator relay coverage: "
