@@ -4,6 +4,7 @@
 #include <iostream>
 #include <memory>
 
+#include "apps/heartbeat_app.hpp"
 #include "bench_util.hpp"
 #include "radio/capture.hpp"
 #include "scenario/scenario.hpp"
@@ -12,11 +13,14 @@ using namespace d2dhb;
 
 namespace {
 
-net::HeartbeatMessage heartbeat(scenario::Scenario& world, NodeId origin) {
+/// The `seq`-th heartbeat of `origin`'s primary app.
+net::HeartbeatMessage heartbeat(scenario::Scenario& world, NodeId origin,
+                                std::uint64_t seq) {
   net::HeartbeatMessage m;
-  m.id = world.message_ids().next();
+  m.app = apps::app_id_for(origin, 0);
+  m.seq = seq;
+  m.id = net::message_id(m.app, seq);
   m.origin = origin;
-  m.app = AppId{origin.value};
   m.size = net::kStandardHeartbeatSize;
   m.period = seconds(270);
   m.expiry = seconds(270);
@@ -41,7 +45,7 @@ int main() {
   // One isolated 54 B heartbeat: a full WCDMA RRC cycle.
   net::UplinkBundle single;
   single.sender = phone.id();
-  single.messages = {heartbeat(world, phone.id())};
+  single.messages = {heartbeat(world, phone.id(), 1)};
   phone.modem().transmit(std::move(single));
   world.run_for(seconds(15));
 
@@ -54,9 +58,9 @@ int main() {
   world.bs().signaling().clear();
   net::UplinkBundle aggregate;
   aggregate.sender = phone.id();
-  aggregate.messages = {heartbeat(world, phone.id()),
-                        heartbeat(world, NodeId{21}),
-                        heartbeat(world, NodeId{22})};
+  aggregate.messages = {heartbeat(world, phone.id(), 2),
+                        heartbeat(world, NodeId{21}, 1),
+                        heartbeat(world, NodeId{22}, 1)};
   phone.modem().transmit(std::move(aggregate));
   world.run_for(seconds(15));
 

@@ -3,6 +3,7 @@
 // original system, the MessageMonitor API in the D2D framework).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -13,14 +14,21 @@
 
 namespace d2dhb::apps {
 
+/// The AppId of the `index`-th app installed on `node` (0-based): the
+/// first app uses the node's own id, so server registrations by node
+/// line up; later ones get derived ids.
+constexpr AppId app_id_for(NodeId node, std::size_t index) {
+  return AppId{index == 0 ? node.value : node.value * 1000 + index + 1};
+}
+
+/// Emits heartbeats whose ids are net::message_id(app, seq).
 class HeartbeatApp {
  public:
   /// Receives each emitted heartbeat.
   using Sink = std::function<void(const net::HeartbeatMessage&)>;
 
   HeartbeatApp(sim::Simulator& sim, NodeId node, AppId app,
-               AppProfile profile, IdGenerator<MessageId>& message_ids,
-               Sink sink);
+               AppProfile profile, Sink sink);
 
   /// Begins the periodic emission; first heartbeat fires after `offset`
   /// (stagger apps so they don't all beat at t=0).
@@ -46,7 +54,6 @@ class HeartbeatApp {
   NodeId node_;
   AppId app_;
   AppProfile profile_;
-  IdGenerator<MessageId>& message_ids_;
   Sink sink_;
   sim::PeriodicTimer timer_;
   std::uint64_t emitted_{0};

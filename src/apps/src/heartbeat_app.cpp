@@ -5,13 +5,11 @@
 namespace d2dhb::apps {
 
 HeartbeatApp::HeartbeatApp(sim::Simulator& sim, NodeId node, AppId app,
-                           AppProfile profile,
-                           IdGenerator<MessageId>& message_ids, Sink sink)
+                           AppProfile profile, Sink sink)
     : sim_(sim),
       node_(node),
       app_(app),
       profile_(std::move(profile)),
-      message_ids_(message_ids),
       sink_(std::move(sink)),
       timer_(sim, profile_.heartbeat_period, [this] {
         if (max_emissions_ != 0 && emitted_ >= max_emissions_) {
@@ -31,7 +29,8 @@ void HeartbeatApp::stop() { timer_.stop(); }
 
 net::HeartbeatMessage HeartbeatApp::make_message() {
   net::HeartbeatMessage m;
-  m.id = message_ids_.next();
+  m.seq = ++emitted_;
+  m.id = net::message_id(app_, m.seq);
   m.origin = node_;
   m.app = app_;
   m.app_name = profile_.name;
@@ -39,7 +38,6 @@ net::HeartbeatMessage HeartbeatApp::make_message() {
   m.period = profile_.heartbeat_period;
   m.expiry = profile_.expiry;
   m.created_at = sim_.now();
-  m.seq = ++emitted_;
   return m;
 }
 

@@ -32,25 +32,14 @@ using GroupId = Id<GroupTag>;
 using AppId = Id<AppTag>;
 
 /// Monotonic generator for any Id type. Starts at 1 so that value 0 is
-/// reserved for "invalid". The (start, stride) form carves the id space
-/// into disjoint lanes — generator k of V uses (1 + k, V) — so each
-/// world shard can mint ids without sharing a counter across threads.
+/// reserved for "invalid".
 template <typename IdType>
 class IdGenerator {
  public:
-  IdGenerator() = default;
-  IdGenerator(std::uint64_t start, std::uint64_t stride)
-      : next_(start), stride_(stride) {}
-
-  IdType next() {
-    const std::uint64_t value = next_;
-    next_ += stride_;
-    return IdType{value};
-  }
+  IdType next() { return IdType{next_++}; }
 
  private:
   std::uint64_t next_{1};
-  std::uint64_t stride_{1};
 };
 
 }  // namespace d2dhb

@@ -63,7 +63,8 @@ void* Arena::allocate_pooled(std::size_t bytes, std::size_t align) {
   // single huge allocation never forces a huge default block size.
   const std::size_t capacity = std::max(block_bytes_, bytes + align);
   Block block;
-  block.data = std::make_unique<std::byte[]>(capacity);
+  // Uninitialised: pages a strip never touches stay unmapped.
+  block.data = std::make_unique_for_overwrite<std::byte[]>(capacity);
   block.capacity = capacity;
   stats_.bytes_reserved += capacity;
   ++stats_.blocks;

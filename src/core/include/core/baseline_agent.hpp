@@ -53,8 +53,7 @@ class CellularBaselineAgent {
   };
 
   CellularBaselineAgent(sim::Simulator& sim, Phone& phone, Params params,
-                        radio::BaseStation& bs,
-                        IdGenerator<MessageId>& message_ids, Rng rng);
+                        radio::BaseStation& bs, Rng rng);
   ~CellularBaselineAgent();
   CellularBaselineAgent(const CellularBaselineAgent&) = delete;
   CellularBaselineAgent& operator=(const CellularBaselineAgent&) = delete;
@@ -80,7 +79,6 @@ class CellularBaselineAgent {
   Phone& phone_;
   Params params_;
   radio::BaseStation& bs_;
-  IdGenerator<MessageId>& message_ids_;
   apps::AppProfile effective_profile_;
   apps::MixedTrafficGenerator traffic_;
   std::vector<net::HeartbeatMessage> pending_;

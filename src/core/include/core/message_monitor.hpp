@@ -30,9 +30,7 @@ class MessageMonitor {
   /// strip arena, so every app on a strip is strip-local memory);
   /// nullptr falls back to a private per-monitor heap arena —
   /// standalone monitors behave exactly like the pre-arena code.
-  MessageMonitor(sim::Simulator& sim, NodeId node,
-                 IdGenerator<MessageId>& message_ids,
-                 Arena* arena = nullptr);
+  MessageMonitor(sim::Simulator& sim, NodeId node, Arena* arena = nullptr);
 
   /// Where intercepted heartbeats go. Replacing the transport affects
   /// subsequent heartbeats only.
@@ -55,7 +53,6 @@ class MessageMonitor {
 
   sim::Simulator& sim_;
   NodeId node_;
-  IdGenerator<MessageId>& message_ids_;
   Transport transport_;
   /// Where integrated apps are constructed (borrowed strip arena or a
   /// private heap-mode one); the arena owns their lifetimes.

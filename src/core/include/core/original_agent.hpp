@@ -19,11 +19,10 @@ class OriginalAgent {
   /// `arena` pools the heartbeat apps (a Scenario passes the phone's
   /// strip arena); nullptr = private per-agent heap fallback.
   OriginalAgent(sim::Simulator& sim, Phone& phone, apps::AppProfile app,
-                radio::BaseStation& bs, IdGenerator<MessageId>& message_ids,
-                Arena* arena = nullptr);
+                radio::BaseStation& bs, Arena* arena = nullptr);
 
   /// Adds another IM app to this phone (phones often run several).
-  void add_app(apps::AppProfile app, IdGenerator<MessageId>& message_ids);
+  void add_app(apps::AppProfile app);
 
   void start(Duration heartbeat_offset = Duration::zero());
   void stop();

@@ -52,8 +52,8 @@ class RelayAgent {
   /// `arena` pools extra own-apps (a Scenario passes the phone's strip
   /// arena); nullptr = private per-agent heap fallback.
   RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
-             radio::BaseStation& bs, IdGenerator<MessageId>& message_ids,
-             IncentiveLedger* ledger = nullptr, Arena* arena = nullptr);
+             radio::BaseStation& bs, IncentiveLedger* ledger = nullptr,
+             Arena* arena = nullptr);
 
   /// Installs another IM app on the relay phone itself. The primary app
   /// drives the scheduler's collection window (its period is T); extra
@@ -89,7 +89,6 @@ class RelayAgent {
   Phone& phone_;
   Params params_;
   radio::BaseStation& bs_;
-  IdGenerator<MessageId>& message_ids_;
   IncentiveLedger* ledger_;
   MessageScheduler scheduler_;
   apps::HeartbeatApp own_app_;

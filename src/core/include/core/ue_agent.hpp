@@ -32,8 +32,6 @@ class UeAgent {
     Duration retry_backoff{seconds(120)};
     double backoff_multiplier{2.0};
     Duration max_backoff{seconds(1800)};
-    /// Master switch — false degenerates to the original system.
-    bool use_d2d{true};
     /// Optional relay re-assessment: every interval, a connected UE
     /// re-scans and switches to a relay at least `reassess_improvement`
     /// times closer than its current one (a moving UE should not cling
@@ -62,8 +60,7 @@ class UeAgent {
   /// `arena` pools the UE's heartbeat apps (a Scenario passes the
   /// phone's strip arena); nullptr = private per-agent heap fallback.
   UeAgent(sim::Simulator& sim, Phone& phone, Params params,
-          radio::BaseStation& bs, IdGenerator<MessageId>& message_ids,
-          Arena* arena = nullptr);
+          radio::BaseStation& bs, Arena* arena = nullptr);
 
   /// Installs another IM app on this phone (phones typically run
   /// several — Table I). All apps share the same relay link; the
@@ -105,7 +102,6 @@ class UeAgent {
   Phone& phone_;
   Params params_;
   radio::BaseStation& bs_;
-  IdGenerator<MessageId>& message_ids_;
   FeedbackTracker feedback_;
   MessageMonitor monitor_;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "apps/heartbeat_app.hpp"
+
 namespace d2dhb::core {
 
 namespace {
@@ -22,12 +24,11 @@ apps::AppProfile stretched(apps::AppProfile app, double factor) {
 
 CellularBaselineAgent::CellularBaselineAgent(
     sim::Simulator& sim, Phone& phone, Params params,
-    radio::BaseStation& bs, IdGenerator<MessageId>& message_ids, Rng rng)
+    radio::BaseStation& bs, Rng rng)
     : sim_(sim),
       phone_(phone),
       params_(params),
       bs_(bs),
-      message_ids_(message_ids),
       effective_profile_(stretched(params.app, params.period_factor)),
       traffic_(sim, effective_profile_, rng,
                [this](apps::MixedTrafficGenerator::Kind kind, Bytes size) {
@@ -58,15 +59,15 @@ void CellularBaselineAgent::stop() {
 
 net::HeartbeatMessage CellularBaselineAgent::make_heartbeat() {
   net::HeartbeatMessage m;
-  m.id = message_ids_.next();
+  m.seq = ++seq_;
+  m.app = apps::app_id_for(phone_.id(), 0);
+  m.id = net::message_id(m.app, m.seq);
   m.origin = phone_.id();
-  m.app = AppId{phone_.id().value};
   m.app_name = effective_profile_.name;
   m.size = effective_profile_.heartbeat_size;
   m.period = effective_profile_.heartbeat_period;
   m.expiry = effective_profile_.expiry;
   m.created_at = sim_.now();
-  m.seq = ++seq_;
   return m;
 }
 

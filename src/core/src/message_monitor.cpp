@@ -5,19 +5,16 @@
 namespace d2dhb::core {
 
 MessageMonitor::MessageMonitor(sim::Simulator& sim, NodeId node,
-                               IdGenerator<MessageId>& message_ids,
                                Arena* arena)
-    : sim_(sim), node_(node), message_ids_(message_ids), arena_(arena) {}
+    : sim_(sim), node_(node), arena_(arena) {}
 
 void MessageMonitor::set_transport(Transport transport) {
   transport_ = std::move(transport);
 }
 
 apps::HeartbeatApp& MessageMonitor::integrate_app(apps::AppProfile profile) {
-  const AppId app_id{apps_.empty() ? node_.value
-                                   : node_.value * 1000 + apps_.size() + 1};
   apps::HeartbeatApp& app = arena_.get().create<apps::HeartbeatApp>(
-      sim_, node_, app_id, std::move(profile), message_ids_,
+      sim_, node_, apps::app_id_for(node_, apps_.size()), std::move(profile),
       [this](const net::HeartbeatMessage& m) { on_heartbeat(m); });
   apps_.push_back(&app);
   return app;

@@ -6,25 +6,19 @@ namespace d2dhb::core {
 
 OriginalAgent::OriginalAgent(sim::Simulator& sim, Phone& phone,
                              apps::AppProfile app, radio::BaseStation& bs,
-                             IdGenerator<MessageId>& message_ids,
                              Arena* arena)
     : sim_(sim), phone_(phone), bs_(bs), arena_(arena) {
   phone_.modem().set_uplink_handler(
       [this](const net::UplinkBundle& bundle) { bs_.receive(bundle); });
   sent_ctr_ = &sim_.metrics().counter("original.heartbeats_sent",
                                       {phone_.id().value, -1, "original"});
-  add_app(std::move(app), message_ids);
+  add_app(std::move(app));
 }
 
-void OriginalAgent::add_app(apps::AppProfile app,
-                            IdGenerator<MessageId>& message_ids) {
-  // The first app uses the node-scoped AppId so server registrations by
-  // node line up; additional apps get derived ids.
-  const AppId app_id{apps_.empty()
-                         ? phone_.id().value
-                         : phone_.id().value * 1000 + apps_.size() + 1};
+void OriginalAgent::add_app(apps::AppProfile app) {
   apps_.push_back(&arena_.get().create<apps::HeartbeatApp>(
-      sim_, phone_.id(), app_id, std::move(app), message_ids,
+      sim_, phone_.id(), apps::app_id_for(phone_.id(), apps_.size()),
+      std::move(app),
       [this](const net::HeartbeatMessage& m) { send(m); }));
 }
 

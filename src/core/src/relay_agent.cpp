@@ -17,20 +17,18 @@ MessageScheduler::Params labelled(MessageScheduler::Params p, NodeId node) {
 }  // namespace
 
 RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
-                       radio::BaseStation& bs,
-                       IdGenerator<MessageId>& message_ids,
-                       IncentiveLedger* ledger, Arena* arena)
+                       radio::BaseStation& bs, IncentiveLedger* ledger,
+                       Arena* arena)
     : sim_(sim),
       phone_(phone),
       params_(params),
       bs_(bs),
-      message_ids_(message_ids),
       ledger_(ledger),
       scheduler_(sim, labelled(params.scheduler, phone.id()),
                  [this](std::vector<net::HeartbeatMessage> batch,
                         FlushReason) { on_flush(std::move(batch)); }),
-      own_app_(sim, phone.id(), AppId{phone.id().value}, params.own_app,
-               message_ids,
+      own_app_(sim, phone.id(), apps::app_id_for(phone.id(), 0),
+               params.own_app,
                [this](const net::HeartbeatMessage& m) { on_own_heartbeat(m); }),
       arena_(arena) {
   phone_.modem().set_uplink_handler(
@@ -83,9 +81,10 @@ void RelayAgent::retire() {
 }
 
 apps::HeartbeatApp& RelayAgent::add_own_app(apps::AppProfile profile) {
-  const AppId app_id{phone_.id().value * 1000 + extra_apps_.size() + 2};
   apps::HeartbeatApp& app = arena_.get().create<apps::HeartbeatApp>(
-      sim_, phone_.id(), app_id, std::move(profile), message_ids_,
+      sim_, phone_.id(),
+      apps::app_id_for(phone_.id(), extra_apps_.size() + 1),
+      std::move(profile),
       [this](const net::HeartbeatMessage& m) {
         // Extra own apps' heartbeats join the buffer like forwarded
         // ones: they must go out before their own expiration, but they

@@ -7,13 +7,11 @@
 namespace d2dhb::core {
 
 UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
-                 radio::BaseStation& bs, IdGenerator<MessageId>& message_ids,
-                 Arena* arena)
+                 radio::BaseStation& bs, Arena* arena)
     : sim_(sim),
       phone_(phone),
       params_(params),
       bs_(bs),
-      message_ids_(message_ids),
       feedback_(
           sim, params.feedback_timeout,
           [this](const net::HeartbeatMessage& m) {
@@ -21,7 +19,7 @@ UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
             send_via_cellular(m, /*is_fallback=*/true);
           },
           phone.id()),
-      monitor_(sim, phone.id(), message_ids, arena) {
+      monitor_(sim, phone.id(), arena) {
   auto& reg = sim_.metrics();
   const metrics::Labels labels{phone_.id().value, -1, "ue"};
   heartbeats_ctr_ = &reg.counter("ue.heartbeats", labels);
@@ -76,10 +74,6 @@ void UeAgent::stop() {
 
 void UeAgent::on_heartbeat(const net::HeartbeatMessage& message) {
   heartbeats_ctr_->inc();
-  if (!params_.use_d2d) {
-    send_via_cellular(message, /*is_fallback=*/false);
-    return;
-  }
   switch (state_) {
     case LinkState::connected:
       send_via_d2d(message);

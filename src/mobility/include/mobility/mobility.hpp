@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/id.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -69,9 +70,15 @@ class LinearMobility final : public MobilityModel {
   Vec2 velocity_;
 };
 
-/// Classic random-waypoint over a rectangular area. Legs are generated
-/// lazily from a private RNG stream and cached, so position queries are
-/// deterministic and may arrive in any order.
+/// Classic random-waypoint over a rectangular area. Leg k >= 1 walks
+/// from leg k-1's destination to a uniform point of the area at a
+/// uniform speed, then pauses; its destination x and y, speed and pause
+/// are KeyedDraw{key, node, k, field} with field 0-3, so a trajectory
+/// is a pure function of (key, node, start) and queries may arrive in
+/// any order. The model keeps only the leg of its last query; a query
+/// before that leg replays from the start, so memory stays flat in
+/// simulated time. That one-leg cache is not safe to query from two
+/// threads: a phone's model is read only on its home strip.
 class RandomWaypoint final : public MobilityModel {
  public:
   struct Params {
@@ -82,23 +89,31 @@ class RandomWaypoint final : public MobilityModel {
     Duration max_pause{seconds(30)};
   };
 
-  RandomWaypoint(Params params, Vec2 start, Rng rng);
+  RandomWaypoint(Params params, Vec2 start, std::uint64_t key, NodeId node);
   Vec2 position_at(TimePoint t) const override;
 
  private:
   struct Leg {
+    std::uint64_t index{0};
     TimePoint start_time;
-    TimePoint end_time;  ///< includes the pause at the destination
     TimePoint arrive_time;
+    TimePoint end_time;  ///< includes the pause at the destination
     Vec2 from;
     Vec2 to;
   };
 
-  void extend_to(TimePoint t) const;
+  /// Leg 0: standing at the start, zero long.
+  Leg first_leg() const;
+  Leg next_leg(const Leg& prev) const;
+  /// Draw `field` of leg `index`, uniform in [lo, hi).
+  double draw(std::uint64_t index, std::uint64_t field, double lo,
+              double hi) const;
 
   Params params_;
-  mutable Rng rng_;
-  mutable std::vector<Leg> legs_;
+  std::uint64_t key_;
+  NodeId node_;
+  Vec2 start_;
+  mutable Leg leg_;
 };
 
 /// Follows another trajectory at a fixed offset — members of a group

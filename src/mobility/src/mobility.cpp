@@ -9,38 +9,46 @@ double length(Vec2 v) { return std::hypot(v.x, v.y); }
 
 Meters distance(Vec2 a, Vec2 b) { return Meters{length(a - b)}; }
 
-RandomWaypoint::RandomWaypoint(Params params, Vec2 start, Rng rng)
-    : params_(params), rng_(rng) {
-  legs_.push_back(Leg{TimePoint{}, TimePoint{}, TimePoint{}, start, start});
+RandomWaypoint::RandomWaypoint(Params params, Vec2 start, std::uint64_t key,
+                               NodeId node)
+    : params_(params),
+      key_(key),
+      node_(node),
+      start_(start),
+      leg_(first_leg()) {}
+
+RandomWaypoint::Leg RandomWaypoint::first_leg() const {
+  return Leg{0, TimePoint{}, TimePoint{}, TimePoint{}, start_, start_};
 }
 
-void RandomWaypoint::extend_to(TimePoint t) const {
-  while (legs_.back().end_time < t) {
-    const Leg& prev = legs_.back();
-    Leg leg;
-    leg.start_time = prev.end_time;
-    leg.from = prev.to;
-    leg.to = Vec2{rng_.uniform(params_.area_min.x, params_.area_max.x),
-                  rng_.uniform(params_.area_min.y, params_.area_max.y)};
-    const double speed =
-        rng_.uniform(params_.min_speed_mps, params_.max_speed_mps);
-    const double travel_s = length(leg.to - leg.from) / std::max(speed, 1e-9);
-    leg.arrive_time = leg.start_time + seconds(travel_s);
-    const double pause_s =
-        rng_.uniform(0.0, to_seconds(params_.max_pause));
-    leg.end_time = leg.arrive_time + seconds(pause_s);
-    legs_.push_back(leg);
-  }
+double RandomWaypoint::draw(std::uint64_t index, std::uint64_t field,
+                            double lo, double hi) const {
+  return lo + (hi - lo) * KeyedDraw{key_, node_.value, index, field}.uniform();
+}
+
+RandomWaypoint::Leg RandomWaypoint::next_leg(const Leg& prev) const {
+  Leg leg;
+  leg.index = prev.index + 1;
+  leg.start_time = prev.end_time;
+  leg.from = prev.to;
+  leg.to = Vec2{draw(leg.index, 0, params_.area_min.x, params_.area_max.x),
+                draw(leg.index, 1, params_.area_min.y, params_.area_max.y)};
+  const double speed =
+      draw(leg.index, 2, params_.min_speed_mps, params_.max_speed_mps);
+  const double travel_s = length(leg.to - leg.from) / std::max(speed, 1e-9);
+  leg.arrive_time = leg.start_time + seconds(travel_s);
+  const double pause_s = draw(leg.index, 3, 0.0, to_seconds(params_.max_pause));
+  leg.end_time = leg.arrive_time + seconds(pause_s);
+  return leg;
 }
 
 Vec2 RandomWaypoint::position_at(TimePoint t) const {
-  extend_to(t);
-  // Binary search for the leg containing t.
-  auto it = std::upper_bound(
-      legs_.begin(), legs_.end(), t,
-      [](TimePoint tp, const Leg& leg) { return tp < leg.end_time; });
-  if (it == legs_.end()) it = std::prev(legs_.end());
-  const Leg& leg = *it;
+  // t's leg is the first whose end_time >= t. Every leg before the
+  // cached one ends by its start, so only t <= that start can fall on
+  // an earlier leg; then walk again from leg 0.
+  if (leg_.index > 0 && t <= leg_.start_time) leg_ = first_leg();
+  while (leg_.end_time < t) leg_ = next_leg(leg_);
+  const Leg& leg = leg_;
   if (t >= leg.arrive_time) return leg.to;
   const double total_s = to_seconds(leg.arrive_time - leg.start_time);
   if (total_s <= 0.0) return leg.to;

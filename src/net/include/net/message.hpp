@@ -31,6 +31,13 @@ struct HeartbeatMessage {
   TimePoint deadline() const { return created_at + expiry; }
 };
 
+/// A heartbeat's id: its app's id in the high 32 bits, its per-app
+/// sequence number in the low 32. Unique within one origin phone (its
+/// apps have distinct ids), which is all the relay's feedback acks and
+/// the UE's FeedbackTracker need; no counter is shared between phones.
+/// Throws std::out_of_range if either field does not fit its bits.
+MessageId message_id(AppId app, std::uint64_t seq);
+
 /// One cellular uplink transmission: either a single heartbeat (original
 /// system), the relay's aggregate of its own + forwarded heartbeats, or
 /// a data transfer heartbeats piggyback on.

@@ -1,6 +1,19 @@
 #include "net/message.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace d2dhb::net {
+
+MessageId message_id(AppId app, std::uint64_t seq) {
+  constexpr std::uint64_t kFieldLimit = std::uint64_t{1} << 32;
+  if (app.value >= kFieldLimit || seq >= kFieldLimit) {
+    throw std::out_of_range("net::message_id: app " +
+                            std::to_string(app.value) + " or seq " +
+                            std::to_string(seq) + " exceeds 32 bits");
+  }
+  return MessageId{app.value << 32 | seq};
+}
 
 Bytes payload_size(const D2dPayload& payload) {
   if (const auto* hb = std::get_if<HeartbeatMessage>(&payload)) {

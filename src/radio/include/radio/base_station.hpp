@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "common/rng.hpp"
 #include "metrics/registry.hpp"
 #include "net/channel.hpp"
 #include "net/im_server.hpp"
@@ -16,10 +15,12 @@ namespace d2dhb::radio {
 
 class BaseStation {
  public:
-  /// `cell` labels this station's metrics (site index in multi-cell
-  /// scenarios; 0 for single-cell setups).
+  /// `key` seeds the backhaul's loss draws (net::Channel). `cell`
+  /// labels this station's metrics (site index in multi-cell scenarios;
+  /// 0 for single-cell setups).
   BaseStation(sim::Simulator& sim, net::ImServer& server,
-              net::Channel::Params backhaul, Rng rng, std::size_t cell = 0);
+              net::Channel::Params backhaul, std::uint64_t key,
+              std::size_t cell = 0);
 
   /// Uplink entry point — wire this as every modem's UplinkHandler.
   void receive(const net::UplinkBundle& bundle);

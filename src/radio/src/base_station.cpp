@@ -3,9 +3,9 @@
 namespace d2dhb::radio {
 
 BaseStation::BaseStation(sim::Simulator& sim, net::ImServer& server,
-                         net::Channel::Params backhaul, Rng rng,
+                         net::Channel::Params backhaul, std::uint64_t key,
                          std::size_t cell)
-    : backhaul_(sim, backhaul, rng),
+    : backhaul_(sim, backhaul, key),
       signaling_(sim.shard_count()),
       cell_(cell) {
   backhaul_.set_receiver(

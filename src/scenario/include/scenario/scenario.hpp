@@ -99,11 +99,8 @@ class Scenario {
   std::uint64_t worst_cell_peak(Duration window) const;
 
   core::IncentiveLedger& ledger() { return ledger_; }
-  /// Strip 0's message-id lane — the classic 1, 2, 3, ... generator in
-  /// a single-strip world. Agents added through add_relay/add_ue/
-  /// add_original draw from their own strip's lane instead, so strips
-  /// mint ids concurrently without sharing a counter.
-  IdGenerator<MessageId>& message_ids() { return message_lanes_.front(); }
+  /// A child of the world stream, for build-time draws (layouts, relay
+  /// selection) and keys of run-time keyed draws.
   Rng fork_rng() { return rng_.fork(); }
 
   /// Adds a phone; the id is assigned automatically (1, 2, 3, ...) and
@@ -170,9 +167,6 @@ class Scenario {
   std::uint64_t table_auditor_token_{0};
   core::IncentiveLedger ledger_;
   IdGenerator<NodeId> node_ids_;
-  /// One message-id lane per strip (lane k of V mints 1+k, 1+k+V, ...).
-  /// Sized once at construction — agents keep references into it.
-  std::vector<IdGenerator<MessageId>> message_lanes_;
   Arena::Mode agent_memory_;
   std::vector<core::Phone*> phones_;
   std::vector<core::RelayAgent*> relays_;

@@ -47,8 +47,7 @@ StrategyMetrics run_cellular_strategy(
     core::Phone& phone = add_static_phone(
         world, mobility::Vec2{static_cast<double>(i), 0.0});
     agents.push_back(std::make_unique<core::CellularBaselineAgent>(
-        world.sim(), phone, agent_params, world.bs(), world.message_ids(),
-        world.fork_rng()));
+        world.sim(), phone, agent_params, world.bs(), world.fork_rng()));
     // Server tolerance: ~3 announced periods.
     world.register_session(phone, 3 * agents.back()->heartbeat_period());
   }

@@ -14,8 +14,13 @@ namespace d2dhb::scenario {
 
 namespace {
 
+/// Phone i's model. `key` is the world's one mobility key and node ids
+/// are 1..N in insertion order, so phone i walks as node i + 1: both
+/// arms of a seed (without an operator policy, whose selection draw
+/// comes first) walk their mobile phones on the same trajectories.
 std::unique_ptr<mobility::MobilityModel> make_mobility(
-    const CrowdConfig& config, mobility::Vec2 start, bool moves, Rng rng) {
+    const CrowdConfig& config, std::size_t i, mobility::Vec2 start,
+    bool moves, std::uint64_t key) {
   if (!moves) return std::make_unique<mobility::StaticMobility>(start);
   mobility::RandomWaypoint::Params params;
   params.area_min = {0.0, 0.0};
@@ -23,7 +28,8 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
   params.min_speed_mps = 0.3;
   params.max_speed_mps = 1.2;
   params.max_pause = seconds(60);
-  return std::make_unique<mobility::RandomWaypoint>(params, start, rng);
+  return std::make_unique<mobility::RandomWaypoint>(params, start, key,
+                                                    NodeId{i + 1});
 }
 
 /// Kernels the world is cut into — pure geometry, never a tuning knob:
@@ -157,12 +163,15 @@ CrowdWorld build_d2d_crowd(const CrowdConfig& config) {
         candidates, relays, Meters{config.match_max_distance_m});
   }
 
+  // One word of the world stream, drawn after the layout and relay
+  // selection draws so those do not depend on whether phones move. The
+  // medium's key is an earlier word.
+  const std::uint64_t mobility_key = world.fork_rng().next_u64();
   for (std::size_t i = 0; i < config.phones; ++i) {
     const bool is_relay = is_relay_at[i];
     core::PhoneConfig pc;
-    pc.mobility = make_mobility(config, positions[i],
-                                config.mobile && !is_relay,
-                                world.fork_rng());
+    pc.mobility = make_mobility(config, i, positions[i],
+                                config.mobile && !is_relay, mobility_key);
     core::Phone& phone = world.add_phone(std::move(pc));
     if (is_relay) {
       core::RelayAgent::Params params;
@@ -234,10 +243,11 @@ CrowdMetrics run_original_crowd(const CrowdConfig& config) {
       config.phones, config.clusters, {0.0, 0.0},
       {config.area_m, config.area_m}, config.cluster_stddev_m, layout_rng);
 
+  const std::uint64_t mobility_key = world.fork_rng().next_u64();
   for (std::size_t i = 0; i < config.phones; ++i) {
     core::PhoneConfig pc;
     pc.mobility =
-        make_mobility(config, positions[i], config.mobile, world.fork_rng());
+        make_mobility(config, i, positions[i], config.mobile, mobility_key);
     core::Phone& phone = world.add_phone(std::move(pc));
     core::OriginalAgent& agent = world.add_original(phone, config.app);
     world.register_session(phone, 3 * config.app.heartbeat_period);

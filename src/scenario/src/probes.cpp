@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "apps/heartbeat_app.hpp"
 #include "energy/current_trace.hpp"
 #include "scenario/scenario.hpp"
 
@@ -24,11 +25,14 @@ std::unique_ptr<Scenario> bench_pair(std::uint64_t seed,
   return world;
 }
 
-net::HeartbeatMessage standard_heartbeat(Scenario& world, NodeId origin) {
+/// The `seq`-th heartbeat of `origin`'s primary app.
+net::HeartbeatMessage standard_heartbeat(Scenario& world, NodeId origin,
+                                         std::uint64_t seq = 1) {
   net::HeartbeatMessage m;
-  m.id = world.message_ids().next();
+  m.app = apps::app_id_for(origin, 0);
+  m.seq = seq;
+  m.id = net::message_id(m.app, seq);
   m.origin = origin;
-  m.app = AppId{origin.value};
   m.app_name = "Standard";
   m.size = net::kStandardHeartbeatSize;
   m.period = seconds(270);
@@ -100,9 +104,10 @@ std::vector<double> measure_receive_energy(std::size_t max_messages,
   std::vector<double> cumulative;
   cumulative.reserve(max_messages);
   for (std::size_t k = 0; k < max_messages; ++k) {
-    ue.wifi().send(relay.id(),
-                   net::D2dPayload{standard_heartbeat(*world, ue.id())},
-                   [](Status) {});
+    ue.wifi().send(
+        relay.id(),
+        net::D2dPayload{standard_heartbeat(*world, ue.id(), k + 1)},
+        [](Status) {});
     sim.run_until(sim.now() + seconds(5));
     cumulative.push_back(relay.wifi_charge().value - relay_baseline);
   }

@@ -45,15 +45,13 @@ Scenario::Scenario(Params params)
   cells_.reserve(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     cells_.push_back(std::make_unique<radio::BaseStation>(
-        sim_, server_, params.backhaul, rng_.fork(), i));
+        sim_, server_, params.backhaul, rng_.next_u64(), i));
     site_grid_.insert(i, sites_[i]);
   }
   ledger_.attach(sim_);
   ledger_.bind_metrics(sim_.metrics());
-  message_lanes_.reserve(shard_plan_.shards);
   arenas_.reserve(shard_plan_.shards);
   for (std::size_t s = 0; s < shard_plan_.shards; ++s) {
-    message_lanes_.emplace_back(1 + s, shard_plan_.shards);
     arenas_.push_back(std::make_unique<Arena>(agent_memory_));
   }
   table_auditor_token_ = sim_.add_auditor([this] { table_.audit(); });
@@ -142,8 +140,7 @@ core::RelayAgent& Scenario::add_relay(core::Phone& phone,
   Arena& arena = *arenas_[shard];
   sim::ShardGuard guard(sim_, shard);
   relays_.push_back(&arena.create<core::RelayAgent>(
-      sim_, phone, std::move(params), serving_bs(phone),
-      message_lanes_[shard], &ledger_, &arena));
+      sim_, phone, std::move(params), serving_bs(phone), &ledger_, &arena));
   return *relays_.back();
 }
 
@@ -153,8 +150,7 @@ core::UeAgent& Scenario::add_ue(core::Phone& phone,
   Arena& arena = *arenas_[shard];
   sim::ShardGuard guard(sim_, shard);
   ues_.push_back(&arena.create<core::UeAgent>(
-      sim_, phone, std::move(params), serving_bs(phone),
-      message_lanes_[shard], &arena));
+      sim_, phone, std::move(params), serving_bs(phone), &arena));
   return *ues_.back();
 }
 
@@ -164,14 +160,13 @@ core::OriginalAgent& Scenario::add_original(core::Phone& phone,
   Arena& arena = *arenas_[shard];
   sim::ShardGuard guard(sim_, shard);
   originals_.push_back(&arena.create<core::OriginalAgent>(
-      sim_, phone, std::move(app), serving_bs(phone), message_lanes_[shard],
-      &arena));
+      sim_, phone, std::move(app), serving_bs(phone), &arena));
   return *originals_.back();
 }
 
 void Scenario::register_session(const core::Phone& phone, Duration tolerance,
                                 AppId app) {
-  if (!app.valid()) app = AppId{phone.id().value};
+  if (!app.valid()) app = apps::app_id_for(phone.id(), 0);
   // Only the phone's home strip delivers its heartbeats.
   sim::ShardGuard guard(sim_, table_.shard_of(phone.id()));
   server_.register_client(phone.id(), app, tolerance);

@@ -17,11 +17,11 @@
 // for any thread count.
 //
 // Rounds: a run is one round — every kernel advanced to the target,
-// then joined — unless audits are armed (RunOptions::audit or a
-// non-zero Simulator::audit_interval). Then the same loop advances
-// the kernels in rounds of kAuditRound simulated time (skipping idle
-// stretches) and runs the full Simulator::audit() after each one,
-// with every worker joined.
+// then joined — unless audits are armed (a non-zero
+// Simulator::audit_interval, the default in D2DHB_AUDIT builds). Then
+// the same loop advances the kernels in rounds of kAuditRound
+// simulated time (skipping idle stretches) and runs the full
+// Simulator::audit() after each one, with every worker joined.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,6 @@ struct RunOptions {
   /// thread; the effective pool size is min(threads, kernel count).
   /// Never changes results (the byte-identical contract).
   std::size_t threads{1};
-  /// Advance in audited rounds even when the simulator's periodic
-  /// audit interval is off.
-  bool audit{false};
   /// Record runtime spans (round/execute/barrier-wait) and fill
   /// RunStats::profile + the registry's `runtime/` namespace. Purely
   /// observational: a profiled run's deterministic metrics export is

@@ -96,7 +96,7 @@ RunStats run(Simulator& sim, TimePoint until, const RunOptions& options) {
   }
   SpanBuffer* main_spans =
       profiler == nullptr ? nullptr : profiler->main_buffer();
-  const bool audited = options.audit || sim.audit_interval() != 0;
+  const bool audited = sim.audit_interval() != 0;
   for (;;) {
     // Unaudited runs are one round straight to `until`. Audited runs
     // stop every kAuditRound of simulated time (hopping over idle

@@ -11,14 +11,13 @@ namespace {
 
 class HeartbeatAppTest : public ::testing::Test {
  protected:
-  HeartbeatApp make_app(AppProfile profile) {
+  HeartbeatApp make_app(AppProfile profile, std::size_t index = 0) {
     return HeartbeatApp{
-        sim_, NodeId{1}, AppId{1}, std::move(profile), ids_,
+        sim_, NodeId{1}, app_id_for(NodeId{1}, index), std::move(profile),
         [this](const net::HeartbeatMessage& m) { received_.push_back(m); }};
   }
 
   sim::Simulator sim_;
-  IdGenerator<MessageId> ids_;
   std::vector<net::HeartbeatMessage> received_;
 };
 
@@ -57,8 +56,9 @@ TEST_F(HeartbeatAppTest, SequenceNumbersIncrease) {
 }
 
 TEST_F(HeartbeatAppTest, UniqueMessageIds) {
-  HeartbeatApp a = make_app(standard_app());
-  HeartbeatApp b = make_app(whatsapp());
+  // Two apps of one phone: ids are (app, seq), unique per origin.
+  HeartbeatApp a = make_app(standard_app(), 0);
+  HeartbeatApp b = make_app(whatsapp(), 1);
   a.start();
   b.start();
   sim_.run_until(TimePoint{} + seconds(1000));

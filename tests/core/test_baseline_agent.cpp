@@ -25,9 +25,8 @@ class BaselineAgentTest : public ::testing::Test {
 
   CellularBaselineAgent make(Phone& phone,
                              CellularBaselineAgent::Params params) {
-    return CellularBaselineAgent{world_.sim(),    phone,
-                                 std::move(params), world_.bs(),
-                                 world_.message_ids(), world_.fork_rng()};
+    return CellularBaselineAgent{world_.sim(), phone, std::move(params),
+                                 world_.bs(), world_.fork_rng()};
   }
 
   scenario::Scenario world_;

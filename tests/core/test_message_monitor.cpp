@@ -12,11 +12,10 @@ namespace {
 class MessageMonitorTest : public ::testing::Test {
  protected:
   sim::Simulator sim_;
-  IdGenerator<MessageId> ids_;
 };
 
 TEST_F(MessageMonitorTest, InterceptsIntegratedAppsHeartbeats) {
-  MessageMonitor monitor{sim_, NodeId{1}, ids_};
+  MessageMonitor monitor{sim_, NodeId{1}};
   std::vector<net::HeartbeatMessage> seen;
   monitor.set_transport(
       [&](const net::HeartbeatMessage& m) { seen.push_back(m); });
@@ -31,7 +30,7 @@ TEST_F(MessageMonitorTest, InterceptsIntegratedAppsHeartbeats) {
 }
 
 TEST_F(MessageMonitorTest, TransportReceivesAppParameters) {
-  MessageMonitor monitor{sim_, NodeId{7}, ids_};
+  MessageMonitor monitor{sim_, NodeId{7}};
   net::HeartbeatMessage last;
   monitor.set_transport(
       [&](const net::HeartbeatMessage& m) { last = m; });
@@ -45,7 +44,7 @@ TEST_F(MessageMonitorTest, TransportReceivesAppParameters) {
 }
 
 TEST_F(MessageMonitorTest, NoTransportDropsSilently) {
-  MessageMonitor monitor{sim_, NodeId{1}, ids_};
+  MessageMonitor monitor{sim_, NodeId{1}};
   monitor.integrate_app(apps::wechat());
   monitor.start_all();
   sim_.run_until(TimePoint{} + seconds(600));  // must not crash
@@ -53,7 +52,7 @@ TEST_F(MessageMonitorTest, NoTransportDropsSilently) {
 }
 
 TEST_F(MessageMonitorTest, SwappingTransportRedirectsFlow) {
-  MessageMonitor monitor{sim_, NodeId{1}, ids_};
+  MessageMonitor monitor{sim_, NodeId{1}};
   int first = 0, second = 0;
   monitor.set_transport([&](const net::HeartbeatMessage&) { ++first; });
   apps::AppProfile profile = apps::standard_app();
@@ -68,7 +67,7 @@ TEST_F(MessageMonitorTest, SwappingTransportRedirectsFlow) {
 }
 
 TEST_F(MessageMonitorTest, StopAllHaltsEveryApp) {
-  MessageMonitor monitor{sim_, NodeId{1}, ids_};
+  MessageMonitor monitor{sim_, NodeId{1}};
   int count = 0;
   monitor.set_transport([&](const net::HeartbeatMessage&) { ++count; });
   monitor.integrate_app(apps::wechat());
@@ -82,7 +81,7 @@ TEST_F(MessageMonitorTest, StopAllHaltsEveryApp) {
 }
 
 TEST_F(MessageMonitorTest, DistinctAppIds) {
-  MessageMonitor monitor{sim_, NodeId{3}, ids_};
+  MessageMonitor monitor{sim_, NodeId{3}};
   auto& a = monitor.integrate_app(apps::wechat());
   auto& b = monitor.integrate_app(apps::qq());
   EXPECT_EQ(a.app_id(), AppId{3});

@@ -3,6 +3,8 @@
 // their own extra apps alongside collected messages.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/relay_agent.hpp"
 #include "core/ue_agent.hpp"
 #include "scenario/scenario.hpp"
@@ -71,6 +73,55 @@ TEST_F(MultiAppTest, DistinctAppIdsPerApp) {
   EXPECT_EQ(ue.app().app_id(), AppId{ue_phone.id().value});
   EXPECT_NE(second.app_id(), ue.app().app_id());
   EXPECT_NE(third.app_id(), second.app_id());
+}
+
+// A heartbeat's id is its (app, seq): a 3-app UE's ids never collide,
+// so the relay's acks, which name ids, clear every tracked heartbeat.
+// A collision would leave one of two same-id entries unacknowledged.
+TEST_F(MultiAppTest, ThreeAppIdsStayDistinctAndEveryBeatIsAcked) {
+  Phone& relay_phone = add_phone(0);
+  Phone& ue_phone = add_phone(1);
+  RelayAgent::Params rp;
+  rp.own_app = app(30.0);
+  rp.scheduler.max_own_delay = seconds(30);
+  rp.scheduler.deadline_margin = seconds(3);
+  RelayAgent& relay = world_.add_relay(relay_phone, rp);
+
+  UeAgent::Params up;
+  up.app = app(30.0);
+  up.feedback_timeout = seconds(60);
+  UeAgent& ue = world_.add_ue(ue_phone, up);
+  ue.add_app(app(45.0));
+  ue.add_app(app(60.0));
+
+  relay.start();
+  ue.start();
+  // 30 + 20 + 15 beats per 900 s: 100 beats by t = 1385 s.
+  while (ue.stats().heartbeats < 100) {
+    world_.sim().run_until(world_.sim().now() + seconds(5));
+  }
+  ue.monitor().stop_all();
+  // Let the relay flush its last window and ack it.
+  world_.sim().run_until(world_.sim().now() + seconds(120));
+
+  std::set<MessageId> ids;
+  std::uint64_t emitted = 0;
+  for (const apps::HeartbeatApp* a : ue.apps()) {
+    for (std::uint64_t seq = 1; seq <= a->emitted(); ++seq) {
+      ids.insert(net::message_id(a->app_id(), seq));
+    }
+    emitted += a->emitted();
+  }
+  EXPECT_EQ(emitted, ue.stats().heartbeats);
+  EXPECT_EQ(ids.size(), emitted);
+
+  EXPECT_EQ(ue.stats().sent_via_d2d, ue.stats().heartbeats);
+  const FeedbackTracker::Stats feedback = ue.feedback().stats();
+  EXPECT_EQ(feedback.tracked, ue.stats().heartbeats);
+  EXPECT_EQ(feedback.acknowledged, feedback.tracked);
+  EXPECT_EQ(feedback.timed_out, 0u);
+  EXPECT_EQ(feedback.failed_immediately, 0u);
+  EXPECT_EQ(ue.feedback().pending(), 0u);
 }
 
 TEST_F(MultiAppTest, RelayExtraAppsRideAggregates) {

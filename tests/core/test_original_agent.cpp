@@ -44,7 +44,7 @@ TEST_F(OriginalAgentTest, EveryHeartbeatIsOneRrcCycle) {
 TEST_F(OriginalAgentTest, MultipleAppsShareTheModem) {
   Phone& phone = add_phone();
   OriginalAgent& agent = world_.add_original(phone, short_app(20.0));
-  agent.add_app(short_app(30.0), world_.message_ids());
+  agent.add_app(short_app(30.0));
   agent.start();
   // Run past t=120 so the RRC promotion + burst of the last heartbeats
   // (fired at exactly t=120) completes.

@@ -104,22 +104,6 @@ TEST_F(UeAgentTest, BackoffAfterFailedDiscovery) {
   EXPECT_EQ(ue.stats().sent_via_d2d, 0u);
 }
 
-TEST_F(UeAgentTest, UseD2dFalseDegeneratesToOriginal) {
-  Phone& relay_phone = add_phone(0, 0);
-  Phone& ue_phone = add_phone(1, 0);
-  RelayAgent& relay = add_relay(relay_phone);
-  UeAgent::Params p;
-  p.app = app();
-  p.use_d2d = false;
-  UeAgent& ue = world_.add_ue(ue_phone, p);
-  relay.start();
-  ue.start();
-  world_.sim().run_until(TimePoint{} + seconds(100));
-  EXPECT_EQ(ue.stats().sent_via_d2d, 0u);
-  EXPECT_GT(ue.stats().sent_via_cellular, 0u);
-  EXPECT_EQ(ue.stats().discoveries, 0u);
-}
-
 TEST_F(UeAgentTest, DistantRelayRejectedByPrejudgment) {
   Phone& relay_phone = add_phone(0, 0);
   Phone& ue_phone = add_phone(25, 0);  // in radio range, beyond 12 m policy

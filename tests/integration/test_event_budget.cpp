@@ -82,7 +82,15 @@ constexpr std::size_t kSmallCitySeries = 81013;
 // UeAgent lost its 72 B detector, a 48 B `Rng` plus a 24 B copy of the
 // match policy it already keeps in its params (2,616 x 72 B), so
 // 4,529,856 - 144,000 - 188,352 = 4,197,504.
-constexpr std::uint64_t kSmallCityArenaBytes = 4197504;
+//
+// Re-pinned from 4,197,504 when message ids became (app, seq): no
+// agent points at a message-id lane any more. Each of the 2,616
+// UeAgents drops 32 B: its own lane reference, its MessageMonitor's
+// and its one HeartbeatApp's (8 B each), and the 8 B the removed
+// `use_d2d` flag took with its padding. Each of the 384 RelayAgents
+// drops 16 B: its lane reference and its own app's. So 4,197,504 -
+// 2,616 x 32 - 384 x 16 = 4,197,504 - 83,712 - 6,144 = 4,107,648.
+constexpr std::uint64_t kSmallCityArenaBytes = 4107648;
 
 TEST(EventBudget, StaticTwoCellCrowdIsPinned) {
   for (const std::size_t threads : {1u, 2u}) {

@@ -76,11 +76,23 @@ TEST(ScenarioHarness, ForkRngIsDeterministicPerSeed) {
   for (int i = 0; i < 32; ++i) EXPECT_EQ(ra.next_u64(), rb.next_u64());
 }
 
-TEST(ScenarioHarness, MessageIdsSharedAcrossAgents) {
+// No id counter is shared between agents: each heartbeat's id is its
+// (app, seq), so two phones' first beats differ only in the app half.
+TEST(ScenarioHarness, AgentsMintIdsFromAppAndSeq) {
   Scenario world;
-  const MessageId first = world.message_ids().next();
-  const MessageId second = world.message_ids().next();
-  EXPECT_EQ(second.value, first.value + 1);
+  core::Phone& a = world.add_phone(at(0));
+  core::Phone& b = world.add_phone(at(1));
+  core::OriginalAgent& first = world.add_original(a, apps::standard_app());
+  core::OriginalAgent& second = world.add_original(b, apps::standard_app());
+  first.add_app(apps::whatsapp());
+  const net::HeartbeatMessage a1 = first.apps()[0]->emit_now();
+  const net::HeartbeatMessage a2 = first.apps()[0]->emit_now();
+  const net::HeartbeatMessage extra = first.apps()[1]->emit_now();
+  const net::HeartbeatMessage b1 = second.apps()[0]->emit_now();
+  EXPECT_EQ(a1.id, net::message_id(AppId{1}, 1));
+  EXPECT_EQ(a2.id, net::message_id(AppId{1}, 2));
+  EXPECT_EQ(extra.id, net::message_id(AppId{1002}, 1));
+  EXPECT_EQ(b1.id, net::message_id(AppId{2}, 1));
 }
 
 TEST(ScenarioHarness, TotalL3SumsAllCells) {

@@ -44,7 +44,7 @@ TEST(OffsetMobility, TracksLeader) {
 TEST(OffsetMobility, GroupStaysCoherent) {
   // A "family" around one random-waypoint leader keeps its shape.
   RandomWaypoint::Params params;
-  RandomWaypoint leader{params, {50.0, 50.0}, Rng{5}};
+  RandomWaypoint leader{params, {50.0, 50.0}, 5, NodeId{1}};
   OffsetMobility a{leader, {1.0, 0.0}};
   OffsetMobility b{leader, {-1.0, 0.0}};
   for (int t = 0; t <= 600; t += 60) {

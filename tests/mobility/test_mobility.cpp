@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 namespace d2dhb::mobility {
 namespace {
 
@@ -49,7 +52,7 @@ TEST(RandomWaypoint, StaysInsideArea) {
   RandomWaypoint::Params params;
   params.area_min = {0.0, 0.0};
   params.area_max = {50.0, 50.0};
-  RandomWaypoint m{params, {25.0, 25.0}, Rng{42}};
+  RandomWaypoint m{params, {25.0, 25.0}, 42, NodeId{1}};
   for (int t = 0; t <= 3600; t += 10) {
     const Vec2 p = m.position_at(TimePoint{} + seconds(t));
     EXPECT_GE(p.x, 0.0);
@@ -61,8 +64,8 @@ TEST(RandomWaypoint, StaysInsideArea) {
 
 TEST(RandomWaypoint, DeterministicForSeed) {
   RandomWaypoint::Params params;
-  RandomWaypoint a{params, {10.0, 10.0}, Rng{7}};
-  RandomWaypoint b{params, {10.0, 10.0}, Rng{7}};
+  RandomWaypoint a{params, {10.0, 10.0}, 7, NodeId{3}};
+  RandomWaypoint b{params, {10.0, 10.0}, 7, NodeId{3}};
   for (int t = 0; t <= 600; t += 30) {
     const Vec2 pa = a.position_at(TimePoint{} + seconds(t));
     const Vec2 pb = b.position_at(TimePoint{} + seconds(t));
@@ -71,9 +74,47 @@ TEST(RandomWaypoint, DeterministicForSeed) {
   }
 }
 
+// A trajectory depends on who walks it, not on how many models were
+// built before it.
+TEST(RandomWaypoint, TrajectoryIsAFunctionOfKeyAndNode) {
+  RandomWaypoint::Params params;
+  params.area_max = {200.0, 200.0};
+  constexpr std::uint64_t kKey = 0x5eedULL;
+  RandomWaypoint first{params, {10.0, 10.0}, kKey, NodeId{17}};
+  std::vector<std::unique_ptr<RandomWaypoint>> others;
+  for (std::uint64_t n = 1; n <= 1000; ++n) {
+    others.push_back(std::make_unique<RandomWaypoint>(
+        params, Vec2{10.0, 10.0}, kKey, NodeId{n + 100}));
+    others.back()->position_at(TimePoint{} + seconds(600));
+  }
+  RandomWaypoint again{params, {10.0, 10.0}, kKey, NodeId{17}};
+  RandomWaypoint neighbour{params, {10.0, 10.0}, kKey, NodeId{18}};
+  int differing = 0;
+  for (int t = 0; t <= 3600; t += 60) {
+    const TimePoint tp = TimePoint{} + seconds(t);
+    const Vec2 p = first.position_at(tp);
+    EXPECT_EQ(again.position_at(tp), p) << "t=" << t;
+    differing += neighbour.position_at(tp) == p ? 0 : 1;
+  }
+  // Both stand at the start at t = 0; after that they part.
+  EXPECT_EQ(differing, 60);
+}
+
+TEST(RandomWaypoint, EarlierQueryReplaysExactly) {
+  RandomWaypoint::Params params;
+  params.area_max = {300.0, 300.0};
+  RandomWaypoint queried{params, {40.0, 40.0}, 99, NodeId{5}};
+  queried.position_at(TimePoint{} + seconds(10 * 3600));
+  RandomWaypoint fresh{params, {40.0, 40.0}, 99, NodeId{5}};
+  for (int t = 0; t <= 3600; t += 7) {
+    const TimePoint tp = TimePoint{} + seconds(t);
+    EXPECT_EQ(queried.position_at(tp), fresh.position_at(tp)) << "t=" << t;
+  }
+}
+
 TEST(RandomWaypoint, OutOfOrderQueriesConsistent) {
   RandomWaypoint::Params params;
-  RandomWaypoint m{params, {10.0, 10.0}, Rng{9}};
+  RandomWaypoint m{params, {10.0, 10.0}, 9, NodeId{2}};
   const Vec2 late = m.position_at(TimePoint{} + seconds(500));
   const Vec2 early = m.position_at(TimePoint{} + seconds(100));
   const Vec2 late_again = m.position_at(TimePoint{} + seconds(500));
@@ -89,7 +130,7 @@ TEST(RandomWaypoint, SpeedBounded) {
   params.min_speed_mps = 0.5;
   params.max_speed_mps = 1.5;
   params.max_pause = Duration::zero() + seconds(0.001);
-  RandomWaypoint m{params, {50.0, 50.0}, Rng{11}};
+  RandomWaypoint m{params, {50.0, 50.0}, 11, NodeId{4}};
   Vec2 prev = m.position_at(TimePoint{});
   for (int t = 1; t <= 600; ++t) {
     const Vec2 cur = m.position_at(TimePoint{} + seconds(t));

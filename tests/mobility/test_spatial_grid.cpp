@@ -236,8 +236,8 @@ TEST(SpatialGrid, MatchesBruteForceOnStaticAndWaypointLayouts) {
       } else {
         RandomWaypoint::Params params;
         params.area_max = {area, area};
-        world.add(
-            std::make_unique<RandomWaypoint>(params, start, rng.fork()));
+        world.add(std::make_unique<RandomWaypoint>(
+            params, start, rng.next_u64(), NodeId{world.models.size() + 1}));
       }
     }
     std::vector<SpatialGrid::Neighbor> got;

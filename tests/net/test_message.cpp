@@ -4,6 +4,7 @@
 
 #include <array>
 #include <new>
+#include <stdexcept>
 
 namespace d2dhb::net {
 namespace {
@@ -32,6 +33,20 @@ TEST(HeartbeatMessage, DefaultConstructedHasZeroPeriodAndExpiry) {
   EXPECT_EQ(m->expiry, Duration::zero());
   EXPECT_EQ(m->deadline() - m->created_at, Duration::zero());
   m->~HeartbeatMessage();
+}
+
+TEST(MessageIdOf, PacksAppAboveSeq) {
+  EXPECT_EQ(message_id(AppId{3}, 7).value, (std::uint64_t{3} << 32) | 7u);
+  EXPECT_NE(message_id(AppId{3}, 7), message_id(AppId{7}, 3));
+  EXPECT_TRUE(message_id(AppId{0}, 1).valid());
+  constexpr std::uint64_t kMax = (std::uint64_t{1} << 32) - 1;
+  EXPECT_EQ(message_id(AppId{kMax}, kMax).value, ~std::uint64_t{0});
+}
+
+TEST(MessageIdOf, ThrowsWhenAFieldOverflows) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  EXPECT_THROW(message_id(AppId{kLimit}, 1), std::out_of_range);
+  EXPECT_THROW(message_id(AppId{1}, kLimit), std::out_of_range);
 }
 
 TEST(HeartbeatMessage, DeadlineIsCreationPlusExpiry) {

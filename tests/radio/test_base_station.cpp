@@ -25,7 +25,7 @@ TEST(BaseStation, ForwardsToServer) {
   sim::Simulator sim;
   net::ImServer server{sim};
   BaseStation bs{sim, server, net::Channel::Params{milliseconds(50), 0.0},
-                 Rng{1}};
+                 1};
   bs.receive(bundle_with({1, 2, 3}));
   sim.run();
   EXPECT_EQ(server.totals().delivered, 3u);
@@ -36,7 +36,7 @@ TEST(BaseStation, ForwardsToServer) {
 TEST(BaseStation, CountsBytesWithAggregationHeaders) {
   sim::Simulator sim;
   net::ImServer server{sim};
-  BaseStation bs{sim, server, net::Channel::Params{}, Rng{1}};
+  BaseStation bs{sim, server, net::Channel::Params{}, 1};
   bs.receive(bundle_with({1, 2}));
   EXPECT_EQ(bs.bytes_received(),
             2u * 54u + 2u * net::UplinkBundle::kAggregationHeader.value);
@@ -46,7 +46,7 @@ TEST(BaseStation, LossyBackhaulDropsDeliveries) {
   sim::Simulator sim;
   net::ImServer server{sim};
   BaseStation bs{sim, server, net::Channel::Params{milliseconds(1), 1.0},
-                 Rng{1}};
+                 1};
   bs.receive(bundle_with({1}));
   sim.run();
   EXPECT_EQ(server.totals().delivered, 0u);
@@ -56,7 +56,7 @@ TEST(BaseStation, LossyBackhaulDropsDeliveries) {
 TEST(BaseStation, SignalingCounterIsShared) {
   sim::Simulator sim;
   net::ImServer server{sim};
-  BaseStation bs{sim, server, net::Channel::Params{}, Rng{1}};
+  BaseStation bs{sim, server, net::Channel::Params{}, 1};
   bs.signaling().strip(0).record(sim.now(), NodeId{1},
                                  L3MessageType::rrc_connection_request);
   EXPECT_EQ(bs.signaling().total(), 1u);

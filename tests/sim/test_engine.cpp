@@ -147,6 +147,7 @@ TEST(Engine, AuditedRunSweepsAfterEveryRound) {
 
   for (const std::size_t threads : {1u, 4u}) {
     Simulator sim{4};
+    sim.set_audit_interval(Simulator::kDefaultAuditInterval);
     RingWorkload load{sim, 60};
     int sweeps = 0;
     sim.add_auditor([&] {
@@ -157,7 +158,6 @@ TEST(Engine, AuditedRunSweepsAfterEveryRound) {
     });
     RunOptions options;
     options.threads = threads;
-    options.audit = true;
     const RunStats stats = run(sim, until, options);
     EXPECT_GT(stats.windows, 1u) << threads << " threads";
     EXPECT_EQ(static_cast<std::uint64_t>(sweeps), stats.windows);
