@@ -13,19 +13,12 @@ using namespace d2dhb;
 
 namespace {
 
-/// The `seq`-th heartbeat of `origin`'s primary app.
+/// The `seq`-th standard heartbeat of `origin`'s primary app.
 net::HeartbeatMessage heartbeat(scenario::Scenario& world, NodeId origin,
                                 std::uint64_t seq) {
-  net::HeartbeatMessage m;
-  m.app = apps::app_id_for(origin, 0);
-  m.seq = seq;
-  m.id = net::message_id(m.app, seq);
-  m.origin = origin;
-  m.size = net::kStandardHeartbeatSize;
-  m.period = seconds(270);
-  m.expiry = seconds(270);
-  m.created_at = world.sim().now();
-  return m;
+  return net::make_heartbeat(origin, apps::app_id_for(origin, 0), seq,
+                             net::kStandardHeartbeatSize, seconds(270),
+                             world.sim().now());
 }
 
 }  // namespace

@@ -28,17 +28,8 @@ void HeartbeatApp::start(Duration offset) {
 void HeartbeatApp::stop() { timer_.stop(); }
 
 net::HeartbeatMessage HeartbeatApp::make_message() {
-  net::HeartbeatMessage m;
-  m.seq = ++emitted_;
-  m.id = net::message_id(app_, m.seq);
-  m.origin = node_;
-  m.app = app_;
-  m.app_name = profile_.name;
-  m.size = profile_.heartbeat_size;
-  m.period = profile_.heartbeat_period;
-  m.expiry = profile_.expiry;
-  m.created_at = sim_.now();
-  return m;
+  return net::make_heartbeat(node_, app_, ++emitted_, profile_.heartbeat_size,
+                             profile_.expiry, sim_.now());
 }
 
 net::HeartbeatMessage HeartbeatApp::emit_now() {

@@ -72,7 +72,6 @@ class CellularBaselineAgent {
  private:
   void on_traffic(apps::MixedTrafficGenerator::Kind kind, Bytes size);
   void send_heartbeats_now(Bytes data_payload);
-  net::HeartbeatMessage make_heartbeat();
   void arm_pending_deadline();
 
   sim::Simulator& sim_;

@@ -41,7 +41,7 @@ class FeedbackTracker {
   FeedbackTracker& operator=(const FeedbackTracker&) = delete;
 
   /// Arms a timeout for one forwarded heartbeat.
-  void track(net::HeartbeatMessage message);
+  void track(const net::HeartbeatMessage& message);
 
   /// Processes a relay's FeedbackAck; unknown ids are ignored.
   void acknowledge(const std::vector<MessageId>& delivered);

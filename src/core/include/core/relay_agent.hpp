@@ -26,16 +26,12 @@ class RelayAgent {
     /// Relays that run no IM app of their own never open windows; they
     /// still aggregate forwarded heartbeats on expiry deadlines.
     bool run_own_heartbeats{true};
-    /// Android groupOwnerIntent starts at the maximum for relays and is
-    /// reduced proportionally as the buffer fills (Section IV-C).
-    bool scale_group_owner_intent{true};
     /// Battery-aware capacity (Section III-C: relays "adjust the value
     /// according their situations, such as their battery usage").
     /// 0 = unlimited power (no battery modeled). When set, the
     /// advertised capacity scales with the remaining battery fraction
-    /// and the relay retires below `retire_battery_level`.
+    /// and the relay retires at 10 % battery.
     MicroAmpHours battery_capacity{0.0};
-    double retire_battery_level{0.1};
     Duration battery_poll_interval{seconds(30)};
   };
 

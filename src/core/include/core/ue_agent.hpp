@@ -27,17 +27,14 @@ class UeAgent {
     Duration feedback_timeout{seconds(60)};
     /// After a failed discovery/connection the UE sends via cellular and
     /// doesn't retry D2D until this much time passes. Consecutive
-    /// failures back off exponentially up to `max_backoff` (a UE parked
-    /// outside relay coverage must not burn its battery scanning).
+    /// failures double it, up to 30 minutes (a UE parked outside relay
+    /// coverage must not burn its battery scanning).
     Duration retry_backoff{seconds(120)};
-    double backoff_multiplier{2.0};
-    Duration max_backoff{seconds(1800)};
     /// Optional relay re-assessment: every interval, a connected UE
-    /// re-scans and switches to a relay at least `reassess_improvement`
-    /// times closer than its current one (a moving UE should not cling
-    /// to the relay it met first). Zero disables re-assessment.
+    /// re-scans and switches to a relay markedly closer than its
+    /// current one (a moving UE should not cling to the relay it met
+    /// first). Zero disables re-assessment.
     Duration reassess_interval{Duration::zero()};
-    double reassess_improvement{0.6};
   };
 
   /// Point-in-time snapshot of the UE's registry series.
@@ -91,7 +88,7 @@ class UeAgent {
   void on_discovery(const std::vector<d2d::DiscoveredPeer>& peers);
   /// Pairs with `relay`; on success drains the queue over D2D.
   void connect_to(NodeId relay, bool handover);
-  void send_via_d2d(net::HeartbeatMessage message);
+  void send_via_d2d(const net::HeartbeatMessage& message);
   void send_via_cellular(const net::HeartbeatMessage& message,
                          bool is_fallback);
   void drain_queue_to_cellular();

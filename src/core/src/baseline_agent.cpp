@@ -57,31 +57,19 @@ void CellularBaselineAgent::stop() {
   pending_deadline_ = {};
 }
 
-net::HeartbeatMessage CellularBaselineAgent::make_heartbeat() {
-  net::HeartbeatMessage m;
-  m.seq = ++seq_;
-  m.app = apps::app_id_for(phone_.id(), 0);
-  m.id = net::message_id(m.app, m.seq);
-  m.origin = phone_.id();
-  m.app_name = effective_profile_.name;
-  m.size = effective_profile_.heartbeat_size;
-  m.period = effective_profile_.heartbeat_period;
-  m.expiry = effective_profile_.expiry;
-  m.created_at = sim_.now();
-  return m;
-}
-
 void CellularBaselineAgent::on_traffic(
     apps::MixedTrafficGenerator::Kind kind, Bytes size) {
   if (kind == apps::MixedTrafficGenerator::Kind::heartbeat) {
     heartbeats_ctr_->inc();
-    if (!params_.piggyback) {
-      pending_.push_back(make_heartbeat());
+    pending_.push_back(net::make_heartbeat(
+        phone_.id(), apps::app_id_for(phone_.id(), 0), ++seq_,
+        effective_profile_.heartbeat_size, effective_profile_.expiry,
+        sim_.now()));
+    if (params_.piggyback) {
+      arm_pending_deadline();
+    } else {
       send_heartbeats_now(Bytes{0});
-      return;
     }
-    pending_.push_back(make_heartbeat());
-    arm_pending_deadline();
     return;
   }
 

@@ -22,18 +22,18 @@ FeedbackTracker::~FeedbackTracker() {
   for (auto& [id, entry] : pending_) sim_.cancel(entry.timeout_event);
 }
 
-void FeedbackTracker::track(net::HeartbeatMessage message) {
+void FeedbackTracker::track(const net::HeartbeatMessage& message) {
   const MessageId id = message.id;
   tracked_ctr_->inc();
   const sim::EventId event = sim_.schedule_after(timeout_, [this, id] {
     const auto it = pending_.find(id);
     if (it == pending_.end()) return;
-    net::HeartbeatMessage message = std::move(it->second.message);
+    const net::HeartbeatMessage message = it->second.message;
     pending_.erase(it);
     timed_out_ctr_->inc();
     on_fallback_(message);
   });
-  pending_.emplace(id, Entry{std::move(message), event});
+  pending_.emplace(id, Entry{message, event});
 }
 
 void FeedbackTracker::acknowledge(const std::vector<MessageId>& delivered) {
@@ -51,9 +51,9 @@ void FeedbackTracker::fail_all_pending() {
   victims.reserve(pending_.size());
   // Victims are sorted by MessageId below before any sim-visible
   // callback fires.
-  for (auto& [id, entry] : pending_) {
+  for (const auto& [id, entry] : pending_) {
     sim_.cancel(entry.timeout_event);
-    victims.push_back(std::move(entry.message));
+    victims.push_back(entry.message);
   }
   pending_.clear();
   // Fallback transmissions must fire in a deterministic order — sort by
@@ -62,7 +62,7 @@ void FeedbackTracker::fail_all_pending() {
             [](const net::HeartbeatMessage& a,
                const net::HeartbeatMessage& b) { return a.id < b.id; });
   failed_immediately_ctr_->inc(victims.size());
-  for (auto& message : victims) on_fallback_(message);
+  for (const auto& message : victims) on_fallback_(message);
 }
 
 FeedbackTracker::Stats FeedbackTracker::stats() const {

@@ -61,7 +61,8 @@ double RelayAgent::battery_level() {
 
 void RelayAgent::poll_battery() {
   if (!battery_ || retired_) return;
-  if (battery_->level() <= params_.retire_battery_level) {
+  constexpr double kRetireBatteryLevel = 0.1;
+  if (battery_->level() <= kRetireBatteryLevel) {
     retire();
     return;
   }
@@ -163,14 +164,13 @@ void RelayAgent::on_uplink_complete(const net::UplinkBundle& bundle) {
   }
   for (const NodeId ue : origins) {
     net::FeedbackAck ack;
-    ack.relay = phone_.id();
     for (const auto& m : bundle.messages) {
       if (m.origin == ue) ack.delivered.push_back(m.id);
     }
     if (phone_.wifi().connected_to(ue)) {
       feedback_acks_sent_ctr_->inc();
-      phone_.wifi().send(ue, net::D2dPayload{std::move(ack)},
-                         [](Status) { /* best effort */ });
+      // Best effort: a UE whose ack is lost falls back to cellular.
+      phone_.wifi().send(ue, net::D2dPayload{std::move(ack)});
     }
   }
   if (ledger_ != nullptr && forwarded > 0) {
@@ -187,14 +187,12 @@ void RelayAgent::refresh_advert() {
       std::floor(static_cast<double>(scheduler_.remaining_capacity()) *
                  scale));
   phone_.wifi().set_advert(advert);
-  if (params_.scale_group_owner_intent) {
-    const auto capacity = std::max<std::size_t>(
-        scheduler_.params().capacity, 1);
-    const int intent = static_cast<int>(
-        d2d::kMaxGroupOwnerIntent * scheduler_.remaining_capacity() /
-        capacity);
-    phone_.wifi().set_group_owner_intent(intent);
-  }
+  // Android groupOwnerIntent starts at the maximum for relays and is
+  // reduced proportionally as the buffer fills (Section IV-C).
+  const auto capacity = std::max<std::size_t>(scheduler_.params().capacity, 1);
+  const int intent = static_cast<int>(
+      d2d::kMaxGroupOwnerIntent * scheduler_.remaining_capacity() / capacity);
+  phone_.wifi().set_group_owner_intent(intent);
 }
 
 RelayAgent::Stats RelayAgent::stats() const {

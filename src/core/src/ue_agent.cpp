@@ -133,7 +133,7 @@ void UeAgent::connect_to(NodeId relay, bool handover) {
     // Forward everything that queued up while we were pairing.
     std::vector<net::HeartbeatMessage> queued;
     queued.swap(awaiting_link_);
-    for (auto& m : queued) send_via_d2d(std::move(m));
+    for (const auto& m : queued) send_via_d2d(m);
   });
 }
 
@@ -143,10 +143,11 @@ void UeAgent::fail_d2d_attempt() {
   if (current_backoff_ == Duration::zero()) {
     current_backoff_ = params_.retry_backoff;
   } else {
+    constexpr double kBackoffMultiplier = 2.0;
+    constexpr Duration kMaxBackoff = seconds(1800);
     const auto scaled = static_cast<std::int64_t>(
-        static_cast<double>(current_backoff_.count()) *
-        params_.backoff_multiplier);
-    current_backoff_ = std::min(params_.max_backoff, Duration{scaled});
+        static_cast<double>(current_backoff_.count()) * kBackoffMultiplier);
+    current_backoff_ = std::min(kMaxBackoff, Duration{scaled});
   }
   backoff_until_ = sim_.now() + current_backoff_;
   drain_queue_to_cellular();
@@ -158,14 +159,13 @@ void UeAgent::drain_queue_to_cellular() {
   for (const auto& m : queued) send_via_cellular(m, /*is_fallback=*/false);
 }
 
-void UeAgent::send_via_d2d(net::HeartbeatMessage message) {
+void UeAgent::send_via_d2d(const net::HeartbeatMessage& message) {
   // Track before sending: the feedback covers the BS hop as well.
   feedback_.track(message);
   sent_via_d2d_ctr_->inc();
   // A send that fails because the link died needs no handling here: the
   // disconnect handler fails the tracker entry (or it times out).
-  phone_.wifi().send(relay_, net::D2dPayload{std::move(message)},
-                     [](const Status&) {});
+  phone_.wifi().send(relay_, net::D2dPayload{message});
 }
 
 void UeAgent::send_via_cellular(const net::HeartbeatMessage& message,
@@ -221,9 +221,10 @@ void UeAgent::reassess() {
             match_relay(params_.match, others, phone_.wifi().medium().key(),
                         phone_.id(), sim_.now());
         if (!candidate) return;
+        // Switch only to a relay at most this fraction as far away.
+        constexpr double kReassessImprovement = 0.6;
         if (candidate->estimated_distance.value >=
-            params_.reassess_improvement *
-                current->estimated_distance.value) {
+            kReassessImprovement * current->estimated_distance.value) {
           return;  // not enough of an improvement to pay the switch
         }
         // Switch: retransmit anything unacked over cellular (the old

@@ -31,7 +31,6 @@ class WifiDirectRadio {
   using DiscoveryCallback =
       std::function<void(const std::vector<DiscoveredPeer>&)>;
   using ConnectCallback = std::function<void(Result<GroupId>)>;
-  using SendCallback = std::function<void(Status)>;
   using ReceiveHandler =
       std::function<void(const net::D2dPayload&, NodeId from)>;
   using DisconnectHandler = std::function<void(NodeId peer)>;
@@ -80,11 +79,15 @@ class WifiDirectRadio {
   void disconnect_all();
 
   /// Sends one D2D frame (heartbeat or feedback ack) to a connected
-  /// peer. Charges send energy here (distance-dependent for heartbeats)
-  /// and receive energy there; delivers after the transfer latency.
-  /// Fails with `disconnected` if the link is down or the peers drifted
-  /// out of range.
-  void send(NodeId peer, net::D2dPayload payload, SendCallback callback);
+  /// peer. Charges send energy here (distance-dependent for heartbeats;
+  /// an ack is a flat control frame) and receive energy there; the
+  /// peer's receive handler gets it after the transfer latency. Returns
+  /// `disconnected` at once if there is no link, or if the peer is gone
+  /// or out of range (that link is broken first). A link that dies
+  /// during the transfer is broken on arrival and reported through both
+  /// ends' disconnect handlers; nothing is delivered. Throws
+  /// std::logic_error if the peer is homed on another kernel.
+  Status send(NodeId peer, net::D2dPayload payload);
 
   void set_receive_handler(ReceiveHandler handler) {
     on_receive_ = std::move(handler);

@@ -247,17 +247,14 @@ void WifiDirectRadio::poll_links() {
   for (const NodeId peer : lost) break_link(peer, true);
 }
 
-void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
-                           SendCallback callback) {
+Status WifiDirectRadio::send(NodeId peer, net::D2dPayload payload) {
   if (!connected_to(peer)) {
-    callback(Status{Errc::disconnected, "no link to peer"});
-    return;
+    return Status{Errc::disconnected, "no link to peer"};
   }
   WifiDirectRadio* other = medium_.radio(peer);
   if (other == nullptr || !medium_.in_range(owner_, peer)) {
     break_link(peer, true);
-    callback(Status{Errc::disconnected, "peer out of range"});
-    return;
+    return Status{Errc::disconnected, "peer out of range"};
   }
   // The transfer completes on this kernel. D2D links never leave a
   // strip, so the peer always lives here too; a peer homed on another
@@ -286,20 +283,17 @@ void WifiDirectRadio::send(NodeId peer, net::D2dPayload payload,
         milliseconds(200));
   }
   // Fire-and-forget: in-flight transfers are never cancelled, only
-  // re-checked for liveness on arrival.
+  // re-checked for liveness on arrival. A link that died mid-transfer
+  // is broken here, which tells both ends' disconnect handlers.
   sim_.schedule_after(
-      profile_->transfer_latency,
-      [this, peer, payload = std::move(payload),
-       callback = std::move(callback)] {
+      profile_->transfer_latency, [this, peer, payload = std::move(payload)] {
         if (!connected_to(peer) || !medium_.in_range(owner_, peer)) {
-          // Link died mid-transfer.
           break_link(peer, true);
-          callback(Status{Errc::disconnected, "link lost during transfer"});
           return;
         }
         medium_.radio(peer)->deliver(payload, owner_);
-        callback(Status::success());
       });
+  return Status::success();
 }
 
 void WifiDirectRadio::deliver(const net::D2dPayload& payload, NodeId from) {

@@ -21,7 +21,6 @@ namespace d2dhb::net {
 class Channel {
  public:
   struct Params {
-    Duration latency{milliseconds(50)};
     double loss_probability{0.0};
   };
 
@@ -33,7 +32,7 @@ class Channel {
 
   void set_receiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
-  /// Queues a bundle; it arrives after the latency unless lost. A
+  /// Queues a bundle; it arrives 50 ms later unless lost. A
   /// bundle is lost when KeyedDraw{key, sender, now, first message id}
   /// (word 0 for a bundle with no messages) falls below the loss
   /// probability; at probability 0 nothing is drawn. Returns whether

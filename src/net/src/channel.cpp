@@ -23,7 +23,8 @@ bool Channel::send(UplinkBundle bundle) {
       return false;
     }
   }
-  sim_.schedule_after(params_.latency, [this, bundle = std::move(bundle)] {
+  constexpr Duration kLatency = milliseconds(50);
+  sim_.schedule_after(kLatency, [this, bundle = std::move(bundle)] {
     delivered_.fetch_add(1, std::memory_order_relaxed);
     if (receiver_) receiver_(bundle);
   });

@@ -31,7 +31,7 @@ ImServer::Session ImServer::open_session(Duration expiry) const {
 }
 
 void ImServer::deliver(const HeartbeatMessage& message) {
-  const Key key{message.origin, message.app};
+  const Key key{message.origin, message.app()};
   auto& lane = lanes_[sim_.current_shard()];
   auto it = lane.lower_bound(key);
   if (it == lane.end() || it->first != key) {

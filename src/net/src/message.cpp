@@ -15,12 +15,11 @@ MessageId message_id(AppId app, std::uint64_t seq) {
   return MessageId{app.value << 32 | seq};
 }
 
-Bytes payload_size(const D2dPayload& payload) {
-  if (const auto* hb = std::get_if<HeartbeatMessage>(&payload)) {
-    return hb->size;
-  }
-  const auto& ack = std::get<FeedbackAck>(payload);
-  return Bytes{static_cast<std::uint32_t>(12 + 8 * ack.delivered.size())};
+HeartbeatMessage make_heartbeat(NodeId origin, AppId app, std::uint64_t seq,
+                                Bytes size, Duration expiry,
+                                TimePoint created_at) {
+  return HeartbeatMessage{message_id(app, seq), origin, size, expiry,
+                          created_at};
 }
 
 Bytes UplinkBundle::payload_size() const {

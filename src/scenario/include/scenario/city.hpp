@@ -24,11 +24,10 @@ struct CityConfig {
   /// k = round(1/fraction) — deterministic even spread, so each
   /// cluster has relays in D2D range (0 = no relays at all).
   double relay_fraction{0.1};
-  /// Strip geometry: the area is one 120 m vertical strip per this
-  /// many phones (capped at the kernel-count limit; the last strip
-  /// takes the remainder), `strip_height_m` tall.
+  /// Strip geometry: the area is one 120 m x 960 m vertical strip per
+  /// this many phones (capped at the kernel-count limit; the last strip
+  /// takes the remainder).
   std::size_t phones_per_strip{4000};
-  double strip_height_m{960.0};
   /// Crowd hotspots per strip; phones scatter normally around them.
   std::size_t clusters_per_strip{32};
   double cluster_stddev_m{8.0};

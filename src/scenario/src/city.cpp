@@ -13,6 +13,7 @@ namespace d2dhb::scenario {
 namespace {
 
 constexpr double kStripWidthM = 120.0;
+constexpr double kStripHeightM = 960.0;
 
 /// One strip per phones_per_strip phones, capped by the kernel-count
 /// limit — the cap widens the per-strip population, never drops phones.
@@ -34,7 +35,7 @@ std::vector<mobility::Vec2> city_sites(const CityConfig& config,
   const double step = width / static_cast<double>(cells);
   for (std::size_t c = 0; c < cells; ++c) {
     sites.push_back({(0.5 + static_cast<double>(c)) * step,
-                     config.strip_height_m / 2.0});
+                     kStripHeightM / 2.0});
   }
   return sites;
 }
@@ -44,7 +45,6 @@ std::vector<mobility::Vec2> city_sites(const CityConfig& config,
 std::unique_ptr<Scenario> build_city(const CityConfig& config) {
   const std::size_t strips = strip_count(config);
   const double width = kStripWidthM * static_cast<double>(strips);
-  const double height = std::max(1.0, config.strip_height_m);
 
   Scenario::Params params;
   params.seed = config.seed;
@@ -86,7 +86,8 @@ std::unique_ptr<Scenario> build_city(const CityConfig& config) {
     for (std::size_t c = 0; c < clusters; ++c) {
       centers.push_back(
           {layout.uniform(x0 + margin, x1 - margin),
-           layout.uniform(margin, std::max(margin + 1.0, height - margin))});
+           layout.uniform(margin,
+                          std::max(margin + 1.0, kStripHeightM - margin))});
     }
     for (std::size_t i = 0; i < count; ++i, ++built) {
       const mobility::Vec2& center = centers[i % clusters];
@@ -94,7 +95,7 @@ std::unique_ptr<Scenario> build_city(const CityConfig& config) {
           layout.normal(center.x, config.cluster_stddev_m),
           layout.normal(center.y, config.cluster_stddev_m)};
       pos.x = std::clamp(pos.x, x0, x1 - 1e-6);
-      pos.y = std::clamp(pos.y, 0.0, height);
+      pos.y = std::clamp(pos.y, 0.0, kStripHeightM);
 
       core::PhoneConfig pc;
       pc.mobility_ref =

@@ -25,20 +25,12 @@ std::unique_ptr<Scenario> bench_pair(std::uint64_t seed,
   return world;
 }
 
-/// The `seq`-th heartbeat of `origin`'s primary app.
+/// The `seq`-th standard heartbeat of `origin`'s primary app.
 net::HeartbeatMessage standard_heartbeat(Scenario& world, NodeId origin,
                                          std::uint64_t seq = 1) {
-  net::HeartbeatMessage m;
-  m.app = apps::app_id_for(origin, 0);
-  m.seq = seq;
-  m.id = net::message_id(m.app, seq);
-  m.origin = origin;
-  m.app_name = "Standard";
-  m.size = net::kStandardHeartbeatSize;
-  m.period = seconds(270);
-  m.expiry = seconds(270);
-  m.created_at = world.sim().now();
-  return m;
+  return net::make_heartbeat(origin, apps::app_id_for(origin, 0), seq,
+                             net::kStandardHeartbeatSize, seconds(270),
+                             world.sim().now());
 }
 
 }  // namespace
@@ -78,8 +70,7 @@ PhaseProbeResult measure_phases(std::uint64_t seed) {
   ue_before = ue.wifi_charge().value;
   relay_before = relay.wifi_charge().value;
   ue.wifi().send(relay.id(),
-                 net::D2dPayload{standard_heartbeat(*world, ue.id())},
-                 [](Status) {});
+                 net::D2dPayload{standard_heartbeat(*world, ue.id())});
   sim.run_until(sim.now() + seconds(4));
   result.ue.forwarding_uah = ue.wifi_charge().value - ue_before;
   result.relay.forwarding_uah = relay.wifi_charge().value - relay_before;
@@ -106,8 +97,7 @@ std::vector<double> measure_receive_energy(std::size_t max_messages,
   for (std::size_t k = 0; k < max_messages; ++k) {
     ue.wifi().send(
         relay.id(),
-        net::D2dPayload{standard_heartbeat(*world, ue.id(), k + 1)},
-        [](Status) {});
+        net::D2dPayload{standard_heartbeat(*world, ue.id(), k + 1)});
     sim.run_until(sim.now() + seconds(5));
     cumulative.push_back(relay.wifi_charge().value - relay_baseline);
   }
@@ -129,8 +119,7 @@ TraceResult trace_d2d_transfer(std::uint64_t seed) {
   const double before = ue.wifi_charge().value;
   recorder.start();
   ue.wifi().send(relay.id(),
-                 net::D2dPayload{standard_heartbeat(*world, ue.id())},
-                 [](Status) {});
+                 net::D2dPayload{standard_heartbeat(*world, ue.id())});
   sim.run_until(sim.now() + seconds(2.5));
   recorder.stop();
 

@@ -36,12 +36,11 @@ TEST_F(HeartbeatAppTest, MessagesCarryProfileParameters) {
   sim_.run_until(TimePoint{} + seconds(271));
   ASSERT_EQ(received_.size(), 1u);
   const auto& m = received_[0];
-  EXPECT_EQ(m.app_name, "WeChat");
   EXPECT_EQ(m.size.value, 74u);
-  EXPECT_EQ(m.period, seconds(270));
   EXPECT_EQ(m.expiry, seconds(270));
   EXPECT_EQ(m.origin, NodeId{1});
-  EXPECT_EQ(m.seq, 1u);
+  EXPECT_EQ(m.app(), app.app_id());
+  EXPECT_EQ(m.seq(), 1u);
   EXPECT_TRUE(m.id.valid());
 }
 
@@ -51,7 +50,7 @@ TEST_F(HeartbeatAppTest, SequenceNumbersIncrease) {
   sim_.run_until(TimePoint{} + seconds(270 * 4));
   ASSERT_EQ(received_.size(), 4u);
   for (std::size_t i = 0; i < received_.size(); ++i) {
-    EXPECT_EQ(received_[i].seq, i + 1);
+    EXPECT_EQ(received_[i].seq(), i + 1);
   }
 }
 

@@ -37,9 +37,8 @@ TEST_F(MessageMonitorTest, TransportReceivesAppParameters) {
   monitor.integrate_app(apps::qq());
   monitor.start_all();
   sim_.run_until(TimePoint{} + seconds(301));
-  EXPECT_EQ(last.app_name, "QQ");
   EXPECT_EQ(last.size.value, 378u);
-  EXPECT_EQ(last.period, seconds(300));
+  EXPECT_EQ(last.expiry, apps::qq().expiry);
   EXPECT_EQ(last.origin, NodeId{7});
 }
 

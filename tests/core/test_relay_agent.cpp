@@ -28,16 +28,9 @@ class RelayAgentTest : public ::testing::Test {
     return p;
   }
 
-  net::HeartbeatMessage forwarded(std::uint64_t id, std::uint64_t origin) {
-    net::HeartbeatMessage m;
-    m.id = MessageId{100 + id};
-    m.origin = NodeId{origin};
-    m.app = AppId{origin};
-    m.size = Bytes{54};
-    m.period = seconds(20);
-    m.expiry = seconds(20);
-    m.created_at = world_.sim().now();
-    return m;
+  net::HeartbeatMessage forwarded(std::uint64_t seq, std::uint64_t origin) {
+    return net::make_heartbeat(NodeId{origin}, AppId{origin}, seq, Bytes{54},
+                               seconds(20), world_.sim().now());
   }
 
   scenario::Scenario world_;

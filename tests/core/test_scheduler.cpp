@@ -38,9 +38,7 @@ class SchedulerTest : public ::testing::Test {
     net::HeartbeatMessage m;
     m.id = MessageId{id};
     m.origin = NodeId{id};
-    m.app = AppId{id};
     m.size = Bytes{54};
-    m.period = seconds(270);
     m.expiry = seconds(expiry_s);
     m.created_at = sim_.now();
     return m;

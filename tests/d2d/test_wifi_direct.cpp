@@ -33,15 +33,10 @@ struct TestPhone {
   WifiDirectRadio radio;
 };
 
-net::HeartbeatMessage heartbeat(std::uint64_t id, std::uint64_t origin) {
-  net::HeartbeatMessage m;
-  m.id = MessageId{id};
-  m.origin = NodeId{origin};
-  m.app = AppId{origin};
-  m.size = net::kStandardHeartbeatSize;
-  m.period = seconds(270);
-  m.expiry = seconds(270);
-  return m;
+net::HeartbeatMessage heartbeat(std::uint64_t seq, std::uint64_t origin) {
+  return net::make_heartbeat(NodeId{origin}, AppId{origin}, seq,
+                             net::kStandardHeartbeatSize, seconds(270),
+                             TimePoint{});
 }
 
 class WifiDirectTest : public ::testing::Test {
@@ -245,12 +240,10 @@ TEST_F(WifiDirectTest, SendDeliversHeartbeatAndChargesBothSides) {
         received = std::get<net::HeartbeatMessage>(p);
         EXPECT_EQ(from, NodeId{1});
       });
-  bool sent_ok = false;
-  ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(5, 1)},
-                 [&](Status s) { sent_ok = s.ok(); });
+  EXPECT_TRUE(
+      ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(5, 1)}).ok());
   sim_.run_until(sim_.now() + seconds(4));
-  EXPECT_TRUE(sent_ok);
-  EXPECT_EQ(received.id, MessageId{5});
+  EXPECT_EQ(received.id, heartbeat(5, 1).id);
   EXPECT_NEAR(ue->radio.radio_charge().value - ue_before, 73.09, 1.5);
   EXPECT_NEAR(relay->radio.radio_charge().value - relay_before, 131.3, 1.5);
 }
@@ -258,12 +251,15 @@ TEST_F(WifiDirectTest, SendDeliversHeartbeatAndChargesBothSides) {
 TEST_F(WifiDirectTest, SendWithoutLinkFails) {
   auto ue = TestPhone::at(sim_, medium_, 1, 0, 0);
   auto relay = TestPhone::at(sim_, medium_, 2, 1, 0);
-  bool failed = false;
-  ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)},
-                 [&](Status s) {
-                   failed = !s.ok() && s.error().code == Errc::disconnected;
-                 });
-  EXPECT_TRUE(failed);
+  bool received = false;
+  relay->radio.set_receive_handler(
+      [&](const net::D2dPayload&, NodeId) { received = true; });
+  const Status status =
+      ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)});
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, Errc::disconnected);
+  sim_.run_until(sim_.now() + seconds(4));
+  EXPECT_FALSE(received);
 }
 
 // Kernels are independent only because a transfer always completes on
@@ -281,22 +277,21 @@ TEST(WifiDirectKernels, CrossKernelTransferThrows) {
   sim.run_until(sim.now() + seconds(4));
   ASSERT_TRUE(linked);
 
-  bool called = false;
+  int received = 0;
+  relay->radio.set_receive_handler(
+      [&](const net::D2dPayload&, NodeId) { ++received; });
   {
     sim::ShardGuard on_kernel_1(sim, 1);
-    EXPECT_THROW(ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)},
-                                [&](Status) { called = true; }),
+    EXPECT_THROW(ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)}),
                  std::logic_error);
   }
-  EXPECT_FALSE(called);
   EXPECT_EQ(sim.kernel(1).pending_events(), 0u);
 
   // From the peer's own kernel the same send goes through.
-  bool sent_ok = false;
-  ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(2, 1)},
-                 [&](Status s) { sent_ok = s.ok(); });
+  EXPECT_TRUE(
+      ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(2, 1)}).ok());
   sim.run_until(sim.now() + seconds(4));
-  EXPECT_TRUE(sent_ok);
+  EXPECT_EQ(received, 1);
 }
 
 TEST_F(WifiDirectTest, FeedbackAckTravelsAsControlFrame) {
@@ -306,16 +301,81 @@ TEST_F(WifiDirectTest, FeedbackAckTravelsAsControlFrame) {
   sim_.run_until(sim_.now() + seconds(4));
 
   net::FeedbackAck got;
-  ue->radio.set_receive_handler([&](const net::D2dPayload& p, NodeId) {
+  NodeId sender;
+  ue->radio.set_receive_handler([&](const net::D2dPayload& p, NodeId from) {
     got = std::get<net::FeedbackAck>(p);
+    sender = from;
   });
   net::FeedbackAck ack;
-  ack.relay = NodeId{2};
   ack.delivered = {MessageId{1}, MessageId{2}};
-  relay->radio.send(NodeId{1}, net::D2dPayload{ack}, [](Status) {});
+  EXPECT_TRUE(relay->radio.send(NodeId{1}, net::D2dPayload{ack}).ok());
   sim_.run_until(sim_.now() + seconds(1));
-  EXPECT_EQ(got.delivered.size(), 2u);
-  EXPECT_EQ(got.relay, NodeId{2});
+  EXPECT_EQ(got.delivered, ack.delivered);
+  EXPECT_EQ(sender, NodeId{2});
+}
+
+/// 1 m from the origin until `leave`, then far beyond D2D range.
+class LeavesAt final : public mobility::MobilityModel {
+ public:
+  explicit LeavesAt(TimePoint leave) : leave_(leave) {}
+  mobility::Vec2 position_at(TimePoint t) const override {
+    return t < leave_ ? mobility::Vec2{1.0, 0.0} : mobility::Vec2{100.0, 0.0};
+  }
+
+ private:
+  TimePoint leave_;
+};
+
+// A send has no completion: a transfer whose link dies in flight is
+// reported through both ends' disconnect handlers, and nothing arrives.
+TEST_F(WifiDirectTest, TransferLostInFlightReportsThroughDisconnect) {
+  auto ue = std::make_unique<TestPhone>(
+      sim_, medium_, 1,
+      std::make_unique<LeavesAt>(TimePoint{} + seconds(5.7)));
+  auto relay = TestPhone::at(sim_, medium_, 2, 0, 0);
+  ue->radio.connect(NodeId{2}, [](Result<GroupId>) {});
+  sim_.run_until(TimePoint{} + seconds(5.6));
+  ASSERT_TRUE(ue->radio.connected_to(NodeId{2}));
+
+  NodeId ue_lost{}, relay_lost{};
+  bool received = false;
+  ue->radio.set_disconnect_handler([&](NodeId p) { ue_lost = p; });
+  relay->radio.set_disconnect_handler([&](NodeId p) { relay_lost = p; });
+  relay->radio.set_receive_handler(
+      [&](const net::D2dPayload&, NodeId) { received = true; });
+  // In range as the transfer starts; 100 m away when it would land.
+  EXPECT_TRUE(
+      ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)}).ok());
+  sim_.run_until(TimePoint{} + seconds(6.0));
+  EXPECT_FALSE(received);
+  EXPECT_EQ(ue_lost, NodeId{2});
+  EXPECT_EQ(relay_lost, NodeId{1});
+  EXPECT_FALSE(ue->radio.connected_to(NodeId{2}));
+}
+
+// The second synchronous refusal: a linked peer that is already out of
+// range. The link is broken first, so both ends hear of it.
+TEST_F(WifiDirectTest, SendToPeerOutOfRangeFailsAndBreaksTheLink) {
+  auto ue = std::make_unique<TestPhone>(
+      sim_, medium_, 1,
+      std::make_unique<LeavesAt>(TimePoint{} + seconds(5.7)));
+  auto relay = TestPhone::at(sim_, medium_, 2, 0, 0);
+  NodeId relay_lost{};
+  bool received = false;
+  relay->radio.set_disconnect_handler([&](NodeId p) { relay_lost = p; });
+  relay->radio.set_receive_handler(
+      [&](const net::D2dPayload&, NodeId) { received = true; });
+  ue->radio.connect(NodeId{2}, [](Result<GroupId>) {});
+  sim_.run_until(TimePoint{} + seconds(5.8));
+
+  const Status status =
+      ue->radio.send(NodeId{2}, net::D2dPayload{heartbeat(1, 1)});
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, Errc::disconnected);
+  EXPECT_FALSE(ue->radio.connected_to(NodeId{2}));
+  sim_.run_until(TimePoint{} + seconds(7.0));
+  EXPECT_FALSE(received);
+  EXPECT_EQ(relay_lost, NodeId{1});
 }
 
 TEST_F(WifiDirectTest, MovingOutOfRangeBreaksLink) {

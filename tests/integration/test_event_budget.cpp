@@ -90,7 +90,18 @@ constexpr std::size_t kSmallCitySeries = 81013;
 // `use_d2d` flag took with its padding. Each of the 384 RelayAgents
 // drops 16 B: its lane reference and its own app's. So 4,197,504 -
 // 2,616 x 32 - 384 x 16 = 4,197,504 - 83,712 - 6,144 = 4,107,648.
-constexpr std::uint64_t kSmallCityArenaBytes = 4107648;
+//
+// Re-pinned from 4,107,648 when a heartbeat became a 40 B value (was
+// 96 B with its app name string, period, app and seq) and the knobs
+// nobody set became constants. Each of the 384 RelayAgents keeps its
+// own heartbeat in its MessageScheduler's std::optional, 104 -> 48 B,
+// and its params lose `retire_battery_level` (8 B; the dropped
+// `scale_group_owner_intent` flag sat in padding): 896 -> 832 B. Each
+// of the 2,616 UeAgents' params lose `backoff_multiplier`,
+// `max_backoff` and `reassess_improvement`: 624 -> 600 B. So 4,107,648
+// - 384 x 56 - 384 x 8 - 2,616 x 24 = 4,107,648 - 21,504 - 3,072 -
+// 62,784 = 4,020,288.
+constexpr std::uint64_t kSmallCityArenaBytes = 4020288;
 
 TEST(EventBudget, StaticTwoCellCrowdIsPinned) {
   for (const std::size_t threads : {1u, 2u}) {

@@ -122,7 +122,7 @@ TEST_P(WifiFuzzTest, RandomLinkOpsKeepSymmetry) {
       m.size = net::kStandardHeartbeatSize;
       m.expiry = seconds(300);
       m.created_at = sim.now();
-      phones[a]->radio.send(nb, net::D2dPayload{m}, [](Status) {});
+      phones[a]->radio.send(nb, net::D2dPayload{m});
     } else {
       sim.run_until(sim.now() + seconds(rng.uniform(0.1, 5.0)));
     }

@@ -21,7 +21,7 @@ UplinkBundle bundle_of(std::uint64_t node) {
 
 TEST(Channel, DeliversAfterLatency) {
   sim::Simulator sim;
-  Channel ch{sim, Channel::Params{milliseconds(50), 0.0}, 1};
+  Channel ch{sim, Channel::Params{0.0}, 1};
   TimePoint delivered_at{};
   ch.set_receiver([&](const UplinkBundle&) { delivered_at = sim.now(); });
   EXPECT_TRUE(ch.send(bundle_of(1)));
@@ -34,7 +34,7 @@ TEST(Channel, DeliversAfterLatency) {
 
 TEST(Channel, LossDropsDeterministically) {
   sim::Simulator sim;
-  Channel ch{sim, Channel::Params{milliseconds(1), 1.0}, 2};
+  Channel ch{sim, Channel::Params{1.0}, 2};
   int received = 0;
   ch.set_receiver([&](const UplinkBundle&) { ++received; });
   EXPECT_FALSE(ch.send(bundle_of(1)));
@@ -45,7 +45,7 @@ TEST(Channel, LossDropsDeterministically) {
 
 TEST(Channel, PartialLossApproximatesRate) {
   sim::Simulator sim;
-  Channel ch{sim, Channel::Params{milliseconds(1), 0.25}, 3};
+  Channel ch{sim, Channel::Params{0.25}, 3};
   int received = 0;
   ch.set_receiver([&](const UplinkBundle&) { ++received; });
   const int n = 4000;
@@ -64,7 +64,7 @@ TEST(Channel, PartialLossApproximatesRate) {
 TEST(Channel, LossIsTheSameFromAnyStrip) {
   const auto drops_from = [](std::uint32_t shard) {
     sim::Simulator sim{4};
-    Channel ch{sim, Channel::Params{milliseconds(1), 0.5}, 0xc0ffee};
+    Channel ch{sim, Channel::Params{0.5}, 0xc0ffee};
     sim::ShardGuard guard(sim, shard);
     std::vector<std::uint64_t> dropped;
     for (std::uint64_t i = 1; i <= 200; ++i) {

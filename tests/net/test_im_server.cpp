@@ -12,20 +12,13 @@ namespace {
 class ImServerTest : public ::testing::Test {
  protected:
   HeartbeatMessage heartbeat(std::uint64_t node, double expiry_s = 300.0) {
-    HeartbeatMessage m;
-    m.id = MessageId{++next_id_};
-    m.origin = NodeId{node};
-    m.app = AppId{node};
-    m.size = Bytes{54};
-    m.period = seconds(300);
-    m.expiry = seconds(expiry_s);
-    m.created_at = sim_.now();
-    return m;
+    return make_heartbeat(NodeId{node}, AppId{node}, ++next_seq_, Bytes{54},
+                          seconds(expiry_s), sim_.now());
   }
 
   sim::Simulator sim_;
   ImServer server_{sim_};
-  std::uint64_t next_id_{0};
+  std::uint64_t next_seq_{0};
 };
 
 TEST_F(ImServerTest, RegisteredClientStartsOnline) {
@@ -120,14 +113,8 @@ ImServer::Totals deliver_from_two_kernels(std::size_t threads) {
   ImServer server{sim};
   auto beat_of = [&sim, &server](NodeId node) {
     return [&sim, &server, node] {
-      HeartbeatMessage m;
-      m.origin = node;
-      m.app = AppId{node.value};
-      m.size = Bytes{54};
-      m.period = seconds(60);
-      m.expiry = seconds(100);
-      m.created_at = sim.now();
-      server.deliver(m);
+      server.deliver(make_heartbeat(node, AppId{node.value}, 1, Bytes{54},
+                                    seconds(100), sim.now()));
     };
   };
   for (std::uint32_t kernel = 0; kernel < 2; ++kernel) {
@@ -182,12 +169,8 @@ TEST(ImServerConcurrency, TwoKernelsDeliverToDisjointSessionsAtOnce) {
   for (std::uint32_t kernel = 0; kernel < 2; ++kernel) {
     sim::ShardGuard guard(sim, kernel);
     sim.schedule_at(TimePoint{} + seconds(1), [&sim, &server] {
-      HeartbeatMessage m;
-      m.origin = NodeId{7};
-      m.app = AppId{7};
-      m.expiry = seconds(100);
-      m.created_at = sim.now();
-      server.deliver(m);
+      server.deliver(make_heartbeat(NodeId{7}, AppId{7}, 1, Bytes{0},
+                                    seconds(100), sim.now()));
     });
   }
   sim::RunOptions options;

@@ -5,33 +5,38 @@
 #include <array>
 #include <new>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace d2dhb::net {
 namespace {
 
-HeartbeatMessage make(std::uint64_t id, std::uint32_t size,
+HeartbeatMessage make(std::uint64_t seq, std::uint32_t size,
                       double expiry_s = 270.0) {
-  HeartbeatMessage m;
-  m.id = MessageId{id};
-  m.origin = NodeId{1};
-  m.app = AppId{1};
-  m.size = Bytes{size};
-  m.period = seconds(270);
-  m.expiry = seconds(expiry_s);
-  m.created_at = TimePoint{} + seconds(100);
-  return m;
+  return make_heartbeat(NodeId{1}, AppId{1}, seq, Bytes{size},
+                        seconds(expiry_s), TimePoint{} + seconds(100));
 }
 
-TEST(HeartbeatMessage, DefaultConstructedHasZeroPeriodAndExpiry) {
+// Copied at every hop and parked in every relay's scheduler: a heartbeat
+// is a plain 40-byte value (id, origin, size + padding, expiry,
+// created_at), with no string or heap storage behind it.
+TEST(HeartbeatMessage, IsAFortyByteTrivialValue) {
+  EXPECT_TRUE(std::is_trivially_copyable_v<HeartbeatMessage>);
+  EXPECT_EQ(sizeof(HeartbeatMessage), 40u);
+}
+
+TEST(HeartbeatMessage, DefaultConstructedIsZero) {
   // Default-initialize over dirty bytes, so a field without its own
   // initializer would read back the fill pattern instead of zero.
   alignas(HeartbeatMessage) std::array<unsigned char, sizeof(HeartbeatMessage)>
       storage;
   storage.fill(0xAB);
   auto* m = ::new (storage.data()) HeartbeatMessage;
-  EXPECT_EQ(m->period, Duration::zero());
+  EXPECT_FALSE(m->id.valid());
+  EXPECT_FALSE(m->origin.valid());
+  EXPECT_EQ(m->size.value, 0u);
   EXPECT_EQ(m->expiry, Duration::zero());
-  EXPECT_EQ(m->deadline() - m->created_at, Duration::zero());
+  EXPECT_EQ(m->created_at, TimePoint{});
   m->~HeartbeatMessage();
 }
 
@@ -47,6 +52,32 @@ TEST(MessageIdOf, ThrowsWhenAFieldOverflows) {
   constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
   EXPECT_THROW(message_id(AppId{kLimit}, 1), std::out_of_range);
   EXPECT_THROW(message_id(AppId{1}, kLimit), std::out_of_range);
+}
+
+TEST(MessageIdOf, AppAndSeqRoundTripThroughTheId) {
+  constexpr std::uint64_t kMax = (std::uint64_t{1} << 32) - 1;
+  for (const auto& [app, seq] :
+       {std::pair<std::uint64_t, std::uint64_t>{1, 1}, {3, 7},
+        {1002, 1}, {kMax, 0}, {0, kMax}, {kMax, kMax}}) {
+    const HeartbeatMessage m = make_heartbeat(
+        NodeId{9}, AppId{app}, seq, Bytes{54}, seconds(270), TimePoint{});
+    EXPECT_EQ(m.id, message_id(AppId{app}, seq));
+    EXPECT_EQ(m.app(), AppId{app});
+    EXPECT_EQ(m.seq(), seq);
+    EXPECT_EQ(m.origin, NodeId{9});
+  }
+}
+
+TEST(MessageIdOf, FactoryKeepsTheOverflowCheck) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  EXPECT_THROW(make_heartbeat(NodeId{1}, AppId{kLimit}, 1, Bytes{54},
+                              seconds(270), TimePoint{}),
+               std::out_of_range);
+  EXPECT_THROW(make_heartbeat(NodeId{1}, AppId{1}, kLimit, Bytes{54},
+                              seconds(270), TimePoint{}),
+               std::out_of_range);
+  EXPECT_NO_THROW(make_heartbeat(NodeId{1}, AppId{kLimit - 1}, kLimit - 1,
+                                 Bytes{54}, seconds(270), TimePoint{}));
 }
 
 TEST(HeartbeatMessage, DeadlineIsCreationPlusExpiry) {
@@ -72,18 +103,6 @@ TEST(UplinkBundle, AggregatePaysPerMessageHeader) {
 TEST(UplinkBundle, EmptyBundleIsZeroBytes) {
   UplinkBundle b;
   EXPECT_EQ(b.payload_size().value, 0u);
-}
-
-TEST(D2dPayload, HeartbeatSize) {
-  const D2dPayload p{make(1, 74)};
-  EXPECT_EQ(payload_size(p).value, 74u);
-}
-
-TEST(D2dPayload, FeedbackAckSizeScalesWithIds) {
-  FeedbackAck ack;
-  ack.relay = NodeId{9};
-  ack.delivered = {MessageId{1}, MessageId{2}};
-  EXPECT_EQ(payload_size(D2dPayload{ack}).value, 12u + 16u);
 }
 
 TEST(StandardSize, MatchesPaper) {

@@ -8,15 +8,10 @@ namespace {
 net::UplinkBundle bundle_with(std::initializer_list<std::uint64_t> origins) {
   net::UplinkBundle b;
   b.sender = NodeId{*origins.begin()};
-  std::uint64_t id = 0;
   for (const auto origin : origins) {
-    net::HeartbeatMessage m;
-    m.id = MessageId{++id};
-    m.origin = NodeId{origin};
-    m.app = AppId{origin};
-    m.size = Bytes{54};
-    m.expiry = seconds(300);
-    b.messages.push_back(m);
+    b.messages.push_back(net::make_heartbeat(NodeId{origin}, AppId{origin},
+                                             1, Bytes{54}, seconds(300),
+                                             TimePoint{}));
   }
   return b;
 }
@@ -24,7 +19,7 @@ net::UplinkBundle bundle_with(std::initializer_list<std::uint64_t> origins) {
 TEST(BaseStation, ForwardsToServer) {
   sim::Simulator sim;
   net::ImServer server{sim};
-  BaseStation bs{sim, server, net::Channel::Params{milliseconds(50), 0.0},
+  BaseStation bs{sim, server, net::Channel::Params{0.0},
                  1};
   bs.receive(bundle_with({1, 2, 3}));
   sim.run();
@@ -45,7 +40,7 @@ TEST(BaseStation, CountsBytesWithAggregationHeaders) {
 TEST(BaseStation, LossyBackhaulDropsDeliveries) {
   sim::Simulator sim;
   net::ImServer server{sim};
-  BaseStation bs{sim, server, net::Channel::Params{milliseconds(1), 1.0},
+  BaseStation bs{sim, server, net::Channel::Params{1.0},
                  1};
   bs.receive(bundle_with({1}));
   sim.run();
