@@ -83,7 +83,6 @@ class RelayAgent {
 
   sim::Simulator& sim_;
   Phone& phone_;
-  Params params_;
   radio::BaseStation& bs_;
   IncentiveLedger* ledger_;
   MessageScheduler scheduler_;
@@ -94,6 +93,8 @@ class RelayAgent {
   std::vector<apps::HeartbeatApp*> extra_apps_;
   std::optional<energy::Battery> battery_;
   std::optional<sim::PeriodicTimer> battery_poll_;
+  /// The one Params field read after construction.
+  bool run_own_heartbeats_;
   bool running_{false};
   bool retired_{false};
 

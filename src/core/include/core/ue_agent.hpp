@@ -97,7 +97,9 @@ class UeAgent {
 
   sim::Simulator& sim_;
   Phone& phone_;
-  Params params_;
+  /// The Params fields read after construction.
+  MatchPolicy match_;
+  Duration retry_backoff_;
   radio::BaseStation& bs_;
   FeedbackTracker feedback_;
   MessageMonitor monitor_;

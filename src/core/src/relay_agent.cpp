@@ -21,7 +21,6 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
                        Arena* arena)
     : sim_(sim),
       phone_(phone),
-      params_(params),
       bs_(bs),
       ledger_(ledger),
       scheduler_(sim, labelled(params.scheduler, phone.id()),
@@ -30,7 +29,8 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
       own_app_(sim, phone.id(), apps::app_id_for(phone.id(), 0),
                params.own_app,
                [this](const net::HeartbeatMessage& m) { on_own_heartbeat(m); }),
-      arena_(arena) {
+      arena_(arena),
+      run_own_heartbeats_(params.run_own_heartbeats) {
   phone_.modem().set_uplink_handler(
       [this](const net::UplinkBundle& bundle) { on_uplink_complete(bundle); });
   phone_.wifi().set_receive_handler(
@@ -45,10 +45,10 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
   bundles_sent_ctr_ = &reg.counter("relay.bundles_sent", labels);
   heartbeats_uplinked_ctr_ = &reg.counter("relay.heartbeats_uplinked", labels);
   feedback_acks_sent_ctr_ = &reg.counter("relay.feedback_acks_sent", labels);
-  if (params_.battery_capacity.value > 0.0) {
-    battery_.emplace(phone_.meter(), params_.battery_capacity,
+  if (params.battery_capacity.value > 0.0) {
+    battery_.emplace(phone_.meter(), params.battery_capacity,
                      [this] { retire(); });
-    battery_poll_.emplace(sim_, params_.battery_poll_interval,
+    battery_poll_.emplace(sim_, params.battery_poll_interval,
                           [this] { poll_battery(); });
     reg.gauge_fn("battery.level", labels,
                  [this] { return battery_->level(); });
@@ -110,7 +110,7 @@ void RelayAgent::start(Duration heartbeat_offset) {
   phone_.wifi().set_listening(true);
   phone_.wifi().set_group_owner_intent(d2d::kMaxGroupOwnerIntent);
   refresh_advert();
-  if (params_.run_own_heartbeats) own_app_.start(heartbeat_offset);
+  if (run_own_heartbeats_) own_app_.start(heartbeat_offset);
   for (auto* app : extra_apps_) app->start(heartbeat_offset);
 }
 

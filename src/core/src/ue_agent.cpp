@@ -10,7 +10,8 @@ UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
                  radio::BaseStation& bs, Arena* arena)
     : sim_(sim),
       phone_(phone),
-      params_(params),
+      match_(params.match),
+      retry_backoff_(params.retry_backoff),
       bs_(bs),
       feedback_(
           sim, params.feedback_timeout,
@@ -35,7 +36,7 @@ UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
   handovers_ctr_ = &reg.counter("ue.handovers", labels);
   monitor_.set_transport(
       [this](const net::HeartbeatMessage& m) { on_heartbeat(m); });
-  add_app(params_.app);
+  add_app(std::move(params.app));
   phone_.modem().set_uplink_handler(
       [this](const net::UplinkBundle& bundle) { bs_.receive(bundle); });
   phone_.wifi().set_receive_handler(
@@ -45,8 +46,8 @@ UeAgent::UeAgent(sim::Simulator& sim, Phone& phone, Params params,
   phone_.wifi().set_disconnect_handler(
       [this](NodeId peer) { on_link_lost(peer); });
   phone_.wifi().set_group_owner_intent(0);  // UEs never want to own a group
-  if (params_.reassess_interval > Duration::zero()) {
-    reassess_timer_.emplace(sim_, params_.reassess_interval,
+  if (params.reassess_interval > Duration::zero()) {
+    reassess_timer_.emplace(sim_, params.reassess_interval,
                             [this] { reassess(); });
   }
 }
@@ -105,7 +106,7 @@ void UeAgent::begin_discovery() {
 void UeAgent::on_discovery(const std::vector<d2d::DiscoveredPeer>& peers) {
   if (!running_) return;
   const auto choice =
-      match_relay(params_.match, peers, phone_.wifi().medium().key(),
+      match_relay(match_, peers, phone_.wifi().medium().key(),
                   phone_.id(), sim_.now());
   if (!choice) {
     fail_d2d_attempt();
@@ -141,7 +142,7 @@ void UeAgent::fail_d2d_attempt() {
   state_ = LinkState::idle;
   relay_ = NodeId{};
   if (current_backoff_ == Duration::zero()) {
-    current_backoff_ = params_.retry_backoff;
+    current_backoff_ = retry_backoff_;
   } else {
     constexpr double kBackoffMultiplier = 2.0;
     constexpr Duration kMaxBackoff = seconds(1800);
@@ -218,7 +219,7 @@ void UeAgent::reassess() {
         }
         if (!current) return;  // range loss is the link monitor's job
         const auto candidate =
-            match_relay(params_.match, others, phone_.wifi().medium().key(),
+            match_relay(match_, others, phone_.wifi().medium().key(),
                         phone_.id(), sim_.now());
         if (!candidate) return;
         // Switch only to a relay at most this fraction as far away.

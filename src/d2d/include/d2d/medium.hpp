@@ -8,13 +8,17 @@
 // dense-state layer shared with the Scenario and operator selection;
 // the medium itself keeps only a compact radio array, with the table's
 // d2d_slot column mapping NodeId → array index. Discovery scans go
-// through a per-strip mobility::SpatialGrid discovery index instead of
-// walking every radio — the difference between O(population) and
-// O(listening neighbourhood) per scan at crowd scale. The index holds
-// exactly the attached radios that are listening(): only those can be
-// admitted to a scan (the Section III-C detector chooses among relay
-// adverts), so the filter lives in the data structure instead of being
-// applied per candidate. WifiDirectRadio::set_listening reports every
+// through a per-strip discovery index instead of walking every radio —
+// the difference between O(population) and O(listening neighbourhood)
+// per scan at crowd scale. The index holds exactly the attached radios
+// that are listening(): only those can be admitted to a scan (the
+// Section III-C detector chooses among relay adverts), so the filter
+// lives in the data structure instead of being applied per candidate.
+// It has two parts: a mobility::PointGrid of the static listening
+// radios, binned once at their fixed positions, and a NodeId-sorted
+// list of the moving ones, whose exact positions a scan reads directly
+// (relays are static in every crowd and city world, so the list is
+// almost always empty). WifiDirectRadio::set_listening reports every
 // flag change here, and attach/detach follow the flag. Range-exit
 // polls do not use the index: a radio asks in_range for each link. A
 // legacy linear-scan path over the whole table is kept behind
@@ -35,12 +39,11 @@
 // (scenario::strip_wall_pairs counts them), and it makes the medium
 // safe for the parallel executor: a scan or range sweep on strip k
 // touches only strip-k radios, strip-k mobility models and strip k's
-// world index. A group's id is its owner's NodeId, so forming a group
+// discovery index. A group's id is its owner's NodeId, so forming a group
 // touches no shared counter either.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -96,14 +99,18 @@ class WifiDirectMedium {
   WifiDirectMedium(const WifiDirectMedium&) = delete;
   WifiDirectMedium& operator=(const WifiDirectMedium&) = delete;
 
-  /// Radios register on construction and unregister on destruction.
-  void attach(WifiDirectRadio& radio, const mobility::MobilityModel& mobility);
+  /// Radios register on construction and unregister on destruction. A
+  /// re-attach (a second radio for the same node) replaces the first:
+  /// the node leaves the index at the replaced radio's position and
+  /// rejoins it only while the replacing radio listens.
+  void attach(WifiDirectRadio& radio);
   void detach(NodeId node);
 
   /// Invariant audit (the D2DHB_AUDIT layer): checks the discovery
-  /// index (SpatialGrid::audit at the current sim time, and in both
-  /// directions that each strip's grid holds exactly the attached
-  /// listening radios homed to that strip), NodeTable↔radio-array slot
+  /// index (PointGrid::audit on each strip's grid, a strictly ascending
+  /// moving list, and in both directions that each attached radio is in
+  /// one of its home strip's two sets exactly while it listens and that
+  /// the sets hold nothing else), NodeTable↔radio-array slot
   /// consistency in both directions, and link-table symmetry — for
   /// every attached radio, each link (peer, group) must be mirrored by
   /// an identical link back from the peer. Registered with the
@@ -135,12 +142,15 @@ class WifiDirectMedium {
   /// The shared dense node-state layer (home shards, positions, slots).
   world::NodeTable& nodes() { return nodes_; }
   const world::NodeTable& nodes() const { return nodes_; }
-  /// A strip's discovery index (exposed for diagnostics): the attached
-  /// listening radios homed to that strip. Strip 0 by default — the
-  /// whole world when there is a single strip.
-  const mobility::SpatialGrid& grid(std::size_t strip = 0) const {
-    return *grids_[strip];
+  /// Size of a strip's discovery index (exposed for diagnostics): the
+  /// attached listening radios homed to that strip. Strip 0 by default
+  /// — the whole world when there is a single strip.
+  std::size_t indexed_count(std::size_t strip = 0) const {
+    return strips_[strip].still.size() + strips_[strip].moving.size();
   }
+  /// True if `node`'s attached radio is in its strip's discovery index:
+  /// binned at its position if static, listed if moving.
+  bool indexed(NodeId node) const;
 
   /// Test backdoor (corrupts internals for the audit tests).
   struct Internal;
@@ -153,10 +163,9 @@ class WifiDirectMedium {
   /// that a re-attach has replaced no longer speaks for its node and
   /// leaves the index alone.
   void listening_changed(const WifiDirectRadio& radio);
-  /// Bins or unbins `radio`'s node in its strip's discovery index to
-  /// match its listening flag.
-  void sync_index(const WifiDirectRadio& radio,
-                  const mobility::MobilityModel& mobility);
+  /// Adds `radio`'s node to (`in`) or takes it out of its strip's
+  /// discovery index, in the set the radio's own model picks.
+  void set_indexed(const WifiDirectRadio& radio, bool in);
   std::uint32_t strip_of(NodeId node) const { return nodes_.shard_of(node); }
 
   sim::Simulator& sim_;
@@ -167,15 +176,22 @@ class WifiDirectMedium {
   /// maps NodeId → index here. Detach swap-removes, so the array stays
   /// dense no matter the attach/detach order.
   std::vector<WifiDirectRadio*> radios_;
-  /// One discovery index per strip, holding only the listening radios
-  /// homed there. Scans on strip k query grids_[k] alone, and only
-  /// strip k's kernel (or the world build) changes a strip-k radio's
-  /// flag — the grid and its lazy position cache then only ever touch
-  /// strip-k mobility models.
-  std::vector<std::unique_ptr<mobility::SpatialGrid>> grids_;
-  /// Per-strip scratch buffers for grid queries (avoid per-scan
-  /// allocation without sharing a buffer across threads).
-  mutable std::vector<std::vector<mobility::SpatialGrid::Neighbor>> scratch_;
+  /// One strip's discovery index: the listening radios homed there.
+  /// Scans on strip k read strips_[k] alone, and only strip k's kernel
+  /// (or the world build) changes a strip-k radio's flag. Cache-line
+  /// aligned because each strip's kernel writes its `hits` on every
+  /// scan while its neighbours read their own grids.
+  struct alignas(64) StripIndex {
+    explicit StripIndex(Meters cell) : still(cell) {}
+    /// Static listening radios, index = NodeId value.
+    mobility::PointGrid still;
+    /// Moving listening radios, ascending.
+    std::vector<NodeId> moving;
+    /// Scan scratch (no per-scan allocation, no buffer shared across
+    /// threads).
+    mutable std::vector<mobility::PointGrid::Hit> hits;
+  };
+  std::vector<StripIndex> strips_;
   std::uint64_t auditor_token_{0};
 };
 

@@ -21,11 +21,9 @@ WifiDirectMedium::WifiDirectMedium(sim::Simulator& sim,
                                    std::uint64_t key)
     : sim_(sim), nodes_(nodes), params_(params), key_(key) {
   const std::size_t strips = sim_.shard_count();
-  grids_.reserve(strips);
-  scratch_.resize(strips);
+  strips_.reserve(strips);
   for (std::size_t s = 0; s < strips; ++s) {
-    grids_.push_back(
-        std::make_unique<mobility::SpatialGrid>(grid_cell(params_)));
+    strips_.emplace_back(grid_cell(params_));
   }
   auditor_token_ = sim_.add_auditor([this] { audit(); });
 }
@@ -33,8 +31,16 @@ WifiDirectMedium::WifiDirectMedium(sim::Simulator& sim,
 WifiDirectMedium::~WifiDirectMedium() { sim_.remove_auditor(auditor_token_); }
 
 void WifiDirectMedium::audit() const {
-  for (const auto& grid : grids_) {
-    grid->audit(sim_.now());
+  for (std::size_t strip = 0; strip < strips_.size(); ++strip) {
+    const StripIndex& index = strips_[strip];
+    index.still.audit();
+    if (std::adjacent_find(index.moving.begin(), index.moving.end(),
+                           [](NodeId a, NodeId b) { return !(a < b); }) !=
+        index.moving.end()) {
+      throw sim::AuditError("WifiDirectMedium audit: strip " +
+                            std::to_string(strip) +
+                            "'s moving list is not strictly ascending");
+    }
   }
   // Slot consistency: every radio-array entry points back at its slot
   // through the table, and every table slot lands inside the array.
@@ -62,15 +68,16 @@ void WifiDirectMedium::audit() const {
                             std::to_string(slot));
     }
   }
-  // Discovery index, both directions: every attached radio is binned
-  // in its home strip's grid exactly while it listens, and no grid
-  // holds more entries than its strip has listening radios — so no
-  // grid holds a detached, non-listening or foreign node either.
-  std::vector<std::size_t> listening(grids_.size(), 0);
+  // Discovery index, both directions: every attached radio is in its
+  // home strip's index (binned at its position if static, listed if
+  // moving) exactly while it listens, and no strip's index holds more
+  // entries than the strip has listening radios — so neither set holds
+  // a detached, non-listening, foreign or duplicate node.
+  std::vector<std::size_t> listening(strips_.size(), 0);
   for (const WifiDirectRadio* radio : radios_) {
     const NodeId node = radio->owner();
     const std::uint32_t strip = strip_of(node);
-    if (radio->listening() != grids_[strip]->contains(node)) {
+    if (radio->listening() != indexed(node)) {
       throw sim::AuditError(
           "WifiDirectMedium audit: node #" + std::to_string(node.value) +
           (radio->listening() ? " listens but is missing from"
@@ -79,12 +86,12 @@ void WifiDirectMedium::audit() const {
     }
     if (radio->listening()) ++listening[strip];
   }
-  for (std::size_t strip = 0; strip < grids_.size(); ++strip) {
-    if (grids_[strip]->size() != listening[strip]) {
+  for (std::size_t strip = 0; strip < strips_.size(); ++strip) {
+    if (indexed_count(strip) != listening[strip]) {
       throw sim::AuditError(
           "WifiDirectMedium audit: strip " + std::to_string(strip) +
           "'s discovery index holds " +
-          std::to_string(grids_[strip]->size()) + " nodes but only " +
+          std::to_string(indexed_count(strip)) + " nodes but only " +
           std::to_string(listening[strip]) +
           " attached listening radios are homed there");
     }
@@ -112,15 +119,20 @@ void WifiDirectMedium::audit() const {
   }
 }
 
-void WifiDirectMedium::attach(WifiDirectRadio& radio,
-                              const mobility::MobilityModel& mobility) {
+void WifiDirectMedium::attach(WifiDirectRadio& radio) {
   const NodeId node = radio.owner();
   if (!node.valid()) {
     throw std::invalid_argument("WifiDirectMedium: invalid node id");
   }
+  // A re-attach takes the replaced radio's entry out first, at the
+  // position and in the set its own model put it.
+  if (const WifiDirectRadio* replaced = this->radio(node);
+      replaced != nullptr && replaced->listening()) {
+    set_indexed(*replaced, false);
+  }
   // Adds the row for scenario-less tests; for scenario phones the row
   // already exists (same mobility model) and add() just re-points it.
-  nodes_.add(node, &mobility);
+  nodes_.add(node, &radio.mobility());
   const std::uint32_t slot = nodes_.d2d_slot(node);
   if (slot != world::kNoD2dSlot) {
     radios_[slot] = &radio;  // re-attach replaces the radio in place
@@ -128,29 +140,54 @@ void WifiDirectMedium::attach(WifiDirectRadio& radio,
     nodes_.set_d2d_slot(node, static_cast<std::uint32_t>(radios_.size()));
     radios_.push_back(&radio);
   }
-  // A re-attach re-bins or unbins the node per the new radio's flag.
-  sync_index(radio, mobility);
+  if (radio.listening()) set_indexed(radio, true);
 }
 
 void WifiDirectMedium::listening_changed(const WifiDirectRadio& radio) {
   if (this->radio(radio.owner()) != &radio) return;
-  sync_index(radio, radio.mobility());
+  set_indexed(radio, radio.listening());
 }
 
-void WifiDirectMedium::sync_index(const WifiDirectRadio& radio,
-                                  const mobility::MobilityModel& mobility) {
-  mobility::SpatialGrid& grid = *grids_[strip_of(radio.owner())];
-  if (radio.listening()) {
-    grid.insert(radio.owner(), mobility);  // replaces an existing entry
-  } else {
-    grid.remove(radio.owner());
+// A static radio's position is the same at any time, so adding and
+// removing it read it at the current one.
+void WifiDirectMedium::set_indexed(const WifiDirectRadio& radio, bool in) {
+  const NodeId node = radio.owner();
+  StripIndex& index = strips_[strip_of(node)];
+  const mobility::MobilityModel& model = radio.mobility();
+  if (model.is_static()) {
+    const mobility::Vec2 at = model.position_at(sim_.now());
+    if (in) {
+      index.still.insert(node.value, at);
+    } else {
+      index.still.remove(node.value, at);
+    }
+    return;
   }
+  const auto it =
+      std::lower_bound(index.moving.begin(), index.moving.end(), node);
+  if (in) {
+    index.moving.insert(it, node);
+  } else if (it != index.moving.end() && *it == node) {
+    index.moving.erase(it);
+  }
+}
+
+bool WifiDirectMedium::indexed(NodeId node) const {
+  const WifiDirectRadio* attached = radio(node);
+  if (attached == nullptr) return false;
+  const StripIndex& index = strips_[strip_of(node)];
+  const mobility::MobilityModel& model = attached->mobility();
+  if (model.is_static()) {
+    return index.still.contains(node.value, model.position_at(sim_.now()));
+  }
+  return std::binary_search(index.moving.begin(), index.moving.end(), node);
 }
 
 void WifiDirectMedium::detach(NodeId node) {
   if (!nodes_.contains(node)) return;
   const std::uint32_t slot = nodes_.d2d_slot(node);
   if (slot == world::kNoD2dSlot) return;
+  if (radios_[slot]->listening()) set_indexed(*radios_[slot], false);
   const std::size_t last = radios_.size() - 1;
   if (slot != last) {
     radios_[slot] = radios_[last];
@@ -159,7 +196,6 @@ void WifiDirectMedium::detach(NodeId node) {
   }
   radios_.pop_back();
   nodes_.set_d2d_slot(node, world::kNoD2dSlot);
-  grids_[strip_of(node)]->remove(node);
 }
 
 mobility::Vec2 WifiDirectMedium::position_of(NodeId node) const {
@@ -231,11 +267,26 @@ std::vector<DiscoveredPeer> WifiDirectMedium::scan_from(
     return found;
   }
 
-  std::vector<mobility::SpatialGrid::Neighbor>& scratch = scratch_[strip];
-  grids_[strip]->query_radius(origin, params_.range, now, scratch, scanner);
-  for (const auto& neighbor : scratch) {
-    admit(neighbor.node, neighbor.distance);
+  // The grid's hits and the in-range moving radios are disjoint and
+  // each ascending; merging them keeps the admit order by NodeId.
+  const StripIndex& index = strips_[strip];
+  index.still.query_radius(origin, params_.range, index.hits);
+  auto hit = index.hits.begin();
+  auto admit_hits_below = [&](std::uint64_t bound) {
+    for (; hit != index.hits.end() && hit->index < bound; ++hit) {
+      if (hit->index != scanner.value) {
+        admit(NodeId{hit->index}, hit->distance);
+      }
+    }
+  };
+  for (const NodeId node : index.moving) {
+    if (node == scanner) continue;
+    const Meters d = mobility::distance(origin, nodes_.position_of(node, now));
+    if (d.value > params_.range.value) continue;
+    admit_hits_below(node.value);
+    admit(node, d);
   }
+  admit_hits_below(UINT64_MAX);
   return found;
 }
 

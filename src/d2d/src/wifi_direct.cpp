@@ -23,7 +23,7 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
                    : throw std::invalid_argument(
                          "WifiDirectRadio: energy profile is required")),
       link_monitor_(sim, seconds(1), [this] { poll_links(); }) {
-  medium_.attach(*this, mobility_);
+  medium_.attach(*this);
   auto& reg = sim_.metrics();
   const metrics::Labels labels{owner_.value, -1, "wifi_direct"};
   discovery_scans_ctr_ = &reg.counter("d2d.discovery_scans", labels);

@@ -35,10 +35,10 @@ class MobilityModel {
  public:
   virtual ~MobilityModel() = default;
   virtual Vec2 position_at(TimePoint t) const = 0;
-  /// True when position_at is time-invariant. The world index
-  /// (mobility::SpatialGrid) bins static nodes once and only refreshes
-  /// the moving ones; a model may only report true if its position
-  /// never changes.
+  /// True when position_at is time-invariant. The D2D discovery index
+  /// bins static radios once in a PointGrid and reads the moving ones'
+  /// positions at each scan; a model may only report true if its
+  /// position never changes.
   virtual bool is_static() const { return false; }
 };
 

@@ -144,14 +144,18 @@ struct CrowdMetrics {
 CrowdMetrics run_d2d_crowd(const CrowdConfig& config);
 CrowdMetrics run_original_crowd(const CrowdConfig& config);
 
-/// A D2D crowd world, built and started but not yet run: run_d2d_crowd
-/// split in two, so a caller can drive the world itself (the executor
-/// oracle steps it event by event).
+/// A crowd world, built and started but not yet run: run_d2d_crowd (or
+/// run_original_crowd) split in two, so a caller can drive the world
+/// itself (the executor oracle steps it event by event).
 struct CrowdWorld {
   std::unique_ptr<Scenario> world;
   double relay_coverage{0.0};
 };
 CrowdWorld build_d2d_crowd(const CrowdConfig& config);
+/// The original-system arm's world. It makes the D2D arm's draws in the
+/// same order, so phone i walks the same trajectory in both arms of a
+/// seed; its relay_coverage stays 0, as nobody relays.
+CrowdWorld build_original_crowd(const CrowdConfig& config);
 /// Drives a built world to the end of the run (run_d2d_crowd's middle).
 sim::RunStats run_crowd_world(Scenario& world, const CrowdConfig& config);
 /// The metrics run_d2d_crowd reports, for a built world driven to the

@@ -16,8 +16,8 @@ namespace {
 
 /// Phone i's model. `key` is the world's one mobility key and node ids
 /// are 1..N in insertion order, so phone i walks as node i + 1: both
-/// arms of a seed (without an operator policy, whose selection draw
-/// comes first) walk their mobile phones on the same trajectories.
+/// arms of a seed draw the key in the same place (draw_crowd) and walk
+/// their mobile phones on the same trajectories.
 std::unique_ptr<mobility::MobilityModel> make_mobility(
     const CrowdConfig& config, std::size_t i, mobility::Vec2 start,
     bool moves, std::uint64_t key) {
@@ -106,6 +106,67 @@ void collect_common(Scenario& world, const sim::RunStats& run_stats,
   metrics.metrics = world.metrics_snapshot();
 }
 
+/// What either arm of a seed draws from the world stream, in one order:
+/// the layout, the operator's relay selection (when a policy is set) and
+/// the mobility key. The original arm ignores the relay choice but
+/// still makes its draw, so phone i gets the same key in both arms.
+struct CrowdDraws {
+  std::vector<mobility::Vec2> positions;
+  std::vector<bool> is_relay;
+  double relay_coverage{0.0};
+  std::uint64_t mobility_key{0};
+};
+
+CrowdDraws draw_crowd(Scenario& world, const CrowdConfig& config) {
+  CrowdDraws draws;
+  Rng layout_rng = world.fork_rng();
+  draws.positions = mobility::clustered_crowd(
+      config.phones, config.clusters, {0.0, 0.0},
+      {config.area_m, config.area_m}, config.cluster_stddev_m, layout_rng);
+
+  const auto relay_count = static_cast<std::size_t>(
+      std::round(config.relay_fraction * static_cast<double>(config.phones)));
+
+  // Which phones relay: operator-selected or simply the first N. Node
+  // ids are assigned 1..N in insertion order.
+  std::vector<core::RelayCandidate> candidates;
+  candidates.reserve(config.phones);
+  for (std::size_t i = 0; i < config.phones; ++i) {
+    candidates.push_back(core::RelayCandidate{
+        NodeId{i + 1}, draws.positions[i], 1.0, true});
+  }
+  draws.is_relay.assign(config.phones, false);
+  if (config.operator_policy.has_value()) {
+    core::SelectionConfig selection;
+    selection.policy = *config.operator_policy;
+    selection.coverage_radius = Meters{config.match_max_distance_m};
+    selection.max_relays = relay_count;
+    Rng selection_rng = world.fork_rng();
+    const core::SelectionResult chosen =
+        core::select_relays(candidates, selection, selection_rng);
+    for (const NodeId node : chosen.relays) {
+      draws.is_relay[node.value - 1] = true;
+    }
+    draws.relay_coverage = chosen.covered_fraction;
+  } else {
+    std::vector<NodeId> relays;
+    for (std::size_t i = 0; i < relay_count; ++i) {
+      draws.is_relay[i] = true;
+      relays.push_back(candidates[i].node);
+    }
+    // Layout coverage accounting for the first-N layout too — the same
+    // grid-backed radius counting the operator policies use.
+    draws.relay_coverage = core::coverage_of(
+        candidates, relays, Meters{config.match_max_distance_m});
+  }
+
+  // One word of the world stream, drawn after the layout and relay
+  // selection draws so those do not depend on whether phones move. The
+  // medium's key is an earlier word.
+  draws.mobility_key = world.fork_rng().next_u64();
+  return draws;
+}
+
 }  // namespace
 
 sim::RunStats run_crowd_world(Scenario& world, const CrowdConfig& config) {
@@ -122,56 +183,14 @@ CrowdWorld build_d2d_crowd(const CrowdConfig& config) {
   built.world = std::make_unique<Scenario>(
       world_params(config, cell_grid_sites(config)));
   Scenario& world = *built.world;
-  Rng layout_rng = world.fork_rng();
-  const auto positions = mobility::clustered_crowd(
-      config.phones, config.clusters, {0.0, 0.0},
-      {config.area_m, config.area_m}, config.cluster_stddev_m, layout_rng);
-
-  const auto relay_count = static_cast<std::size_t>(
-      std::round(config.relay_fraction * static_cast<double>(config.phones)));
-
-  // Which phones relay: operator-selected or simply the first N. Node
-  // ids are assigned 1..N in insertion order below.
-  std::vector<core::RelayCandidate> candidates;
-  candidates.reserve(config.phones);
+  const CrowdDraws draws = draw_crowd(world, config);
+  built.relay_coverage = draws.relay_coverage;
   for (std::size_t i = 0; i < config.phones; ++i) {
-    candidates.push_back(core::RelayCandidate{
-        NodeId{i + 1}, positions[i], 1.0, true});
-  }
-  std::vector<bool> is_relay_at(config.phones, false);
-  if (config.operator_policy.has_value()) {
-    core::SelectionConfig selection;
-    selection.policy = *config.operator_policy;
-    selection.coverage_radius = Meters{config.match_max_distance_m};
-    selection.max_relays = relay_count;
-    Rng selection_rng = world.fork_rng();
-    const core::SelectionResult chosen =
-        core::select_relays(candidates, selection, selection_rng);
-    for (const NodeId node : chosen.relays) {
-      is_relay_at[node.value - 1] = true;
-    }
-    built.relay_coverage = chosen.covered_fraction;
-  } else {
-    std::vector<NodeId> relays;
-    for (std::size_t i = 0; i < relay_count; ++i) {
-      is_relay_at[i] = true;
-      relays.push_back(candidates[i].node);
-    }
-    // Layout coverage accounting for the first-N layout too — the same
-    // grid-backed radius counting the operator policies use.
-    built.relay_coverage = core::coverage_of(
-        candidates, relays, Meters{config.match_max_distance_m});
-  }
-
-  // One word of the world stream, drawn after the layout and relay
-  // selection draws so those do not depend on whether phones move. The
-  // medium's key is an earlier word.
-  const std::uint64_t mobility_key = world.fork_rng().next_u64();
-  for (std::size_t i = 0; i < config.phones; ++i) {
-    const bool is_relay = is_relay_at[i];
+    const bool is_relay = draws.is_relay[i];
     core::PhoneConfig pc;
-    pc.mobility = make_mobility(config, i, positions[i],
-                                config.mobile && !is_relay, mobility_key);
+    pc.mobility = make_mobility(config, i, draws.positions[i],
+                                config.mobile && !is_relay,
+                                draws.mobility_key);
     core::Phone& phone = world.add_phone(std::move(pc));
     if (is_relay) {
       core::RelayAgent::Params params;
@@ -236,18 +255,16 @@ CrowdMetrics run_d2d_crowd(const CrowdConfig& config) {
   return collect_d2d_crowd(built, stats);
 }
 
-CrowdMetrics run_original_crowd(const CrowdConfig& config) {
-  Scenario world{world_params(config, cell_grid_sites(config))};
-  Rng layout_rng = world.fork_rng();
-  const auto positions = mobility::clustered_crowd(
-      config.phones, config.clusters, {0.0, 0.0},
-      {config.area_m, config.area_m}, config.cluster_stddev_m, layout_rng);
-
-  const std::uint64_t mobility_key = world.fork_rng().next_u64();
+CrowdWorld build_original_crowd(const CrowdConfig& config) {
+  CrowdWorld built;
+  built.world = std::make_unique<Scenario>(
+      world_params(config, cell_grid_sites(config)));
+  Scenario& world = *built.world;
+  const CrowdDraws draws = draw_crowd(world, config);
   for (std::size_t i = 0; i < config.phones; ++i) {
     core::PhoneConfig pc;
-    pc.mobility =
-        make_mobility(config, i, positions[i], config.mobile, mobility_key);
+    pc.mobility = make_mobility(config, i, draws.positions[i], config.mobile,
+                                draws.mobility_key);
     core::Phone& phone = world.add_phone(std::move(pc));
     core::OriginalAgent& agent = world.add_original(phone, config.app);
     world.register_session(phone, 3 * config.app.heartbeat_period);
@@ -257,7 +274,12 @@ CrowdMetrics run_original_crowd(const CrowdConfig& config) {
                         (0.1 + config.stagger_fraction * static_cast<double>(i) /
                                    static_cast<double>(config.phones))));
   }
+  return built;
+}
 
+CrowdMetrics run_original_crowd(const CrowdConfig& config) {
+  CrowdWorld built = build_original_crowd(config);
+  Scenario& world = *built.world;
   const sim::RunStats run_stats = run_crowd_world(world, config);
 
   CrowdMetrics metrics;

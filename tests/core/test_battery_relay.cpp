@@ -85,8 +85,6 @@ TEST_F(BatteryRelayTest, RetiredRelayLeavesScansAndTheDiscoveryIndex) {
   RelayAgent& relay = world_.add_relay(relay_phone, relay_params(4000.0));
   relay.start();
   d2d::WifiDirectMedium& medium = world_.medium();
-  const mobility::SpatialGrid& index =
-      medium.grid(medium.nodes().shard_of(relay_phone.id()));
   auto ue_sees_relay = [&] {
     const auto peers = medium.scan_from(ue_phone.id());
     return std::any_of(peers.begin(), peers.end(),
@@ -94,11 +92,11 @@ TEST_F(BatteryRelayTest, RetiredRelayLeavesScansAndTheDiscoveryIndex) {
                          return p.node == relay_phone.id();
                        });
   };
-  EXPECT_TRUE(index.contains(relay_phone.id()));
+  EXPECT_TRUE(medium.indexed(relay_phone.id()));
   EXPECT_TRUE(ue_sees_relay());
   world_.sim().run_until(TimePoint{} + seconds(600));
   ASSERT_TRUE(relay.retired());
-  EXPECT_FALSE(index.contains(relay_phone.id()));
+  EXPECT_FALSE(medium.indexed(relay_phone.id()));
   EXPECT_FALSE(ue_sees_relay());
   EXPECT_NO_THROW(world_.sim().audit());
 }

@@ -160,6 +160,70 @@ TEST_F(MediumTest, LegacyScanAndGridScanAreIdenticalUnderOneSeed) {
   EXPECT_EQ(grid, fine);
 }
 
+/// A listening relay on a straight walk through a static scanner's
+/// range, between two static listening relays (lower and higher ids):
+/// every scan finds the walker exactly while it is within range at that
+/// instant, keeps NodeId order, and matches the full-table scan bit for
+/// bit.
+TEST(MediumWalkingRelay, FoundExactlyWhileInRangeOnBothPaths) {
+  sim::Simulator sim;
+  struct Arm {
+    Arm(sim::Simulator& sim, bool legacy)
+        : medium(sim, nodes, params(legacy), 31),
+          scanner(sim, medium, 1, {0.0, 0.0}),
+          low(sim, medium, 2, {0.0, 10.0}),
+          high(sim, medium, 9, {0.0, -10.0}),
+          meter(sim),
+          walk({-60.0, 0.0}, {1.0, 0.0}),
+          walker(sim, NodeId{5}, medium, walk, meter,
+                 shared_default_energy_profile()) {
+      low.radio.set_listening(true);
+      high.radio.set_listening(true);
+      walker.set_listening(true);
+    }
+    static WifiDirectMedium::Params params(bool legacy) {
+      WifiDirectMedium::Params p;
+      p.legacy_scan = legacy;
+      return p;
+    }
+    world::NodeTable nodes;
+    WifiDirectMedium medium;
+    TestPhone scanner, low, high;
+    energy::EnergyMeter meter;
+    mobility::LinearMobility walk;
+    WifiDirectRadio walker;
+  };
+  Arm grid{sim, false};
+  Arm legacy{sim, true};
+  EXPECT_TRUE(grid.medium.indexed(NodeId{5}));
+  std::size_t found = 0;
+  for (int t = 0; t <= 150; t += 5) {
+    sim.run_until(TimePoint{} + seconds(t));
+    SCOPED_TRACE("t=" + std::to_string(t));
+    const auto got = grid.medium.scan_from(NodeId{1});
+    const auto want = legacy.medium.scan_from(NodeId{1});
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, want[i].node);
+      EXPECT_EQ(std::memcmp(&got[i].estimated_distance.value,
+                            &want[i].estimated_distance.value,
+                            sizeof(double)),
+                0);
+    }
+    // The walker is at x = t - 60: within 30 m for t in [30, 90].
+    const bool in_range = t >= 30 && t <= 90;
+    std::vector<std::uint64_t> ids;
+    for (const auto& peer : got) ids.push_back(peer.node.value);
+    const std::vector<std::uint64_t> expected =
+        in_range ? std::vector<std::uint64_t>{2, 5, 9}
+                 : std::vector<std::uint64_t>{2, 9};
+    EXPECT_EQ(ids, expected);
+    if (in_range) ++found;
+    EXPECT_NO_THROW(sim.audit());
+  }
+  EXPECT_EQ(found, 13u);
+}
+
 /// One radio of the scripted property test: a static or walking phone
 /// homed to a given strip.
 struct ScriptPhone {
@@ -312,7 +376,7 @@ TEST(MediumIndexProperty, ListeningIndexMatchesTheFullTableReference) {
   EXPECT_GT(stale_toggles, 10u);
   EXPECT_GT(sim.now(), TimePoint{} + seconds(300));
   for (std::uint32_t strip = 0; strip < kStrips; ++strip) {
-    EXPECT_GT(grid.medium.grid(strip).size(), 0u) << "strip " << strip;
+    EXPECT_GT(grid.medium.indexed_count(strip), 0u) << "strip " << strip;
   }
 }
 

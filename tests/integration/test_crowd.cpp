@@ -117,5 +117,36 @@ TEST(Crowd, OperatorSelectionRespectsBudget) {
                           std::round(0.25 * config.phones)));
 }
 
+/// Both arms of one seed walk phone i on the same trajectory, with and
+/// without an operator policy (whose relay draw comes before the
+/// mobility key in both arms). Relays stand still in the D2D arm, so
+/// only the phones that walk in both are compared.
+TEST(Crowd, PhonesWalkTheSameTrajectoriesInBothArms) {
+  for (const bool policy : {false, true}) {
+    SCOPED_TRACE(policy ? "coverage_greedy policy" : "first-N relays");
+    CrowdConfig config = small_crowd();
+    config.mobile = true;
+    if (policy) {
+      config.operator_policy = core::SelectionPolicy::coverage_greedy;
+    }
+    const CrowdWorld d2d = build_d2d_crowd(config);
+    const CrowdWorld original = build_original_crowd(config);
+    std::size_t compared = 0;
+    for (std::uint64_t id = 1; id <= config.phones; ++id) {
+      const NodeId node{id};
+      if (d2d.world->nodes().mobility_of(node).is_static()) continue;
+      for (const double t : {0.0, 200.0, 900.0, 1800.0}) {
+        const TimePoint at = TimePoint{} + seconds(t);
+        const mobility::Vec2 a = d2d.world->nodes().position_of(node, at);
+        const mobility::Vec2 b = original.world->nodes().position_of(node, at);
+        EXPECT_EQ(a.x, b.x) << "phone #" << id << " at " << t << " s";
+        EXPECT_EQ(a.y, b.y) << "phone #" << id << " at " << t << " s";
+      }
+      ++compared;
+    }
+    EXPECT_EQ(compared, config.phones - 6);  // all but the 6 relays
+  }
+}
+
 }  // namespace
 }  // namespace d2dhb::scenario

@@ -86,7 +86,7 @@ TEST(GridEquivalence, GridCellSizeDoesNotChangeResults) {
 
 TEST(GridEquivalence, RepeatedSeededRunsAreDeterministic) {
   // Same seed, same path, twice — guards the grid's internal state
-  // (bucket reuse, refresh cache) against run-order dependence.
+  // (bucket reuse, removal order) against run-order dependence.
   const CrowdConfig config = small_crowd(512);
   const CrowdMetrics a = run_d2d_crowd(config);
   const CrowdMetrics b = run_d2d_crowd(config);

@@ -27,6 +27,19 @@ TEST(StaticMobility, NeverMoves) {
   EXPECT_EQ(m.position_at(TimePoint{} + seconds(1e6)), (Vec2{5.0, 7.0}));
 }
 
+/// The discovery index bins a radio once exactly when its model says it
+/// never moves, offsets included.
+TEST(MobilityModel, StaticModelsAreDetected) {
+  StaticMobility still{{1.0, 1.0}};
+  OffsetMobility offset_still{still, {2.0, 0.0}};
+  LinearMobility moving{{0.0, 0.0}, {1.0, 0.0}};
+  OffsetMobility offset_moving{moving, {2.0, 0.0}};
+  EXPECT_TRUE(still.is_static());
+  EXPECT_TRUE(offset_still.is_static());
+  EXPECT_FALSE(moving.is_static());
+  EXPECT_FALSE(offset_moving.is_static());
+}
+
 TEST(LinearMobility, MovesAtConstantVelocity) {
   LinearMobility m{{0.0, 0.0}, {1.0, 0.5}};  // 1 m/s east, 0.5 m/s north
   const Vec2 p = m.position_at(TimePoint{} + seconds(10));

@@ -1,7 +1,7 @@
-// World-index correctness: PointGrid / SpatialGrid answers must match a
-// naive all-pairs scan exactly (same admitted set, same order rules) on
-// random seeded layouts — the property the seeded-run equivalence of
-// the whole simulator rests on.
+// World-index correctness: PointGrid answers must match a naive
+// all-pairs scan exactly (same admitted set, same order rules) on
+// random seeded layouts, through inserts and removals — the property
+// the seeded-run equivalence of the whole simulator rests on.
 #include "mobility/spatial_grid.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
-#include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -192,218 +194,223 @@ TEST(PointGrid, RejectsNonPositiveCellSize) {
 }
 
 // ---------------------------------------------------------------------------
-// SpatialGrid
+// Removal and audit
 // ---------------------------------------------------------------------------
 
-struct World {
-  std::vector<std::unique_ptr<MobilityModel>> models;
-  SpatialGrid grid{Meters{15.0}};
-
-  NodeId add(std::unique_ptr<MobilityModel> model) {
-    const NodeId id{models.size() + 1};
-    grid.insert(id, *model);
-    models.push_back(std::move(model));
-    return id;
+/// Brute-force reference over the live points: in-range hits sorted by
+/// index, with the same distance arithmetic.
+std::vector<PointGrid::Hit> brute_hits(
+    const std::map<std::size_t, Vec2>& live, Vec2 center, Meters radius) {
+  std::vector<PointGrid::Hit> out;
+  for (const auto& [index, at] : live) {
+    const Meters d = distance(center, at);
+    if (d.value <= radius.value) out.push_back({index, d});
   }
+  return out;
+}
 
-  /// Naive all-pairs reference: in-range nodes sorted by id.
-  std::vector<SpatialGrid::Neighbor> brute(Vec2 center, Meters radius,
-                                           TimePoint t, NodeId exclude) {
-    std::vector<SpatialGrid::Neighbor> out;
-    for (std::size_t i = 0; i < models.size(); ++i) {
-      const NodeId id{i + 1};
-      if (id == exclude) continue;
-      const Meters d = distance(center, models[i]->position_at(t));
-      if (d.value <= radius.value) out.push_back({id, d});
-    }
-    return out;
+void expect_same_hits(const std::vector<PointGrid::Hit>& got,
+                      const std::vector<PointGrid::Hit>& expected) {
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].index, expected[i].index);
+    EXPECT_EQ(got[i].distance.value, expected[i].distance.value);
   }
-};
+}
 
-/// The tentpole property: grid radius queries match the naive all-pairs
-/// scan on random seeded layouts — static and random-waypoint — across
-/// query times, radii, and centers, including result order.
-TEST(SpatialGrid, MatchesBruteForceOnStaticAndWaypointLayouts) {
+/// Random inserts and removals (the discovery index's listening
+/// toggles): after every step, hit queries, index queries and counts
+/// match a brute-force scan over the live points, and the audit passes.
+TEST(PointGrid, MatchesBruteForceUnderInsertsAndRemovals) {
   Rng rng{99};
   for (int trial = 0; trial < 10; ++trial) {
-    World world;
     const double area = rng.uniform(40.0, 200.0);
-    // Half static, half random-waypoint (the crowd mix).
-    for (int i = 0; i < 18; ++i) {
-      const Vec2 start{rng.uniform(0.0, area), rng.uniform(0.0, area)};
-      if (i % 2 == 0) {
-        world.add(std::make_unique<StaticMobility>(start));
+    PointGrid grid{Meters{rng.uniform(3.0, 40.0)}};
+    std::map<std::size_t, Vec2> live;
+    for (int step = 0; step < 60; ++step) {
+      if (!live.empty() && rng.uniform(0.0, 1.0) < 0.4) {
+        auto victim = live.begin();
+        std::advance(victim, static_cast<std::ptrdiff_t>(
+                                 rng.next_u64() % live.size()));
+        EXPECT_TRUE(grid.remove(victim->first, victim->second));
+        live.erase(victim);
       } else {
-        RandomWaypoint::Params params;
-        params.area_max = {area, area};
-        world.add(std::make_unique<RandomWaypoint>(
-            params, start, rng.next_u64(), NodeId{world.models.size() + 1}));
+        const std::size_t index = 1 + rng.next_u64() % 1000000;
+        if (live.count(index) != 0) continue;
+        const Vec2 at{rng.uniform(0.0, area), rng.uniform(0.0, area)};
+        grid.insert(index, at);
+        live[index] = at;
       }
-    }
-    std::vector<SpatialGrid::Neighbor> got;
-    // Non-monotonic query times exercise the lazy refresh both ways.
-    for (const double t_s : {0.0, 30.0, 30.0, 400.0, 120.0, 3600.0}) {
-      const TimePoint t = TimePoint{} + seconds(t_s);
-      for (int q = 0; q < 6; ++q) {
-        const Vec2 center{rng.uniform(0.0, area), rng.uniform(0.0, area)};
-        const Meters radius{rng.uniform(0.0, area / 2)};
-        const NodeId exclude{q % 2 == 0 ? 0u : 1u + (q % 18)};
-        world.grid.query_radius(center, radius, t, got, exclude);
-        const auto expected = world.brute(center, radius, t, exclude);
-        ASSERT_EQ(got.size(), expected.size())
-            << "trial " << trial << " t=" << t_s << " q=" << q;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].node, expected[i].node);
-          EXPECT_DOUBLE_EQ(got[i].distance.value, expected[i].distance.value);
-        }
-        EXPECT_EQ(world.grid.count_within(center, radius, t, exclude),
-                  expected.size());
+      ASSERT_EQ(grid.size(), live.size());
+      ASSERT_NO_THROW(grid.audit()) << "trial " << trial << " step " << step;
+      const Vec2 center{rng.uniform(0.0, area), rng.uniform(0.0, area)};
+      const Meters radius{rng.uniform(0.0, area / 2)};
+      const auto expected = brute_hits(live, center, radius);
+      std::vector<PointGrid::Hit> got;
+      grid.query_radius(center, radius, got);
+      expect_same_hits(got, expected);
+      std::vector<std::size_t> indices;
+      grid.query_radius(center, radius, indices);
+      ASSERT_EQ(indices.size(), expected.size());
+      for (std::size_t i = 0; i < indices.size(); ++i) {
+        EXPECT_EQ(indices[i], expected[i].index);
       }
+      EXPECT_EQ(grid.count_within(center, radius), expected.size());
     }
   }
 }
 
-TEST(SpatialGrid, ResultsAreSortedByNodeId) {
-  World world;
-  // Insert in a scrambled id order via direct grid calls.
-  StaticMobility a{{1.0, 0.0}}, b{{2.0, 0.0}}, c{{3.0, 0.0}};
-  world.grid.insert(NodeId{9}, c);
-  world.grid.insert(NodeId{2}, a);
-  world.grid.insert(NodeId{5}, b);
-  std::vector<SpatialGrid::Neighbor> got;
-  world.grid.query_radius({0.0, 0.0}, Meters{10.0}, TimePoint{}, got);
+TEST(PointGrid, HitsAreSortedByIndex) {
+  PointGrid grid{Meters{15.0}};
+  // Inserted in a scrambled index order.
+  grid.insert(9, {3.0, 0.0});
+  grid.insert(2, {1.0, 0.0});
+  grid.insert(5, {2.0, 0.0});
+  std::vector<PointGrid::Hit> got;
+  grid.query_radius({0.0, 0.0}, Meters{10.0}, got);
   ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].node, NodeId{2});
-  EXPECT_EQ(got[1].node, NodeId{5});
-  EXPECT_EQ(got[2].node, NodeId{9});
+  EXPECT_EQ(got[0].index, 2u);
+  EXPECT_EQ(got[1].index, 5u);
+  EXPECT_EQ(got[2].index, 9u);
+  EXPECT_EQ(got[2].distance.value, 3.0);
 }
 
-TEST(SpatialGrid, RemoveAndReinsert) {
-  SpatialGrid grid{Meters{10.0}};
-  StaticMobility a{{0.0, 0.0}};
-  StaticMobility b{{5.0, 0.0}};
-  grid.insert(NodeId{1}, a);
-  grid.insert(NodeId{2}, b);
-  EXPECT_EQ(grid.size(), 2u);
-  grid.remove(NodeId{1});
-  EXPECT_FALSE(grid.contains(NodeId{1}));
+TEST(PointGrid, RemoveAndReinsert) {
+  PointGrid grid{Meters{10.0}};
+  grid.insert(1, {0.0, 0.0});
+  grid.insert(2, {5.0, 0.0});
+  EXPECT_TRUE(grid.remove(1, {0.0, 0.0}));
+  EXPECT_FALSE(grid.contains(1, {0.0, 0.0}));
+  EXPECT_TRUE(grid.contains(2, {5.0, 0.0}));
   EXPECT_EQ(grid.size(), 1u);
-  std::vector<SpatialGrid::Neighbor> got;
-  grid.query_radius({0.0, 0.0}, Meters{20.0}, TimePoint{}, got);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].node, NodeId{2});
-  grid.insert(NodeId{1}, a);
-  grid.query_radius({0.0, 0.0}, Meters{20.0}, TimePoint{}, got);
-  EXPECT_EQ(got.size(), 2u);
-  // Removing an unknown node is a no-op.
-  grid.remove(NodeId{42});
+  std::vector<std::size_t> got;
+  grid.query_radius({0.0, 0.0}, Meters{20.0}, got);
+  EXPECT_EQ(got, std::vector<std::size_t>{2});
+  grid.insert(1, {0.0, 0.0});
+  grid.query_radius({0.0, 0.0}, Meters{20.0}, got);
+  EXPECT_EQ(got, (std::vector<std::size_t>{1, 2}));
+  // Unknown indices, and known ones named at another position, are not
+  // removed.
+  EXPECT_FALSE(grid.remove(42, {0.0, 0.0}));
+  EXPECT_FALSE(grid.remove(2, {5.0, 1.0}));
+  EXPECT_FALSE(grid.contains(2, {5.0, 1.0}));
   EXPECT_EQ(grid.size(), 2u);
+  EXPECT_NO_THROW(grid.audit());
 }
 
-/// Sparse NodeIds with static and moving models mixed: removing the
-/// middle slot and then the last one, and re-inserting, keeps every
+/// Sparse indices (NodeId values spread over a large world): removing
+/// the middle slot and then the last one, and re-inserting, keeps every
 /// query equal to a brute-force scan and the audit green.
-TEST(SpatialGrid, SparseIdsSurviveMiddleAndLastRemoval) {
-  SpatialGrid grid{Meters{10.0}};
-  StaticMobility first{{3.0, 4.0}};
-  LinearMobility middle{{0.0, 0.0}, {1.0, 0.5}};
-  LinearMobility last{{20.0, -5.0}, {-0.5, 0.25}};
-  const NodeId a{1}, b{70000}, c{5000000};
-  std::map<std::uint64_t, const MobilityModel*> live;
+TEST(PointGrid, SparseIdsSurviveMiddleAndLastRemoval) {
+  PointGrid grid{Meters{10.0}};
+  const std::size_t a = 1, b = 70000, c = 5000000;
+  const Vec2 at_a{3.0, 4.0}, at_b{0.0, 0.0}, at_c{20.0, -5.0};
+  std::map<std::size_t, Vec2> live;
 
   auto check = [&](const char* step) {
     SCOPED_TRACE(step);
     EXPECT_EQ(grid.size(), live.size());
-    for (const double t_s : {0.0, 15.0, 40.0}) {
-      const TimePoint t = TimePoint{} + seconds(t_s);
-      EXPECT_NO_THROW(grid.audit(t));
-      for (const NodeId exclude : {NodeId::invalid(), a, b, c}) {
-        for (const double r : {5.0, 25.0, 60.0}) {
-          const Vec2 center{5.0, 2.0};
-          std::vector<SpatialGrid::Neighbor> expected;
-          for (const auto& [id, model] : live) {
-            if (NodeId{id} == exclude) continue;
-            const Meters d = distance(center, model->position_at(t));
-            if (d.value <= r) expected.push_back({NodeId{id}, d});
-          }
-          std::vector<SpatialGrid::Neighbor> got;
-          grid.query_radius(center, Meters{r}, t, got, exclude);
-          ASSERT_EQ(got.size(), expected.size()) << "t=" << t_s << " r=" << r;
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i].node, expected[i].node);
-            EXPECT_EQ(got[i].distance.value, expected[i].distance.value);
-          }
-          EXPECT_EQ(grid.count_within(center, Meters{r}, t, exclude),
-                    expected.size());
-        }
-      }
+    EXPECT_NO_THROW(grid.audit());
+    for (const double r : {5.0, 25.0, 60.0}) {
+      const Vec2 center{5.0, 2.0};
+      std::vector<PointGrid::Hit> got;
+      grid.query_radius(center, Meters{r}, got);
+      expect_same_hits(got, brute_hits(live, center, Meters{r}));
     }
-    for (const NodeId id : {a, b, c}) {
-      const auto it = live.find(id.value);
-      EXPECT_EQ(grid.contains(id), it != live.end());
-      EXPECT_EQ(grid.model(id), it == live.end() ? nullptr : it->second);
+    for (const auto& [index, at] : {std::pair{a, at_a}, std::pair{b, at_b},
+                                    std::pair{c, at_c}}) {
+      EXPECT_EQ(grid.contains(index, at), live.count(index) != 0);
     }
   };
 
-  grid.insert(a, first);
-  grid.insert(b, middle);
-  grid.insert(c, last);
-  live = {{a.value, &first}, {b.value, &middle}, {c.value, &last}};
+  grid.insert(a, at_a);
+  grid.insert(b, at_b);
+  grid.insert(c, at_c);
+  live = {{a, at_a}, {b, at_b}, {c, at_c}};
   check("insert all");
-  grid.remove(b);  // middle slot: the last slot moves into the hole
-  live.erase(b.value);
+  EXPECT_TRUE(grid.remove(b, at_b));  // middle slot: the last moves in
+  live.erase(b);
   check("remove middle");
-  grid.remove(c);  // now the last slot
-  live.erase(c.value);
+  EXPECT_TRUE(grid.remove(c, at_c));  // now the last slot
+  live.erase(c);
   check("remove last");
-  grid.insert(c, last);
-  grid.insert(b, middle);
-  live = {{a.value, &first}, {b.value, &middle}, {c.value, &last}};
+  grid.insert(c, at_c);
+  grid.insert(b, at_b);
+  live = {{a, at_a}, {b, at_b}, {c, at_c}};
   check("re-insert");
-  grid.insert(b, first);  // re-insert replaces the model in place
-  live[b.value] = &first;
-  check("replace");
+  EXPECT_TRUE(grid.remove(a, at_a));  // first slot, sharing no bucket
+  live.erase(a);
+  check("remove first");
 }
 
-TEST(SpatialGrid, MovingNodeCrossesCells) {
-  SpatialGrid grid{Meters{10.0}};
-  // 2 m/s along +x: at t=0 in cell 0, at t=60 s 120 m away.
-  LinearMobility walker{{0.0, 0.0}, {2.0, 0.0}};
-  StaticMobility anchor{{0.0, 0.0}};
-  grid.insert(NodeId{1}, walker);
-  grid.insert(NodeId{2}, anchor);
-  std::vector<SpatialGrid::Neighbor> got;
-  grid.query_radius({0.0, 0.0}, Meters{30.0}, TimePoint{}, got);
-  EXPECT_EQ(got.size(), 2u);
-  grid.query_radius({0.0, 0.0}, Meters{30.0}, TimePoint{} + seconds(60), got);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].node, NodeId{2});
-  // And it is findable at its new location.
-  grid.query_radius({120.0, 0.0}, Meters{5.0}, TimePoint{} + seconds(60), got);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].node, NodeId{1});
+}  // namespace
+
+/// Test backdoor: PointGrid befriends this struct so the audit tests
+/// can corrupt its buckets.
+struct PointGrid::Internal {
+  /// Bins slot `slot` a second time, in the bucket of `at`.
+  static void bin_again(PointGrid& grid, std::uint32_t slot, Vec2 at) {
+    grid.buckets_[grid.key_of(at)].push_back(slot);
+  }
+  /// Leaves an empty bucket behind for the cell of `at`.
+  static void empty_bucket(PointGrid& grid, Vec2 at) {
+    grid.buckets_[grid.key_of(at)];
+  }
+};
+
+namespace {
+
+/// Runs the audit and returns its message ("" if it passed).
+std::string audit_error(const PointGrid& grid) {
+  try {
+    grid.audit();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(SpatialGrid, PositionIsExactNeverCached) {
-  SpatialGrid grid{Meters{10.0}};
-  LinearMobility walker{{0.0, 0.0}, {1.0, 0.0}};
-  grid.insert(NodeId{1}, walker);
-  // No query (so no refresh) has happened at t=10, yet position() reads
-  // the model directly.
-  const Vec2 at = grid.position(NodeId{1}, TimePoint{} + seconds(10));
-  EXPECT_DOUBLE_EQ(at.x, 10.0);
-  EXPECT_THROW(grid.position(NodeId{3}, TimePoint{}), std::out_of_range);
+TEST(PointGridAudit, HealthyGridPassesAcrossRemoval) {
+  PointGrid grid{Meters{30.0}};
+  EXPECT_EQ(audit_error(grid), "");
+  grid.insert(3, {5.0, 5.0});
+  grid.insert(900000, {5.0, 6.0});  // same bucket
+  grid.insert(17, {95.0, -40.0});
+  EXPECT_EQ(audit_error(grid), "");
+  ASSERT_TRUE(grid.remove(3, {5.0, 5.0}));
+  EXPECT_EQ(audit_error(grid), "");
+  ASSERT_TRUE(grid.remove(17, {95.0, -40.0}));  // its bucket empties
+  EXPECT_EQ(audit_error(grid), "");
 }
 
-TEST(SpatialGrid, StaticModelsAreDetected) {
-  StaticMobility still{{1.0, 1.0}};
-  OffsetMobility offset_still{still, {2.0, 0.0}};
-  LinearMobility moving{{0.0, 0.0}, {1.0, 0.0}};
-  OffsetMobility offset_moving{moving, {2.0, 0.0}};
-  EXPECT_TRUE(still.is_static());
-  EXPECT_TRUE(offset_still.is_static());
-  EXPECT_FALSE(moving.is_static());
-  EXPECT_FALSE(offset_moving.is_static());
+TEST(PointGridAudit, MisfiledEntryTripsTheAudit) {
+  PointGrid grid{Meters{30.0}};
+  grid.insert(3, {5.0, 5.0});
+  grid.insert(4, {95.0, 5.0});
+  ASSERT_EQ(audit_error(grid), "");
+  // Slot 0 also filed in slot 1's bucket: a stale entry a query would
+  // visit there.
+  PointGrid::Internal::bin_again(grid, 0, {95.0, 5.0});
+  EXPECT_NE(audit_error(grid).find("buckets hold 3 entries for 2 points"),
+            std::string::npos)
+      << audit_error(grid);
+}
+
+TEST(PointGridAudit, DuplicateEntryTripsTheAudit) {
+  PointGrid grid{Meters{30.0}};
+  grid.insert(3, {5.0, 5.0});
+  PointGrid::Internal::bin_again(grid, 0, {5.0, 5.0});
+  EXPECT_NE(audit_error(grid).find("point 3 is not binned exactly once"),
+            std::string::npos)
+      << audit_error(grid);
+}
+
+TEST(PointGridAudit, EmptyBucketTripsTheAudit) {
+  PointGrid grid{Meters{30.0}};
+  grid.insert(3, {5.0, 5.0});
+  PointGrid::Internal::empty_bucket(grid, {95.0, 5.0});
+  EXPECT_NE(audit_error(grid).find("empty bucket"), std::string::npos)
+      << audit_error(grid);
 }
 
 }  // namespace

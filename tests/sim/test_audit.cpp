@@ -1,10 +1,10 @@
 // Tests for the runtime invariant auditor: the simulator kernel
 // self-audit, the periodic sweep, registered substrate auditors, and
-// the SpatialGrid / WifiDirectMedium invariant checks — including the
-// negative paths that prove the auditor actually trips on corrupted
-// state (a zeroed event-slot generation, an asymmetric link table, a
-// tombstone grid slot, a discovery index out of step with the radios'
-// listening flags).
+// the WifiDirectMedium invariant checks — including the negative paths
+// that prove the auditor actually trips on corrupted state (a zeroed
+// event-slot generation, an asymmetric link table, a discovery index
+// out of step with the radios' listening flags). PointGrid's own audit
+// is tested in test_spatial_grid.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +17,6 @@
 #include "d2d/wifi_direct.hpp"
 #include "energy/energy_meter.hpp"
 #include "mobility/mobility.hpp"
-#include "mobility/spatial_grid.hpp"
 #include "sim/simulator.hpp"
 #include "world/node_table.hpp"
 
@@ -43,23 +42,12 @@ struct WifiDirectRadio::Internal {
 struct WifiDirectMedium::Internal {
   static void bin(WifiDirectMedium& medium, std::size_t strip, NodeId node,
                   const mobility::MobilityModel& mobility) {
-    medium.grids_[strip]->insert(node, mobility);
+    medium.strips_[strip].still.insert(node.value,
+                                       mobility.position_at(TimePoint{}));
   }
 };
 
 }  // namespace d2dhb::d2d
-
-namespace d2dhb::mobility {
-
-/// Test backdoor: SpatialGrid befriends this struct so audit tests can
-/// corrupt its slot table.
-struct SpatialGrid::Internal {
-  static void append_tombstone(SpatialGrid& grid) {
-    grid.slots_.emplace_back();
-  }
-};
-
-}  // namespace d2dhb::mobility
 
 namespace d2dhb::sim {
 namespace {
@@ -172,40 +160,6 @@ TEST(NodeTableAudit, RegisteredTableAuditorTripsOnDuplicateSlots) {
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
-TEST(SpatialGridAudit, HealthyGridPassesAcrossMovementAndRemoval) {
-  mobility::SpatialGrid grid(Meters{30.0});
-  mobility::StaticMobility fixed(mobility::Vec2{5.0, 5.0});
-  mobility::LinearMobility walker(mobility::Vec2{0.0, 0.0},
-                                  mobility::Vec2{1.5, 0.0});
-  grid.insert(NodeId{1}, fixed);
-  grid.insert(NodeId{2}, walker);
-  for (int tick = 0; tick <= 60; tick += 10) {
-    const TimePoint t = TimePoint{} + seconds(tick);
-    EXPECT_NO_THROW(grid.audit(t));
-  }
-  grid.remove(NodeId{2});
-  EXPECT_NO_THROW(grid.audit(TimePoint{} + seconds(70)));
-}
-
-TEST(SpatialGridAudit, TombstoneSlotTripsTheSlotCount) {
-  mobility::SpatialGrid grid(Meters{30.0});
-  mobility::StaticMobility fixed(mobility::Vec2{5.0, 5.0});
-  mobility::LinearMobility walker(mobility::Vec2{0.0, 0.0},
-                                  mobility::Vec2{1.5, 0.0});
-  grid.insert(NodeId{3}, fixed);
-  grid.insert(NodeId{900000}, walker);
-  ASSERT_NO_THROW(grid.audit(TimePoint{}));
-  mobility::SpatialGrid::Internal::append_tombstone(grid);
-  try {
-    grid.audit(TimePoint{} + seconds(1));
-    FAIL() << "audit accepted a tombstone slot";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("slot count 3 != size() 2"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
 class MediumAuditTest : public ::testing::Test {
  protected:
   struct Phone {
@@ -257,38 +211,38 @@ TEST_F(MediumAuditTest, ReattachAndDetachKeepTheMediumAuditorGreen) {
   Phone other(sim_, medium_, 2, 1.0, 0.0);
   first.radio.set_listening(true);
   other.radio.set_listening(true);
-  EXPECT_EQ(medium_.grid().size(), 2u);
+  EXPECT_EQ(medium_.indexed_count(), 2u);
   {
     // A second radio for the same node re-attaches in place. It does
     // not listen yet, so the node leaves the index.
     Phone again(sim_, medium_, 70000, 8.0, 0.0);
     EXPECT_EQ(medium_.radio(NodeId{70000}), &again.radio);
-    EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
-    EXPECT_EQ(medium_.grid().size(), 1u);
+    EXPECT_FALSE(medium_.indexed(NodeId{70000}));
+    EXPECT_EQ(medium_.indexed_count(), 1u);
     EXPECT_NO_THROW(sim_.audit());
     // The replacing radio's flag decides membership, binned at the
     // replacing radio's position.
     again.radio.set_listening(true);
-    EXPECT_EQ(medium_.grid().size(), 2u);
-    EXPECT_EQ(medium_.grid().position(NodeId{70000}, sim_.now()).x, 8.0);
+    EXPECT_EQ(medium_.indexed_count(), 2u);
+    EXPECT_EQ(medium_.position_of(NodeId{70000}).x, 8.0);
     EXPECT_NO_THROW(sim_.audit());
     // The replaced radio's flag no longer touches the index.
     first.radio.set_listening(false);
-    EXPECT_TRUE(medium_.grid().contains(NodeId{70000}));
-    EXPECT_EQ(medium_.grid().position(NodeId{70000}, sim_.now()).x, 8.0);
+    EXPECT_TRUE(medium_.indexed(NodeId{70000}));
+    EXPECT_EQ(medium_.position_of(NodeId{70000}).x, 8.0);
     EXPECT_NO_THROW(sim_.audit());
     first.radio.set_listening(true);
   }
   // Its destruction detaches and unbins the node (the first radio's
   // later destruction is then a no-op).
   EXPECT_EQ(medium_.radio(NodeId{70000}), nullptr);
-  EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
-  EXPECT_EQ(medium_.grid().size(), 1u);
+  EXPECT_FALSE(medium_.indexed(NodeId{70000}));
+  EXPECT_EQ(medium_.indexed_count(), 1u);
   EXPECT_NO_THROW(sim_.audit());
   // A detached radio's flag leaves the index alone as well.
   first.radio.set_listening(false);
   first.radio.set_listening(true);
-  EXPECT_FALSE(medium_.grid().contains(NodeId{70000}));
+  EXPECT_FALSE(medium_.indexed(NodeId{70000}));
   EXPECT_NO_THROW(sim_.audit());
 }
 
