@@ -6,6 +6,10 @@
 // shape (segments with relative weights) scaled so its integral hits the
 // paper's measured charge exactly; the shape only matters for the
 // Fig. 6 current trace, the integral for everything else.
+//
+// A shape is checked and planned once, when it is built: its scale
+// denominator, its duration and its meter step plan are constants, so
+// charging a phase is one scale product and one pending meter cursor.
 #pragma once
 
 #include <memory>
@@ -16,25 +20,53 @@
 
 namespace d2dhb::d2d {
 
-/// Piecewise-constant current shape with relative segment weights.
-struct PhaseShape {
+/// Piecewise-constant current shape with relative segment weights. A
+/// charged phase walks the shape's plan in place, so a shape must
+/// outlive the phases charged from it; it is neither copied nor moved.
+class PhaseShape {
+ public:
   struct Segment {
-    Duration duration;
-    double weight;  ///< Relative current during this segment.
+    Duration duration;  ///< > 0.
+    double weight;      ///< Relative current during this segment (>= 0).
   };
-  std::vector<Segment> segments;
 
-  Duration total_duration() const;
+  /// Throws std::invalid_argument for a segment whose duration is not
+  /// positive or whose weight is negative, or for a shape with no
+  /// weighted area.
+  explicit PhaseShape(std::vector<Segment> segments);
+  PhaseShape(const PhaseShape&) = delete;
+  PhaseShape& operator=(const PhaseShape&) = delete;
+
+  const std::vector<Segment>& segments() const { return segments_; }
+  Duration total_duration() const { return total_duration_; }
   /// Sum of weight·duration_seconds — the scaling denominator.
-  double weighted_seconds() const;
+  double weighted_seconds() const { return weighted_seconds_; }
+  /// The meter steps of one charge. Ranks follow the order in which an
+  /// event-driven phase drew them: the first segment's end and each
+  /// later segment's start when the phase begins, then each later
+  /// segment's end (its start event scheduled it). A zero-weight
+  /// segment draws no rank.
+  const energy::PhasePlan& plan() const { return plan_; }
+
+ private:
+  std::vector<Segment> segments_;
+  Duration total_duration_{};
+  double weighted_seconds_{0.0};
+  energy::PhasePlan plan_;
 };
 
-/// Queues the phase's segments as transient loads (pending meter steps,
-/// no events) on `component`, with currents scaled so the phase
-/// integrates to exactly `target`. Returns the phase's total duration.
+/// Charges `shape` on `component` as one pending meter cursor (no
+/// events), with currents scaled so the phase integrates to exactly
+/// `target`; a zero target charges nothing and reserves no seq, a
+/// negative one throws std::invalid_argument. Returns the phase's total
+/// duration.
 Duration apply_phase(energy::EnergyMeter& meter,
                      energy::ComponentHandle component,
                      const PhaseShape& shape, MicroAmpHours target);
+/// The charged phase keeps pointing at the shape: no temporaries.
+Duration apply_phase(energy::EnergyMeter& meter,
+                     energy::ComponentHandle component,
+                     const PhaseShape&& shape, MicroAmpHours target) = delete;
 
 /// All Wi-Fi Direct calibration constants. Defaults reproduce the
 /// paper's Tables III and IV at the 1 m reference distance.

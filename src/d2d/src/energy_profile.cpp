@@ -1,57 +1,66 @@
 #include "d2d/energy_profile.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "net/message.hpp"
 
 namespace d2dhb::d2d {
 
-Duration PhaseShape::total_duration() const {
-  Duration total{};
-  for (const auto& s : segments) total += s.duration;
-  return total;
-}
-
-double PhaseShape::weighted_seconds() const {
-  double sum = 0.0;
-  for (const auto& s : segments) sum += s.weight * to_seconds(s.duration);
-  return sum;
-}
-
-Duration apply_phase(energy::EnergyMeter& meter,
-                     energy::ComponentHandle component,
-                     const PhaseShape& shape, MicroAmpHours target) {
-  const double denom = shape.weighted_seconds();
-  if (denom <= 0.0) {
+PhaseShape::PhaseShape(std::vector<Segment> segments)
+    : segments_(std::move(segments)) {
+  for (const Segment& seg : segments_) {
+    if (seg.duration <= Duration::zero() || !(seg.weight >= 0.0)) {
+      throw std::invalid_argument(
+          "apply_phase: every segment needs a duration > 0 and a weight >= 0");
+    }
+    total_duration_ += seg.duration;
+    weighted_seconds_ += seg.weight * to_seconds(seg.duration);
+  }
+  if (weighted_seconds_ <= 0.0) {
     throw std::invalid_argument("apply_phase: shape has no weighted area");
   }
-  // Scale factor k so that sum(k·w_i · d_i)/3.6 = target µAh.
-  const double k = target.value * 3.6 / denom;
-  // Same-instant ranks are reserved in the order an event-driven phase
-  // drew them: the first segment's end and every later segment's start
-  // when the phase begins, then each later segment's end (its start
-  // event scheduled it) — so the second pass below.
+  // Ranks in the order an event-driven phase drew them (see plan()).
+  std::uint32_t rank = 0;
   Duration offset{};
-  for (const auto& seg : shape.segments) {
-    const MilliAmps current{k * seg.weight};
-    if (current.value > 0.0) {
+  for (const Segment& seg : segments_) {
+    if (seg.weight > 0.0) {
       if (offset == Duration::zero()) {
-        meter.add_load(component, current, seg.duration);
+        plan_.lead = seg.weight;
+        plan_.steps.push_back({seg.duration, seg.weight, rank++, false});
       } else {
-        meter.add_step(component, offset, meter.reserve_seq(), current);
+        plan_.steps.push_back({offset, seg.weight, rank++, true});
       }
     }
     offset += seg.duration;
   }
   offset = Duration{};
-  for (const auto& seg : shape.segments) {
-    const MilliAmps current{k * seg.weight};
-    if (current.value > 0.0 && offset != Duration::zero()) {
-      meter.add_step(component, offset + seg.duration, meter.reserve_seq(),
-                     MilliAmps{-current.value});
+  for (const Segment& seg : segments_) {
+    if (seg.weight > 0.0 && offset != Duration::zero()) {
+      plan_.steps.push_back({offset + seg.duration, seg.weight, rank++, false});
     }
     offset += seg.duration;
+  }
+  using Step = energy::PhasePlan::Step;
+  std::sort(plan_.steps.begin(), plan_.steps.end(),
+            [](const Step& a, const Step& b) {
+              return std::tie(a.offset, a.rank) < std::tie(b.offset, b.rank);
+            });
+}
+
+Duration apply_phase(energy::EnergyMeter& meter,
+                     energy::ComponentHandle component,
+                     const PhaseShape& shape, MicroAmpHours target) {
+  if (!(target.value >= 0.0)) {
+    throw std::invalid_argument("apply_phase: target must be >= 0");
+  }
+  if (target.value > 0.0) {
+    // Scale factor k so that sum(k·w_i · d_i)/3.6 = target µAh.
+    meter.charge_phase(component, shape.plan(),
+                       target.value * 3.6 / shape.weighted_seconds());
   }
   return shape.total_duration();
 }

@@ -6,20 +6,23 @@
 // meter integrates charge in µAh at the nominal 3.7 V supply, exactly the
 // quantity the paper reports in Tables III and IV.
 //
-// Transient loads are computed, not scheduled: each component keeps a
-// (time, seq)-sorted list of pending current steps, and every read
-// settles through the steps that lie before the read point, integrating
-// up to each one. A step's seq is reserved from the kernel when the
-// step is inserted, exactly as an event scheduled then would draw it,
-// and a read made while event R executes applies only the steps that
-// precede (now, seq(R)). So every read, a same-instant one included,
-// sees the draw the event-driven meter showed — with no events.
+// Transient loads are computed, not scheduled. Each component keeps a
+// short list of pending entries: one cursor per charged phase, walking
+// the phase's step plan (built once per current shape, PhasePlan), and
+// one lone step per transient load's end. Every read settles through
+// the steps that lie before the read point, in (time, seq) order across
+// the entries, integrating up to each one. A step's seq is reserved from
+// the kernel when it is charged, exactly as an event scheduled then
+// would draw it: a phase reserves one contiguous block, and its rank j
+// is block.first + j·stride on the kernel's lane. A read made while
+// event R executes applies only the steps that precede (now, seq(R)).
+// So every read, a same-instant one included, sees the draw the
+// event-driven meter showed — with no events.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,22 @@ namespace d2dhb::energy {
 struct ComponentHandle {
   std::size_t index{SIZE_MAX};
   constexpr bool valid() const { return index != SIZE_MAX; }
+};
+
+/// The current steps of one phase shape, built once and shared by every
+/// charge of it (d2d::PhaseShape builds one). Charged at t with scale k,
+/// the phase adds k·lead at t, then each step's ±k·weight at
+/// t + offset, ranked `rank` within the seq block the charge reserves.
+struct PhasePlan {
+  struct Step {
+    Duration offset;  ///< > 0: from the charge.
+    double weight;
+    std::uint32_t rank;
+    bool up;  ///< +k·weight (a segment starts) or -k·weight (it ends).
+  };
+  double lead{0.0};  ///< Weight that starts at the charge itself.
+  /// Sorted by (offset, rank); ranks are 0..steps.size()-1.
+  std::vector<Step> steps;
 };
 
 class EnergyMeter {
@@ -57,6 +76,13 @@ class EnergyMeter {
   /// stack.
   void add_load(ComponentHandle component, MilliAmps extra, Duration duration);
 
+  /// Charges one phase of `plan` scaled by `scale` (> 0): adds
+  /// scale·plan.lead now and keeps one pending cursor over plan.steps,
+  /// whose seqs are one block reserved now. `plan` must outlive the
+  /// phase's last step.
+  void charge_phase(ComponentHandle component, const PhasePlan& plan,
+                    double scale);
+
   /// Reserves the rank among same-instant events that an event
   /// scheduled right now would get, for a later add_step().
   std::uint64_t reserve_seq() { return sim_.reserve_seq(); }
@@ -70,9 +96,9 @@ class EnergyMeter {
   MilliAmps instantaneous();
   MilliAmps component_current(ComponentHandle component);
 
-  /// Step slots a component holds allocated (0 once its pending steps
-  /// have drained).
-  std::size_t step_capacity(ComponentHandle component) const;
+  /// Pending-entry slots a component holds allocated: one per charged
+  /// phase or lone step still pending, 0 once they have all drained.
+  std::size_t pending_capacity(ComponentHandle component) const;
 
   /// Total charge consumed since construction, up to now.
   MicroAmpHours total_charge();
@@ -95,21 +121,35 @@ class EnergyMeter {
   void print_report(std::ostream& os);
 
  private:
-  /// A pending change of a component's draw by `delta` at `at`.
-  struct Step {
-    TimePoint at;
-    std::uint64_t seq;
-    MilliAmps delta;
+  /// A pending cursor: plan->steps[next...] of a phase charged at
+  /// `start` with scale `scale`, rank j drawn as first_seq + j·stride.
+  /// With a null plan, one lone step of `scale` mA at `start`, ranked
+  /// first_seq.
+  struct Pending {
+    TimePoint start;
+    std::uint64_t first_seq;
+    double scale;
+    const PhasePlan* plan;
+    std::uint32_t stride;  ///< Kernel lane stride (at most kMaxShards).
+    std::uint32_t next;
+
+    TimePoint at() const {
+      return plan ? start + plan->steps[next].offset : start;
+    }
+    std::uint64_t seq() const {
+      return plan ? first_seq + plan->steps[next].rank * std::uint64_t{stride}
+                  : first_seq;
+    }
+    MilliAmps delta() const;
   };
   struct Component {
     std::string name;
     MilliAmps current;
     MicroAmpHours accumulated;
     TimePoint last_update;
-    /// Pending steps sorted by (at, seq); null while none are pending
-    /// (a pointer, not an inline vector: most components of a large
-    /// world have nothing pending, so this keeps them 16 bytes smaller).
-    std::unique_ptr<std::vector<Step>> steps;
+    /// Pending entries, in no particular order; holds no storage while
+    /// none are pending.
+    std::vector<Pending> pending;
   };
   /// Where a read sits in the event order: steps before (now, seq) are
   /// due. Between events seq is UINT64_MAX, so every step at now is.
@@ -121,7 +161,8 @@ class EnergyMeter {
   ReadPoint read_point() const;
   /// Integrates the component's draw up to `t`.
   static void integrate_to(Component& c, TimePoint t);
-  /// Applies the steps due at `at`, integrating up to each one.
+  /// Applies the steps due at `at` in (time, seq) order across the
+  /// component's pending entries, integrating up to each one.
   static void apply_due(Component& c, ReadPoint at);
   /// apply_due, then integrates up to the read point.
   static void settle(Component& c, ReadPoint at);

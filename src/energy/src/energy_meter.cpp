@@ -1,6 +1,5 @@
 #include "energy/energy_meter.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <ostream>
 #include <stdexcept>
@@ -14,7 +13,7 @@ ComponentHandle EnergyMeter::register_component(std::string name,
   // doubling vector would hold four slots for them in every phone.
   components_.reserve(components_.size() + 1);
   components_.push_back(Component{std::move(name), initial, MicroAmpHours{},
-                                  sim_.now(), nullptr});
+                                  sim_.now(), {}});
   return ComponentHandle{components_.size() - 1};
 }
 
@@ -29,21 +28,44 @@ void EnergyMeter::integrate_to(Component& c, TimePoint t) {
   }
 }
 
+MilliAmps EnergyMeter::Pending::delta() const {
+  if (!plan) return MilliAmps{scale};
+  const PhasePlan::Step& step = plan->steps[next];
+  const double amps = scale * step.weight;
+  return MilliAmps{step.up ? amps : -amps};
+}
+
 void EnergyMeter::apply_due(Component& c, ReadPoint at) {
-  if (!c.steps) return;
-  std::vector<Step>& steps = *c.steps;
-  std::size_t due = 0;
-  for (const Step& step : steps) {
-    if (step.at > at.now || (step.at == at.now && step.seq >= at.seq)) break;
-    integrate_to(c, step.at);
-    c.current += step.delta;
-    ++due;
-  }
-  if (due == steps.size()) {
-    c.steps.reset();  // drained: release the storage
-  } else {
-    steps.erase(steps.begin(),
-                steps.begin() + static_cast<std::ptrdiff_t>(due));
+  std::vector<Pending>& pending = c.pending;
+  if (pending.empty()) return;
+  for (;;) {
+    // The earliest head; seqs are unique, so (time, seq) is strict.
+    std::size_t first = 0;
+    TimePoint first_at = pending[0].at();
+    std::uint64_t first_seq = pending[0].seq();
+    for (std::size_t i = 1; i < pending.size(); ++i) {
+      const TimePoint t = pending[i].at();
+      if (t > first_at) continue;
+      const std::uint64_t seq = pending[i].seq();
+      if (t < first_at || seq < first_seq) {
+        first = i;
+        first_at = t;
+        first_seq = seq;
+      }
+    }
+    if (first_at > at.now || (first_at == at.now && first_seq >= at.seq)) {
+      return;
+    }
+    Pending& head = pending[first];
+    integrate_to(c, first_at);
+    c.current += head.delta();
+    if (head.plan && ++head.next < head.plan->steps.size()) continue;
+    head = pending.back();
+    pending.pop_back();
+    if (pending.empty()) {
+      pending = std::vector<Pending>();  // drained: release the storage
+      return;
+    }
   }
 }
 
@@ -73,19 +95,27 @@ void EnergyMeter::add_load(ComponentHandle component, MilliAmps extra,
   add_step(component, duration, reserve_seq(), MilliAmps{-extra.value});
 }
 
+void EnergyMeter::charge_phase(ComponentHandle component, const PhasePlan& plan,
+                               double scale) {
+  auto& c = components_.at(component.index);
+  if (plan.lead > 0.0) {
+    settle(c, read_point());
+    c.current += MilliAmps{scale * plan.lead};
+  }
+  if (plan.steps.empty()) return;
+  const sim::EventKernel::SeqBlock block = sim_.reserve_seqs(plan.steps.size());
+  c.pending.push_back(Pending{sim_.now(), block.first, scale, &plan,
+                              static_cast<std::uint32_t>(block.stride), 0});
+}
+
 void EnergyMeter::add_step(ComponentHandle component, Duration delay,
                            std::uint64_t seq, MilliAmps delta) {
   if (delay <= Duration::zero()) {
     throw std::invalid_argument("EnergyMeter::add_step: delay must be > 0");
   }
   auto& c = components_.at(component.index);
-  if (!c.steps) c.steps = std::make_unique<std::vector<Step>>();
-  const Step step{sim_.now() + delay, seq, delta};
-  const auto later = std::upper_bound(
-      c.steps->begin(), c.steps->end(), step, [](const Step& a, const Step& b) {
-        return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-      });
-  c.steps->insert(later, step);
+  c.pending.push_back(
+      Pending{sim_.now() + delay, seq, delta.value, nullptr, 0, 0});
 }
 
 MilliAmps EnergyMeter::instantaneous() {
@@ -104,9 +134,9 @@ MilliAmps EnergyMeter::component_current(ComponentHandle component) {
   return c.current;
 }
 
-std::size_t EnergyMeter::step_capacity(ComponentHandle component) const {
-  const auto& steps = components_.at(component.index).steps;
-  return steps ? steps->capacity() : 0;
+std::size_t EnergyMeter::pending_capacity(ComponentHandle component) const {
+  const auto& pending = components_.at(component.index).pending;
+  return pending.capacity();
 }
 
 MicroAmpHours EnergyMeter::total_charge() {

@@ -100,6 +100,18 @@ class EventKernel {
   /// been scheduled (energy::EnergyMeter's pending steps).
   std::uint64_t reserve_seq() { return draw_seq(); }
 
+  /// Draws `count` sequence numbers in one go, exactly the ones `count`
+  /// reserve_seq() calls would return: draw j is first + j * stride.
+  struct SeqBlock {
+    std::uint64_t first;
+    std::uint64_t stride;  ///< This kernel's lane stride.
+  };
+  SeqBlock reserve_seqs(std::uint64_t count) {
+    const SeqBlock block{next_seq_, seq_stride_};
+    next_seq_ += count * seq_stride_;
+    return block;
+  }
+
   /// Sequence number of the event executing right now, or UINT64_MAX
   /// between events (everything reserved for now() then lies before).
   std::uint64_t executing_seq() const { return executing_seq_; }

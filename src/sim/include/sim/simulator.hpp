@@ -130,10 +130,13 @@ class Simulator {
   /// id's shard bits route it to the kernel that issued it.
   bool cancel(EventId id);
 
-  /// The current shard's EventKernel::reserve_seq() and
-  /// EventKernel::executing_seq().
+  /// The current shard's EventKernel::reserve_seq(),
+  /// EventKernel::reserve_seqs() and EventKernel::executing_seq().
   std::uint64_t reserve_seq() {
     return kernels_[active_shard()]->reserve_seq();
+  }
+  EventKernel::SeqBlock reserve_seqs(std::uint64_t count) {
+    return kernels_[active_shard()]->reserve_seqs(count);
   }
   std::uint64_t executing_seq() const {
     return kernels_[active_shard()]->executing_seq();

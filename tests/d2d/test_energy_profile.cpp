@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,7 +41,7 @@ class EventDrivenMeter {
                    MicroAmpHours target) {
     const double k = target.value * 3.6 / shape.weighted_seconds();
     Duration offset{};
-    for (const auto& seg : shape.segments) {
+    for (const auto& seg : shape.segments()) {
       const MilliAmps current{k * seg.weight};
       if (current.value > 0.0) {
         if (offset == Duration::zero()) {
@@ -85,7 +86,7 @@ class EventDrivenMeter {
   std::vector<Component> components_;
 };
 
-/// The lazy meter behind the oracle's interface.
+/// The cursor meter behind the oracle's interface.
 struct LazyMeter {
   explicit LazyMeter(sim::Simulator& sim) : meter(sim) {}
   energy::ComponentHandle register_component(std::string name,
@@ -112,6 +113,39 @@ struct LazyMeter {
   energy::EnergyMeter meter;
 };
 
+/// The step meter the cursor meter replaced, kept only here as its
+/// bit-exact reference: a phase expands into 2n-1 pending add_step()s,
+/// ranked one reserve_seq() at a time — the first segment's end and the
+/// later starts first, then the later ends.
+struct StepMeter : LazyMeter {
+  using LazyMeter::LazyMeter;
+  void apply_phase(energy::ComponentHandle c, const PhaseShape& shape,
+                   MicroAmpHours target) {
+    const double k = target.value * 3.6 / shape.weighted_seconds();
+    Duration offset{};
+    for (const auto& seg : shape.segments()) {
+      const MilliAmps current{k * seg.weight};
+      if (current.value > 0.0) {
+        if (offset == Duration::zero()) {
+          meter.add_load(c, current, seg.duration);
+        } else {
+          meter.add_step(c, offset, meter.reserve_seq(), current);
+        }
+      }
+      offset += seg.duration;
+    }
+    offset = Duration{};
+    for (const auto& seg : shape.segments()) {
+      const MilliAmps current{k * seg.weight};
+      if (current.value > 0.0 && offset != Duration::zero()) {
+        meter.add_step(c, offset + seg.duration, meter.reserve_seq(),
+                       MilliAmps{-current.value});
+      }
+      offset += seg.duration;
+    }
+  }
+};
+
 TEST(PhaseShape, TotalsAndWeights) {
   const PhaseShape shape{{{seconds(1), 2.0}, {seconds(3), 0.5}}};
   EXPECT_EQ(shape.total_duration(), seconds(4));
@@ -122,7 +156,7 @@ TEST(ApplyPhase, IntegratesToExactTarget) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
-  const PhaseShape shape = D2dEnergyProfile::send_shape();
+  const PhaseShape& shape = D2dEnergyProfile::send_shape();
   const Duration total =
       apply_phase(meter, c, shape, MicroAmpHours{73.09});
   EXPECT_EQ(total, shape.total_duration());
@@ -131,11 +165,74 @@ TEST(ApplyPhase, IntegratesToExactTarget) {
 }
 
 TEST(ApplyPhase, RejectsZeroAreaShape) {
+  EXPECT_THROW(PhaseShape({}), std::invalid_argument);
+  EXPECT_THROW(PhaseShape({{seconds(1), 0.0}, {seconds(2), 0.0}}),
+               std::invalid_argument);
+}
+
+// Runs `fn` and expects a std::invalid_argument that names apply_phase.
+template <typename F>
+void expect_apply_phase_error(F fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "no std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("apply_phase:", 0), 0u) << e.what();
+  }
+}
+
+TEST(ApplyPhase, ShapeIsCheckedOnceWhenBuilt) {
+  // A zero-duration first segment, a zero-duration later one, a
+  // negative duration and a negative weight: one error, at build.
+  expect_apply_phase_error(
+      [] { PhaseShape({{Duration::zero(), 1.0}, {seconds(1), 1.0}}); });
+  expect_apply_phase_error(
+      [] { PhaseShape({{seconds(1), 1.0}, {Duration::zero(), 1.0}}); });
+  expect_apply_phase_error([] { PhaseShape({{milliseconds(-5), 1.0}}); });
+  expect_apply_phase_error(
+      [] { PhaseShape({{seconds(1), 2.0}, {seconds(1), -0.5}}); });
+  // A zero-weight segment is fine and reserves no rank.
+  const PhaseShape gap{
+      {{seconds(1), 1.0}, {seconds(1), 0.0}, {seconds(1), 1.0}}};
+  EXPECT_EQ(gap.plan().steps.size(), 3u);
+  EXPECT_DOUBLE_EQ(gap.plan().lead, 1.0);
+}
+
+TEST(ApplyPhase, PlanRanksFollowTheEventDrivenDrawOrder) {
+  // discovery: 8 segments, 15 steps; rank 0 is the first segment's end,
+  // ranks 1..7 the later starts, ranks 8..14 the later ends.
+  const energy::PhasePlan& plan = D2dEnergyProfile::discovery_shape().plan();
+  ASSERT_EQ(plan.steps.size(), 15u);
+  EXPECT_DOUBLE_EQ(plan.lead, 2.0);
+  EXPECT_EQ(plan.steps[0].offset, seconds(1));
+  EXPECT_EQ(plan.steps[0].rank, 0u);
+  EXPECT_FALSE(plan.steps[0].up);
+  EXPECT_EQ(plan.steps[1].offset, seconds(1));
+  EXPECT_EQ(plan.steps[1].rank, 1u);
+  EXPECT_TRUE(plan.steps[1].up);
+  EXPECT_EQ(plan.steps[2].offset, seconds(2));
+  EXPECT_EQ(plan.steps[2].rank, 2u);
+  EXPECT_EQ(plan.steps[3].rank, 8u);  // the second segment's end
+  EXPECT_FALSE(plan.steps[3].up);
+  EXPECT_EQ(plan.steps.back().offset, seconds(8));
+  EXPECT_EQ(plan.steps.back().rank, 14u);
+}
+
+TEST(ApplyPhase, NegativeTargetThrowsAndZeroTargetIsANoOp) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
-  const auto c = meter.register_component("wifi");
-  EXPECT_THROW(apply_phase(meter, c, PhaseShape{}, MicroAmpHours{10.0}),
-               std::invalid_argument);
+  const auto c = meter.register_component("wifi", MilliAmps{3.0});
+  const PhaseShape& shape = D2dEnergyProfile::send_shape();
+  expect_apply_phase_error(
+      [&] { apply_phase(meter, c, shape, MicroAmpHours{-1.0}); });
+  const std::uint64_t before = sim.reserve_seq();
+  EXPECT_EQ(apply_phase(meter, c, shape, MicroAmpHours{0.0}),
+            shape.total_duration());
+  EXPECT_EQ(sim.reserve_seq(), before + 1);  // no seq reserved between
+  EXPECT_EQ(meter.pending_capacity(c), 0u);
+  EXPECT_DOUBLE_EQ(meter.component_current(c).value, 3.0);
+  sim.run_until(TimePoint{} + seconds(36));
+  EXPECT_NEAR(meter.component_charge(c).value, 30.0, 1e-9);
 }
 
 TEST(ApplyPhase, SendShapeSpikesThenDecays) {
@@ -191,7 +288,7 @@ std::vector<MeterOp> random_script(std::uint64_t seed) {
   return ops;
 }
 
-PhaseShape script_shape(int shape) {
+const PhaseShape& script_shape(int shape) {
   switch (shape) {
     case 0:
       return D2dEnergyProfile::discovery_shape();
@@ -223,14 +320,19 @@ Reading read_all(const sim::Simulator& sim, M& meter,
   return r;
 }
 
-// Runs `ops` on a fresh world with meter type M. Half the ops are
-// scheduled up front, half by the op before them, so read and step
-// sequence numbers interleave. A chained on-grid read may sit between
-// steps whose ranks the oracle drew mid-phase, so only its charges are
-// compared; every other read must also see the oracle's draw.
+// Runs `ops` on a fresh world of `kernels` kernels with meter type M,
+// every op on kernel `shard` (whose seq lane has stride `kernels`).
+// Half the ops are scheduled up front, half by the op before them, so
+// read and step sequence numbers interleave. A chained on-grid read may
+// sit between steps whose ranks the event-driven oracle drew mid-phase,
+// so against it only its charges are compared; every other read must
+// also see the oracle's draw.
 template <typename M>
-std::vector<Reading> run_script(const std::vector<MeterOp>& ops) {
-  sim::Simulator sim;
+std::vector<Reading> run_script(const std::vector<MeterOp>& ops,
+                                std::size_t kernels = 1,
+                                std::uint32_t shard = 0) {
+  sim::Simulator sim{kernels};
+  const sim::ShardGuard home(sim, shard);
   M meter{sim};
   std::vector<energy::ComponentHandle> components;
   for (int i = 0; i < 3; ++i) {
@@ -298,6 +400,30 @@ TEST(LazyMeter, AgreesWithEventDrivenOracleOnRandomScripts) {
   }
 }
 
+// The cursor meter against the step reference it replaced, bit for bit,
+// on kernel 2 of 3: every rank is first + j·3, so a cursor that ranked
+// its steps off the kernel's lane would reorder same-instant reads.
+TEST(LazyMeter, CursorsMatchStepReferenceBitwiseOnThreeKernels) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const auto ops = random_script(seed);
+    const auto cursor = run_script<LazyMeter>(ops, 3, 2);
+    const auto steps = run_script<StepMeter>(ops, 3, 2);
+    ASSERT_EQ(cursor.size(), steps.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < cursor.size(); ++i) {
+      const Reading& a = cursor[i];
+      const Reading& b = steps[i];
+      ASSERT_EQ(a.at, b.at);
+      EXPECT_EQ(a.current.value, b.current.value)
+          << "seed " << seed << " read " << i;
+      ASSERT_EQ(a.charges.size(), b.charges.size());
+      for (std::size_t c = 0; c < a.charges.size(); ++c) {
+        EXPECT_EQ(a.charges[c].value, b.charges[c].value)
+            << "seed " << seed << " read " << i << " component " << c;
+      }
+    }
+  }
+}
+
 // A sampler tick that lands exactly on a segment boundary must see what
 // the event-driven meter showed there — here the first segment still,
 // because the tick's rank was drawn before the phase began. A meter
@@ -333,24 +459,30 @@ TEST(LazyMeter, BoundarySampleMatchesEventDrivenValue) {
   }
   // Samples 9 and 10 are t = 1.0 s and 1.1 s: the 1.0 s tick ran before
   // the phase began; the 1.1 s one still sees the first (wake) segment.
-  const PhaseShape shape = D2dEnergyProfile::send_shape();
+  const PhaseShape& shape = D2dEnergyProfile::send_shape();
   const double k = 73.09 * 3.6 / shape.weighted_seconds();
   ASSERT_GT(lazy.size(), 11u);
   EXPECT_DOUBLE_EQ(lazy[9], 2.0);
-  EXPECT_DOUBLE_EQ(lazy[10], 2.0 + k * shape.segments[0].weight);
+  EXPECT_DOUBLE_EQ(lazy[10], 2.0 + k * shape.segments()[0].weight);
 }
 
 TEST(LazyMeter, PhaseStepsDrainAndReleaseStorage) {
   sim::Simulator sim;
   energy::EnergyMeter meter{sim};
   const auto c = meter.register_component("wifi");
-  apply_phase(meter, c, D2dEnergyProfile::discovery_shape(),
-              MicroAmpHours{132.24});
+  const PhaseShape& discovery = D2dEnergyProfile::discovery_shape();
+  // A discovery phase's 15 steps are one pending cursor, not 15 steps.
+  apply_phase(meter, c, discovery, MicroAmpHours{132.24});
   EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_GT(meter.step_capacity(c), 0u);
-  sim.run_until(TimePoint{} + seconds(9));
-  EXPECT_NEAR(meter.component_charge(c).value, 132.24, 1e-9);
-  EXPECT_EQ(meter.step_capacity(c), 0u);
+  EXPECT_EQ(meter.pending_capacity(c), 1u);
+  // A second phase overlapping the first is a second cursor.
+  sim.run_until(TimePoint{} + milliseconds(2500));
+  apply_phase(meter, c, discovery, MicroAmpHours{132.24});
+  EXPECT_EQ(meter.pending_capacity(c), 2u);
+  sim.run_until(TimePoint{} + seconds(11));
+  EXPECT_NEAR(meter.component_charge(c).value, 2 * 132.24, 1e-9);
+  EXPECT_NEAR(meter.component_current(c).value, 0.0, 1e-9);
+  EXPECT_EQ(meter.pending_capacity(c), 0u);  // drained: no storage
 }
 
 TEST(D2dEnergyProfile, DefaultsMatchTableIII) {

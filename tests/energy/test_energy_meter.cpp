@@ -82,7 +82,7 @@ TEST(EnergyMeter, AddLoadRejectsNonPositiveDuration) {
                std::invalid_argument);
   EXPECT_THROW(meter.add_load(c, MilliAmps{10.0}, milliseconds(-5)),
                std::invalid_argument);
-  EXPECT_EQ(meter.step_capacity(c), 0u);
+  EXPECT_EQ(meter.pending_capacity(c), 0u);
   EXPECT_DOUBLE_EQ(meter.component_current(c).value, 0.0);
 }
 
@@ -93,7 +93,7 @@ TEST(EnergyMeter, LoadsScheduleNoEvents) {
   meter.add_load(c, MilliAmps{100.0}, seconds(10));
   meter.add_step(c, seconds(2), meter.reserve_seq(), MilliAmps{50.0});
   EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_GE(meter.step_capacity(c), 2u);
+  EXPECT_GE(meter.pending_capacity(c), 2u);
   EXPECT_THROW(meter.add_step(c, Duration::zero(), meter.reserve_seq(),
                               MilliAmps{1.0}),
                std::invalid_argument);
@@ -106,13 +106,13 @@ TEST(EnergyMeter, DrainedComponentReleasesStepStorage) {
   for (int i = 1; i <= 8; ++i) {
     meter.add_load(c, MilliAmps{10.0}, seconds(i));
   }
-  EXPECT_GE(meter.step_capacity(c), 8u);
+  EXPECT_GE(meter.pending_capacity(c), 8u);
   sim.run_until(TimePoint{} + seconds(4));
   EXPECT_DOUBLE_EQ(meter.component_current(c).value, 40.0);
-  EXPECT_GE(meter.step_capacity(c), 4u);
+  EXPECT_GE(meter.pending_capacity(c), 4u);
   sim.run_until(TimePoint{} + seconds(8));
   EXPECT_DOUBLE_EQ(meter.component_current(c).value, 0.0);
-  EXPECT_EQ(meter.step_capacity(c), 0u);
+  EXPECT_EQ(meter.pending_capacity(c), 0u);
 }
 
 TEST(EnergyMeter, AddCurrentShiftsTheDraw) {

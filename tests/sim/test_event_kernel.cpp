@@ -114,6 +114,19 @@ TEST(EventKernel, RejectsPastAndInvalid) {
   EXPECT_FALSE(kernel.cancel(EventId{}));
 }
 
+TEST(EventKernel, SeqBlockIsTheLaneDrawsInOrder) {
+  EventKernel kernel(2);
+  kernel.set_seq_lane(2, 3);
+  EXPECT_EQ(kernel.reserve_seq(), 2u);
+  const EventKernel::SeqBlock block = kernel.reserve_seqs(4);
+  EXPECT_EQ(block.first, 5u);
+  EXPECT_EQ(block.stride, 3u);
+  // The block took draws 5, 8, 11 and 14; the next draw is 17.
+  EXPECT_EQ(kernel.reserve_seq(), 17u);
+  EXPECT_EQ(kernel.reserve_seqs(0).first, 20u);
+  EXPECT_EQ(kernel.reserve_seq(), 20u);
+}
+
 TEST(EventKernel, RunUntilAdvancesIdleClock) {
   EventKernel kernel;
   bool ran = false;
