@@ -1,5 +1,5 @@
 // Process memory observability for the bench reports: the city-scale
-// bench's headline is events/s AND peak RSS vs phone count, and the CI
+// bench's headline is wall time AND peak RSS vs phone count, and the CI
 // smoke leg bounds the RSS so a layout regression (an agent quietly
 // growing, pooling silently disabled) fails the build instead of the
 // next million-phone run.

@@ -46,8 +46,9 @@ double IncentiveLedger::total_issued() const {
 }
 
 void IncentiveLedger::bind_metrics(metrics::MetricsRegistry& registry) {
-  registry.gauge_fn("incentive.credits_issued", {0, -1, "incentive"},
-                    [this] { return total_issued(); });
+  registry.gauge_fn(
+      "incentive.credits_issued", {0, -1, "incentive"}, *this,
+      [](IncentiveLedger& ledger) { return ledger.total_issued(); });
 }
 
 double IncentiveLedger::redeem(NodeId relay, double credits) {

@@ -27,10 +27,10 @@ Phone::Phone(sim::Simulator& sim, NodeId id, PhoneConfig config,
   // radios register their own energy.*_uah gauges; these add the
   // radio-attributable sum and the everything-included total.
   auto& reg = sim.metrics();
-  reg.gauge_fn("energy.radio_uah", {id_.value, -1, "phone"},
-               [this] { return radio_charge().value; });
-  reg.gauge_fn("energy.total_uah", {id_.value, -1, "phone"},
-               [this] { return total_charge().value; });
+  reg.gauge_fn("energy.radio_uah", {id_.value, -1, "phone"}, *this,
+               [](Phone& p) { return p.radio_charge().value; });
+  reg.gauge_fn("energy.total_uah", {id_.value, -1, "phone"}, *this,
+               [](Phone& p) { return p.total_charge().value; });
 }
 
 }  // namespace d2dhb::core

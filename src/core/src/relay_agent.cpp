@@ -50,8 +50,8 @@ RelayAgent::RelayAgent(sim::Simulator& sim, Phone& phone, Params params,
                      [this] { retire(); });
     battery_poll_.emplace(sim_, params.battery_poll_interval,
                           [this] { poll_battery(); });
-    reg.gauge_fn("battery.level", labels,
-                 [this] { return battery_->level(); });
+    reg.gauge_fn("battery.level", labels, *this,
+                 [](RelayAgent& a) { return a.battery_->level(); });
   }
 }
 

@@ -31,8 +31,8 @@ WifiDirectRadio::WifiDirectRadio(sim::Simulator& sim, NodeId owner,
   links_broken_ctr_ = &reg.counter("d2d.links_broken", labels);
   sends_ctr_ = &reg.counter("d2d.sends", labels);
   transfer_bytes_ctr_ = &reg.counter("d2d.transfer_bytes", labels);
-  reg.gauge_fn("energy.wifi_direct_uah", labels,
-               [this] { return radio_charge().value; });
+  reg.gauge_fn("energy.wifi_direct_uah", labels, *this,
+               [](WifiDirectRadio& r) { return r.radio_charge().value; });
 }
 
 WifiDirectRadio::~WifiDirectRadio() {

@@ -15,8 +15,9 @@ BaseStation::BaseStation(sim::Simulator& sim, net::ImServer& server,
   bundles_ctr_ = &reg.counter("bs.bundles_received", labels);
   heartbeats_ctr_ = &reg.counter("bs.heartbeats_received", labels);
   bytes_ctr_ = &reg.counter("bs.bytes_received", labels);
-  reg.gauge_fn("signaling.l3_total", labels,
-               [this] { return static_cast<double>(signaling_.total()); });
+  reg.gauge_fn("signaling.l3_total", labels, *this, [](BaseStation& bs) {
+    return static_cast<double>(bs.signaling_.total());
+  });
 }
 
 void BaseStation::receive(const net::UplinkBundle& bundle) {

@@ -36,8 +36,8 @@ CellularModem::CellularModem(sim::Simulator& sim, NodeId owner,
   bundles_sent_ctr_ = &reg.counter("cellular.bundles_sent", labels);
   promotions_ctr_ = &reg.counter("rrc.promotions", labels);
   transitions_ctr_ = &reg.counter("rrc.transitions", labels);
-  reg.gauge_fn("energy.cellular_uah", {owner_.value, -1, "cellular"},
-               [this] { return radio_charge().value; });
+  reg.gauge_fn("energy.cellular_uah", labels, *this,
+               [](CellularModem& m) { return m.radio_charge().value; });
 }
 
 MilliAmps CellularModem::state_current(RrcState s) const {

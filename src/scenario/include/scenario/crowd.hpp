@@ -105,8 +105,8 @@ struct CrowdMetrics {
   /// time (grid-backed coverage accounting; computed for every layout,
   /// operator-selected or first-N).
   double relay_coverage{0.0};
-  /// Simulator events executed by this run — the numerator of the
-  /// events/sec scaling benches.
+  /// Simulator events executed by this run: the deterministic event
+  /// budget that tests pin (a count, not a speed).
   std::uint64_t sim_events{0};
   /// Cross-kernel traffic: always 0, 0 and INT64_MAX (and
   /// shard_mailbox_delivered all zeros), because no event crosses
